@@ -44,10 +44,10 @@ from .kernels import (
     SampledGramKernel,
     irreducible_partition,
 )
+from .linalg import DEFAULT_TOL
 from .pick import PickProblem, minimal_interpolation_norm, pick_feasible
 from .reconstruct import classify
 
-DEFAULT_TOL = 1e-9
 DEFAULT_DEGREE = 12
 
 

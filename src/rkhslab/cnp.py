@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational, Real
+from numbers import Rational
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import (
     IrreducibilityError,
     NotCnpError,
 )
-from .kernels import NormalizedGram, normalize
+from .kernels import NormalizedGram, normalize, validated_coeffs
 from .linalg import DEFAULT_TOL, HermitianMatrix, psd_check, psd_factor
 
 CONSISTENT = "consistent"
@@ -131,14 +131,7 @@ def _validated_coeffs(coeffs: Sequence) -> tuple:
     coeffs = tuple(coeffs)
     if len(coeffs) < 3:
         raise InputError("need at least 3 coefficients")
-    for i, c in enumerate(coeffs):
-        if not isinstance(c, (Real, Fraction)) or isinstance(c, bool):
-            raise InputError(f"coefficient {i} is not a real number")
-        if not c > 0:
-            raise InputError(f"coefficient {i} must be positive, got {c}")
-    if coeffs[0] != 1:
-        raise InputError("a_0 must equal 1")
-    return coeffs
+    return validated_coeffs(coeffs)
 
 
 def _ratio_scan(coeffs: Sequence, reverse: bool) -> RatioCheck:
@@ -210,9 +203,6 @@ def ratio_report(coeffs: Sequence) -> RatioReport:
     )
 
 
-_TAIL_VALIDATE_TERMS = 10_000
-
-
 def _validated_radii(radii: Sequence, what: str) -> tuple[float, ...]:
     out = []
     for i, r in enumerate(radii):
@@ -247,9 +237,8 @@ class GeometricTail:
         if not (0.0 < self.q < 1.0):
             raise InputError("q must lie in (0, 1)")
         object.__setattr__(self, "prefix", _validated_radii(self.prefix, "prefix"))
-        gaps = self.c * self.q ** np.arange(_TAIL_VALIDATE_TERMS, dtype=float)
-        # Underflowed gaps are mathematically positive; only gaps >= 1 are bad.
-        if np.any(gaps >= 1.0) or np.any(~np.isfinite(gaps)):
+        # The gaps c q^k decrease from c, so all radii lie in (0, 1) iff c < 1.
+        if not self.c < 1.0:
             raise InputError("some implied radius falls outside (0, 1)")
 
 
@@ -271,9 +260,9 @@ class PolynomialTail:
         if not math.isfinite(self.p):
             raise InputError("p must be finite")
         object.__setattr__(self, "prefix", _validated_radii(self.prefix, "prefix"))
-        ks = np.arange(2, _TAIL_VALIDATE_TERMS + 2, dtype=float)
-        gaps = self.c * ks ** (-self.p)
-        if np.any(gaps >= 1.0) or np.any(~np.isfinite(gaps)):
+        # For p < 0 the gaps c k^(-p) grow without bound; for p >= 0 the
+        # largest is the first, c 2^(-p).
+        if not (self.p >= 0 and self.c * 2.0 ** -self.p < 1.0):
             raise InputError("some implied radius falls outside (0, 1)")
 
 

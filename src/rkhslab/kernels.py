@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,11 +55,9 @@ class PointSet:
             raise DomainError(
                 f"point {worst} has norm {norms[worst]:.6f}, outside the open unit ball"
             )
-        n = pts.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.array_equal(pts[i], pts[j]):
-                    raise InputError(f"points {i} and {j} coincide")
+        pair = first_coincident_pair(pts)
+        if pair is not None:
+            raise InputError(f"points {pair[0]} and {pair[1]} coincide")
         pts = pts.copy()
         pts.setflags(write=False)
         self._dim = dim
@@ -83,15 +81,54 @@ class PointSet:
         return f"PointSet(dim={self._dim}, n={len(self)})"
 
 
-def _hermitian_gram(points: np.ndarray, pairwise) -> HermitianMatrix:
-    n = points.shape[0]
-    g = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            val = pairwise(points[i], points[j])
-            g[i, j] = val
-            g[j, i] = np.conjugate(val)
-    return HermitianMatrix(g)
+def first_coincident_pair(points) -> Optional[tuple[int, int]]:
+    """The first pair (i, j), i < j, of exactly equal rows, or None.
+
+    "First" is the smallest i that has a later duplicate, then the smallest
+    such j. Rows compare as np.array_equal does (so -0.0 equals 0.0): a
+    stable lexsort on the real and imaginary parts puts equal rows next to
+    each other in index order, and neighbours are compared with ==.
+    """
+    pts = np.asarray(points, dtype=np.complex128)
+    pts = pts.reshape(pts.shape[0], -1)
+    # Adding 0.0 turns -0.0 into 0.0, so no sort order can part rows that
+    # compare equal.
+    order = np.lexsort(np.concatenate([pts.real.T, pts.imag.T]) + 0.0)
+    ranked = pts[order]
+    same = np.all(ranked[1:] == ranked[:-1], axis=1)
+    if not same.any():
+        return None
+    firsts, seconds = order[:-1][same], order[1:][same]
+    k = int(np.argmin(firsts))
+    return int(firsts[k]), int(seconds[k])
+
+
+def _first_outside_disk(x: np.ndarray) -> Optional[float]:
+    """|x[i, j]| of the first entry with i <= j (row-major) that is not below
+    1, or None: the pair a per-pair loop over the upper triangle would meet
+    first."""
+    outside = np.abs(x) >= 1.0
+    if outside.any():
+        hits = np.argwhere(np.triu(outside))
+        if hits.size:
+            return abs(complex(x[tuple(hits[0])]))
+    return None
+
+
+def validated_coeffs(coeffs: Sequence) -> tuple:
+    """Power-series coefficients as a tuple: non-empty, real (int, float or
+    Fraction, not bool), positive, with a_0 = 1."""
+    coeffs = tuple(coeffs)
+    if not coeffs:
+        raise InputError("coefficient list must be non-empty")
+    for i, c in enumerate(coeffs):
+        if not isinstance(c, (Real, Fraction)) or isinstance(c, bool):
+            raise InputError(f"coefficient {i} is not a real number")
+        if not c > 0:
+            raise InputError(f"coefficient {i} must be positive, got {c}")
+    if coeffs[0] != 1:
+        raise InputError("a_0 must equal 1")
+    return coeffs
 
 
 class PowerSeriesKernel:
@@ -104,17 +141,7 @@ class PowerSeriesKernel:
     dim = 1
 
     def __init__(self, coeffs: Sequence):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise InputError("coefficient list must be non-empty")
-        for i, c in enumerate(coeffs):
-            if not isinstance(c, (Real, Fraction)) or isinstance(c, bool):
-                raise InputError(f"coefficient {i} is not a real number")
-            if not c > 0:
-                raise InputError(f"coefficient {i} must be positive, got {c}")
-        if coeffs[0] != 1:
-            raise InputError("a_0 must equal 1")
-        self.coeffs = coeffs
+        self.coeffs = validated_coeffs(coeffs)
 
     def evaluate(self, z, w) -> complex:
         zv = _as_point(z, 1)
@@ -130,7 +157,17 @@ class PowerSeriesKernel:
     def gram(self, pts: PointSet) -> HermitianMatrix:
         if pts.dim != 1:
             raise InputError("power-series kernels live on the unit disk (dim 1)")
-        return _hermitian_gram(pts.points, lambda a, b: self.evaluate(a, b))
+        z = pts.points[:, 0]
+        x = np.outer(z, z.conj())
+        bad = _first_outside_disk(x)
+        if bad is not None:
+            raise DomainError(f"|z conj(w)| = {bad:.6f} is not below 1")
+        # Horner on the whole matrix: one multiply-add per coefficient.
+        acc = np.zeros_like(x)
+        for c in reversed(self.coeffs):
+            acc *= x
+            acc += float(c)
+        return HermitianMatrix(acc)
 
     def __repr__(self) -> str:
         return f"PowerSeriesKernel(terms={len(self.coeffs)})"
@@ -155,7 +192,12 @@ class DruryArvesonKernel:
     def gram(self, pts: PointSet) -> HermitianMatrix:
         if pts.dim != self.dim:
             raise InputError(f"points have dim {pts.dim}, kernel has dim {self.dim}")
-        return _hermitian_gram(pts.points, lambda a, b: self.evaluate(a, b))
+        z = pts.points
+        ip = z @ z.conj().T
+        bad = _first_outside_disk(ip)
+        if bad is not None:
+            raise DomainError(f"|<z, w>| = {bad:.6f} is not below 1")
+        return HermitianMatrix(1.0 / (1.0 - ip))
 
     def __repr__(self) -> str:
         return f"DruryArvesonKernel(dim={self.dim})"
@@ -276,21 +318,53 @@ def irreducible_partition(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> list[
     return classes
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def check_irreducible_sample(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> bool:
     """Sample-level irreducibility: no zero entries, no proportional rows.
 
     Proportionality of rows i and j means every 2x2 minor built from them
     vanishes; the test declares rows proportional when all such minors have
-    modulus at most tol. A verdict of True certifies nothing about points
-    outside the sample.
+    modulus at most tol (an absolute threshold). A verdict of True certifies
+    nothing about points outside the sample.
+
+    All pairs are screened at once with Lagrange's identity: for rows a_i,
+    a_j of length n,
+
+        S_ij = ||a_i||^2 ||a_j||^2 - |<a_i, a_j>|^2
+
+    is the sum of the squared moduli of the m = n(n-1)/2 distinct 2x2 minors
+    of the two rows, so max^2 <= S_ij <= m max^2 for their largest minor
+    modulus max. S is read off one Gram product A A^*. A pair with
+    S_ij > m (tol + e_ij)^2 + 8 n eps ||a_i||^2 ||a_j||^2 has max > tol and
+    is not proportional; there
+
+    - 8 n eps ||a_i||^2 ||a_j||^2 is the rounding band of S_ij: each Gram
+      entry is a complex dot product of length n, off by at most about
+      n eps ||a_i|| ||a_j|| in any summation order, which moves S_ij by at
+      most about (4n + 3) eps ||a_i||^2 ||a_j||^2;
+    - e_ij = 4 eps (tol + ||a_i|| ||a_j||) covers the rounding of the
+      explicit test below, so that it would not read a minor just above
+      tol as at most tol.
+
+    Every other pair, including any pair whose S is not finite, gets the
+    explicit max-minor test, so the verdict equals that of testing every
+    pair explicitly.
     """
     a = g.entries
     if np.min(np.abs(a)) <= tol:
         return False
     n = g.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            minors = np.outer(a[i], a[j]) - np.outer(a[j], a[i])
-            if np.max(np.abs(minors)) <= tol:
-                return False
+    gram = a @ a.conj().T
+    sq = gram.diagonal().real
+    norms2 = np.outer(sq, sq)
+    lagrange = norms2 - np.abs(gram) ** 2
+    e = 4 * _EPS * (tol + np.sqrt(norms2))
+    bound = n * (n - 1) / 2 * (tol + e) ** 2 + 8 * n * _EPS * norms2
+    undecided = np.triu(~(lagrange > bound), 1)
+    for i, j in zip(*np.nonzero(undecided)):
+        minors = np.outer(a[i], a[j]) - np.outer(a[j], a[i])
+        if np.max(np.abs(minors)) <= tol:
+            return False
     return True

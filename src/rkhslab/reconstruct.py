@@ -28,7 +28,7 @@ from .errors import (
     InputError,
     IrreducibilityError,
 )
-from .kernels import check_irreducible_sample, normalize
+from .kernels import check_irreducible_sample, first_coincident_pair, normalize
 from .linalg import DEFAULT_TOL, HermitianMatrix
 
 SINGLETON = "singleton"
@@ -128,12 +128,11 @@ def classify(g: HermitianMatrix, base: int, tol: float = DEFAULT_TOL) -> Reconst
     embedding = agler_mccarthy_embed(g, base, tol)
     if embedding.rank == 1:
         j = _phase_fixed_j(embedding.b_points, base)
-        for i in range(j.shape[0]):
-            for k in range(i + 1, j.shape[0]):
-                if j[i] == j[k]:
-                    raise InconsistentSampleError(
-                        f"recovered disk points {i} and {k} coincide"
-                    )
+        pair = first_coincident_pair(j)
+        if pair is not None:
+            raise InconsistentSampleError(
+                f"recovered disk points {pair[0]} and {pair[1]} coincide"
+            )
         j.setflags(write=False)
         return ReconstructionResult(
             classification=HARDY_EQUIVALENT,

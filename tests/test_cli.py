@@ -191,6 +191,13 @@ class TestOtherCommands:
         assert report["results"]["gap_sum"] == "DIVERGENT"
         assert report["results"]["is_uniqueness_set"] is True
 
+    def test_blaschke_growing_polynomial_tail_refused(self, corpus, capsys):
+        family = corpus / "growing.json"
+        family.write_text(json.dumps({"type": "polynomial_tail", "c": 0.5, "p": -1e-6}))
+        code, report, _ = run(capsys, ["blaschke", family])
+        assert code == 2
+        assert report["results"]["error"]["type"] == "InputError"
+
     def test_closure_member_and_not(self, corpus, capsys):
         base = ["closure", "--points", corpus / "pts2.json", "--degree", "8"]
         code, report, _ = run(capsys, base + ["--z", "[[0.5,0],[0,0]]"])

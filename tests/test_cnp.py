@@ -209,3 +209,17 @@ class TestBlaschke:
             GeometricTail(c=1.5, q=0.5)
         with pytest.raises(InputError):
             PolynomialTail(c=5.0, p=1.0)
+
+    def test_tail_radii_closed_form(self):
+        # Geometric gaps c q^k are all below 1 iff c < 1; polynomial gaps
+        # c k^(-p), k >= 2, iff p >= 0 and c 2^(-p) < 1.
+        msg = r"some implied radius falls outside \(0, 1\)"
+        with pytest.raises(InputError, match=msg):
+            GeometricTail(c=1.0, q=0.5)
+        assert GeometricTail(c=0.999, q=0.999).c == 0.999
+        with pytest.raises(InputError, match=msg):
+            PolynomialTail(c=0.5, p=-1e-6)  # gaps grow without bound
+        with pytest.raises(InputError, match=msg):
+            PolynomialTail(c=2.0, p=1.0)  # first gap is exactly 1
+        assert blaschke_classify(PolynomialTail(c=0.5, p=0.0)).divergent
+        assert blaschke_classify(PolynomialTail(c=1.99, p=1.0)).divergent
