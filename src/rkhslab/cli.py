@@ -60,17 +60,30 @@ def _fail(msg: str) -> InputError:
 
 
 def _parse_number(x, what: str):
-    """Real number from JSON: int, float, or {"num": "...", "den": "..."}."""
+    """Real number from JSON: int, float, or {"num": "...", "den": "..."}.
+
+    Integers and rationals beyond the float range are refused: every
+    command computes in floating point somewhere downstream.
+    """
     if isinstance(x, bool):
         raise _fail(f"{what}: expected a number, got a boolean")
-    if isinstance(x, (int, float)):
-        return x
     if isinstance(x, dict) and set(x) == {"num", "den"}:
         try:
-            return Fraction(int(x["num"]), int(x["den"]))
+            x = Fraction(int(x["num"]), int(x["den"]))
         except (ValueError, ZeroDivisionError) as e:
             raise _fail(f"{what}: bad rational {x!r} ({e})") from None
-    raise _fail(f"{what}: expected a number, got {x!r}")
+    elif not isinstance(x, (int, float)):
+        raise _fail(f"{what}: expected a number, got {x!r}")
+    if not isinstance(x, float) and abs(x) > sys.float_info.max:
+        raise _fail(f"{what}: number beyond the float range")
+    return x
+
+
+def _parse_json_arg(text: str, what: str):
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        raise _fail(f"{what}: not valid JSON ({e})") from None
 
 
 def _parse_complex(x, what: str) -> complex:
@@ -201,7 +214,7 @@ class _Loader:
         self.hasher.update(b"\x00")
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except ValueError as e:  # bad UTF-8, bad JSON, or an integer too long to read
             raise _fail(f"{what}: {path!r} is not valid JSON ({e})") from None
 
     def digest(self) -> str:
@@ -408,7 +421,7 @@ def _cmd_blaschke(args, loader):
 
 def _cmd_closure(args, loader):
     pts = _parse_points_obj(loader.load_json(args.points, "points"), "points")
-    z = _parse_point(json.loads(args.z), pts.dim, "--z")
+    z = _parse_point(_parse_json_arg(args.z, "--z"), pts.dim, "--z")
     membership = fock.in_closure(np.array(z), pts, args.degree, args.tol)
     return {
         "member": membership.member,
@@ -432,20 +445,23 @@ def _cmd_fock_arveson(args, loader):
 
 
 def _cmd_fock_balance(args, loader):
-    z = [_parse_coeff(c, "--z") for c in json.loads(args.z)]
-    balance = fock.tail_balance(z, args.degree)
-    ok = abs(balance.adjoint_norm_sq - balance.forward_norm_sq) <= balance.tail_bound
+    raw = _parse_json_arg(args.z, "--z")
+    if not isinstance(raw, list):
+        raise _fail("--z: a point is a list of [re, im] pairs")
+    balance = fock.tail_balance([_parse_coeff(c, "--z") for c in raw], args.degree)
+    ok = balance.within_bound
     return {
         "adjoint_norm_sq": balance.adjoint_norm_sq,
         "forward_norm_sq": balance.forward_norm_sq,
         "tail_bound": balance.tail_bound,
+        "rounding_bound": balance.rounding_bound,
         "within_bound": ok,
         "degree": args.degree,
     }, (0 if ok else 1)
 
 
 def _cmd_fock_defect(args, loader):
-    phi = _parse_poly_obj(json.loads(args.phi), "--phi")
+    phi = _parse_poly_obj(_parse_json_arg(args.phi, "--phi"), "--phi")
     space = fock.TruncatedSpace(phi.dim, args.degree)
     if args.span == "full":
         subspace = fock.FockSubspace(space, np.eye(len(space), dtype=np.complex128))

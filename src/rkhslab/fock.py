@@ -1,14 +1,17 @@
-"""Exact computations in the truncated Drury-Arveson space (symmetric Fock).
+"""Computations in the truncated Drury-Arveson space (symmetric Fock).
 
 The ambient space is the d-variable reproducing kernel Hilbert space on the
 unit ball with kernel 1/(1 - <z, w>), cut off at a chosen total degree.
 Monomials z^alpha are orthogonal with norm squared alpha!/|alpha|!, kept
 here as exact rationals.
 
-Two coefficient paths. Inputs whose numbers are ints or Fractions stay exact
-end to end: coefficients are Gaussian rationals and inner products come out
-as Fractions. Any float or complex input switches the affected polynomial to
-ordinary complex arithmetic. A polynomial never mixes the two.
+Two roles. Polynomial is the exact path: with int or Fraction inputs its
+coefficients are Gaussian rationals and inner products come out as
+Fractions (a float coefficient makes it complex), so exact results such as
+Arveson's witness 1/6 < 1/4 come from it. Every numeric computation runs
+in the isometric coordinates of a TruncatedSpace instead, where
+multiplication by c z^gamma is a scatter-add over a shift table and its
+adjoint is the gather over the same table.
 
 Degree windows. Operations that consume a truncation of an infinite series
 take an explicit window so nothing is dropped silently: the adjoint of
@@ -21,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
@@ -31,9 +33,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, WindowOverflowError
 from .kernels import PointSet
-from .linalg import HermitianMatrix, min_eigenvalue
-
-_ORTHONORMAL_TOL = 1e-12
+from .linalg import HermitianMatrix, Subspace, min_eigenvalue
 
 
 class QQi:
@@ -74,7 +74,7 @@ class QQi:
         return QQi(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QQi) else -Fraction(other) if isinstance(other, Rational) else -other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -103,10 +103,9 @@ class QQi:
         return complex(float(self.re), float(self.im))
 
     def __eq__(self, other):
-        if isinstance(other, QQi):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, Rational):
-            return self.im == 0 and self.re == other
+        o = self._coerce(other)
+        if o is not None:
+            return self.re == o.re and self.im == o.im
         if isinstance(other, (float, complex)):
             return complex(self) == complex(other)
         return NotImplemented
@@ -128,46 +127,14 @@ def _coerce_coeff(x) -> Coefficient:
     """Exact types (int, Fraction, QQi) stay exact; everything else is complex."""
     if isinstance(x, QQi):
         return x
-    if isinstance(x, bool):
-        return QQi(int(x))
+    if isinstance(x, np.integer):
+        x = int(x)
     if isinstance(x, Rational):
         return QQi(x)
-    if isinstance(x, (np.integer,)):
-        return QQi(int(x))
     c = complex(x)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise InputError("coefficients must be finite")
     return c
-
-
-def _cadd(a: Coefficient, b: Coefficient) -> Coefficient:
-    if isinstance(a, QQi) and isinstance(b, QQi):
-        return QQi(a.re + b.re, a.im + b.im)
-    return complex(a) + complex(b)
-
-
-def _cmul(a: Coefficient, b: Coefficient) -> Coefficient:
-    if isinstance(a, QQi) and isinstance(b, QQi):
-        return a * b
-    return complex(a) * complex(b)
-
-
-def _cconj(a: Coefficient) -> Coefficient:
-    if isinstance(a, QQi):
-        return a.conjugate()
-    return complex(a).conjugate()
-
-
-def _cscale(a: Coefficient, f: Fraction) -> Coefficient:
-    if isinstance(a, QQi):
-        return QQi(a.re * f, a.im * f)
-    return complex(a) * float(f)
-
-
-def _ciszero(a: Coefficient) -> bool:
-    if isinstance(a, QQi):
-        return a.is_zero
-    return a == 0
 
 
 @lru_cache(maxsize=None)
@@ -178,14 +145,9 @@ def monomial_norm_sq(alpha: tuple) -> Fraction:
     degree-n part <z, w>^n spreads the multinomial weight n!/alpha! over
     the monomials, and the reproducing property inverts that weight.
     """
-    total = 0
-    num = 1
-    for e in alpha:
-        if e < 0:
-            raise InputError("multi-index entries must be non-negative")
-        num *= math.factorial(e)
-        total += e
-    return Fraction(num, math.factorial(total))
+    if any(e < 0 for e in alpha):
+        raise InputError("multi-index entries must be non-negative")
+    return Fraction(math.prod(map(math.factorial, alpha)), math.factorial(sum(alpha)))
 
 
 class Polynomial:
@@ -193,7 +155,8 @@ class Polynomial:
 
     Coefficients are Gaussian rationals (exact path) or complex floats
     (numeric path), never mixed within one polynomial. Zero coefficients
-    are not stored.
+    are not stored. QQi turns complex when it meets a float, so exact and
+    numeric polynomials combine by plain operators into numeric ones.
     """
 
     __slots__ = ("dim", "coeffs")
@@ -203,22 +166,17 @@ class Polynomial:
             raise InputError("dim must be a positive integer")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict = {}
-        exact = True
         for alpha, c in items:
             key = tuple(int(e) for e in alpha)
             if len(key) != dim or any(e < 0 for e in key):
                 raise InputError(f"bad multi-index {alpha} for dim {dim}")
             cc = _coerce_coeff(c)
-            if not isinstance(cc, QQi):
-                exact = False
-            if key in clean:
-                cc = _cadd(clean[key], cc)
-            clean[key] = cc
-        if not exact:
+            clean[key] = clean[key] + cc if key in clean else cc
+        if not all(isinstance(v, QQi) for v in clean.values()):
             clean = {k: complex(v) for k, v in clean.items()}
         object.__setattr__(self, "dim", dim)
         object.__setattr__(
-            self, "coeffs", {k: v for k, v in clean.items() if not _ciszero(v)}
+            self, "coeffs", {k: v for k, v in clean.items() if v}
         )
 
     def __setattr__(self, name, value):
@@ -247,31 +205,26 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return max(sum(a) for a in self.coeffs)
-
-    def _wrap_scalar(self, other) -> "Polynomial":
-        return Polynomial.constant(self.dim, other)
+        return max((sum(a) for a in self.coeffs), default=-1)
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
-            other = self._wrap_scalar(other)
+            other = Polynomial.constant(self.dim, other)
         if other.dim != self.dim:
             raise InputError("dimension mismatch")
         merged = dict(self.coeffs)
         for a, c in other.coeffs.items():
-            merged[a] = _cadd(merged[a], c) if a in merged else c
+            merged[a] = merged[a] + c if a in merged else c
         return Polynomial(self.dim, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.dim, {a: _cmul(c, QQi(-1)) for a, c in self.coeffs.items()})
+        return Polynomial(self.dim, {a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
-            other = self._wrap_scalar(other)
+            other = Polynomial.constant(self.dim, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -279,15 +232,15 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            other = self._wrap_scalar(other)
+            other = Polynomial.constant(self.dim, other)
         if other.dim != self.dim:
             raise InputError("dimension mismatch")
         out: dict = {}
         for a, ca in self.coeffs.items():
             for b, cb in other.coeffs.items():
                 key = tuple(x + y for x, y in zip(a, b))
-                term = _cmul(ca, cb)
-                out[key] = _cadd(out[key], term) if key in out else term
+                term = ca * cb
+                out[key] = out[key] + term if key in out else term
         return Polynomial(self.dim, out)
 
     __rmul__ = __mul__
@@ -307,14 +260,7 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.dim != other.dim or set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(
-            self.coeffs[a] == other.coeffs[a]
-            if isinstance(self.coeffs[a], QQi) or isinstance(other.coeffs[a], QQi)
-            else complex(self.coeffs[a]) == complex(other.coeffs[a])
-            for a in self.coeffs
-        )
+        return self.dim == other.dim and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.coeffs)))
@@ -352,16 +298,14 @@ def inner_product(p: Polynomial, q: Polynomial) -> Coefficient:
         if d is None:
             continue
         pc, qc = (d, c) if conj_small else (c, d)
-        total = _cadd(total, _cscale(_cmul(pc, _cconj(qc)), monomial_norm_sq(alpha)))
+        total = total + pc * qc.conjugate() * monomial_norm_sq(alpha)
     return total
 
 
 def norm_sq(p: Polynomial) -> Union[Fraction, float]:
     """||p||^2; a Fraction on the exact path, a float otherwise."""
     ip = inner_product(p, p)
-    if isinstance(ip, QQi):
-        return ip.re
-    return ip.real
+    return ip.re if isinstance(ip, QQi) else ip.real
 
 
 def _coerce_vector(w) -> list:
@@ -392,11 +336,8 @@ def pairing(w) -> Polynomial:
     """
     entries = _coerce_vector(w)
     d = len(entries)
-    coeffs = {}
-    for i, wi in enumerate(entries):
-        alpha = tuple(1 if k == i else 0 for k in range(d))
-        coeffs[alpha] = _cconj(wi)
-    return Polynomial(d, coeffs)
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    return Polynomial(d, {e: wi.conjugate() for e, wi in zip(units, entries)})
 
 
 class TruncatedKernel(NamedTuple):
@@ -413,19 +354,15 @@ def truncated_kernel_fn(z, degree: int) -> TruncatedKernel:
     if degree < 0:
         raise InputError("degree must be non-negative")
     entries = _coerce_vector(z)
-    nz = _vector_norm_sq(entries)
-    if not float(nz) < 1.0:
-        raise DomainError(f"||z||^2 = {float(nz):.6f} is not below 1")
-    d = len(entries)
-    result = Polynomial.constant(d, 1)
+    t = float(_vector_norm_sq(entries))
+    if not t < 1.0:
+        raise DomainError(f"||z||^2 = {t:.6f} is not below 1")
+    result = term = Polynomial.constant(len(entries), 1)
     step = pairing(entries)
-    term = Polynomial.constant(d, 1)
     for _ in range(degree):
         term = term * step
         result = result + term
-    t = float(nz)
-    tail = t ** (degree + 1) / (1.0 - t)
-    return TruncatedKernel(poly=result, tail_norm_sq=tail)
+    return TruncatedKernel(poly=result, tail_norm_sq=t ** (degree + 1) / (1.0 - t))
 
 
 def mult_adjoint_apply(phi: Polynomial, f: Polynomial, degree: int) -> Polynomial:
@@ -450,14 +387,14 @@ def mult_adjoint_apply(phi: Polynomial, f: Polynomial, degree: int) -> Polynomia
     out_cap = degree - phi.degree
     acc: dict = {}
     for gamma, pc in phi.coeffs.items():
-        pcc = _cconj(pc)
+        pcc = pc.conjugate()
         for mu, fc in f.coeffs.items():
             beta = tuple(m - g for m, g in zip(mu, gamma))
             if any(b < 0 for b in beta) or sum(beta) > out_cap:
                 continue
             ratio = monomial_norm_sq(mu) / monomial_norm_sq(beta)
-            term = _cscale(_cmul(pcc, fc), ratio)
-            acc[beta] = _cadd(acc[beta], term) if beta in acc else term
+            term = pcc * fc * ratio
+            acc[beta] = acc[beta] + term if beta in acc else term
     return Polynomial(f.dim, acc)
 
 
@@ -466,13 +403,8 @@ def _graded_basis(dim: int, degree: int) -> tuple:
     for total in range(degree + 1):
         stars = []
         for cuts in itertools.combinations(range(total + dim - 1), dim - 1):
-            prev = -1
-            alpha = []
-            for c in cuts:
-                alpha.append(c - prev - 1)
-                prev = c
-            alpha.append(total + dim - 1 - prev - 1)
-            stars.append(tuple(alpha))
+            bars = (-1, *cuts, total + dim - 1)
+            stars.append(tuple(b - a - 1 for a, b in zip(bars, bars[1:])))
         out.extend(sorted(stars))
     return tuple(out)
 
@@ -484,10 +416,12 @@ class TruncatedSpace:
     order), fixed at construction, so every matrix built over it is
     reproducible. Coordinates are isometric: the coefficient of z^alpha is
     scaled by ||z^alpha||, making the standard inner product of coordinate
-    vectors equal to the space's weighted inner product.
+    vectors equal to the space's weighted inner product. Multiplication
+    acts through per-monomial shift tables kept on the instance; no operator
+    matrix is ever formed.
     """
 
-    __slots__ = ("dim", "degree", "basis", "norms_sq", "_pos", "_sqrt_norms")
+    __slots__ = ("dim", "degree", "basis", "norms_sq", "exponents", "_pos", "_sqrt_norms", "_shifts")
 
     def __init__(self, dim: int, degree: int):
         if not isinstance(dim, int) or dim < 1:
@@ -498,17 +432,18 @@ class TruncatedSpace:
         self.degree = degree
         self.basis = _graded_basis(dim, degree)
         self.norms_sq = tuple(monomial_norm_sq(a) for a in self.basis)
+        self.exponents = np.array(self.basis, dtype=np.int64)
         self._pos = {a: i for i, a in enumerate(self.basis)}
         self._sqrt_norms = np.sqrt(np.array([float(w) for w in self.norms_sq]))
+        self._shifts: dict = {}
 
     def __len__(self) -> int:
         return len(self.basis)
 
-    def index(self, alpha) -> int:
-        try:
-            return self._pos[tuple(alpha)]
-        except KeyError:
-            raise InputError(f"multi-index {alpha} is not in the basis") from None
+    def size_at_most(self, degree: int) -> int:
+        """Number of basis monomials of total degree <= degree; the graded
+        order puts them first."""
+        return math.comb(degree + self.dim, self.dim) if degree >= 0 else 0
 
     def iso_vector(self, p: Polynomial) -> np.ndarray:
         """Isometric coordinates of a polynomial of fitting degree."""
@@ -538,60 +473,99 @@ class TruncatedSpace:
         """Isometric coordinates of the truncated kernel function at z.
 
         Entry alpha is conj(z)^alpha / ||z^alpha||; the squared norm of the
-        vector is sum_{n <= degree} ||z||^(2n).
+        vector is sum_{n <= degree} ||z||^(2n). Its degree-n block holds the
+        coordinates of <., z>^n. A stack of points, shape (m, dim), gives
+        one column per point.
         """
-        zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        if zv.shape != (self.dim,):
+        zv = np.asarray(z, dtype=np.complex128)
+        pts = zv if zv.ndim == 2 else np.atleast_1d(zv)[None, :]
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InputError(f"point must have {self.dim} coordinates")
-        if float(np.linalg.norm(zv)) >= 1.0:
+        if np.any(np.linalg.norm(pts, axis=1) >= 1.0):
             raise DomainError("point must lie inside the open unit ball")
-        zc = np.conjugate(zv)
-        u = np.empty(len(self.basis), dtype=np.complex128)
-        for i, alpha in enumerate(self.basis):
-            val = 1.0 + 0j
-            for x, e in zip(zc, alpha):
-                if e:
-                    val *= x**e
-            u[i] = val / self._sqrt_norms[i]
-        return u
+        u = np.prod(np.conjugate(pts)[:, None, :] ** self.exponents, axis=2) / self._sqrt_norms
+        return u.T if zv.ndim == 2 else u[0]
+
+    def shift(self, gamma) -> tuple:
+        """Table (src, dst, weight) of multiplication by z^gamma.
+
+        src is the slice of window monomials alpha with |alpha + gamma| <=
+        degree (they come first), dst the index of each alpha + gamma, and
+        weight = ||z^(alpha + gamma)|| / ||z^alpha||. In isometric
+        coordinates (z^gamma f)[dst] = weight * f[src]; the adjoint is the
+        gather over the same table.
+        """
+        gamma = tuple(gamma)
+        table = self._shifts.get(gamma)
+        if table is None:
+            count = self.size_at_most(self.degree - sum(gamma))
+            targets = (self.exponents[:count] + np.array(gamma, dtype=np.int64)).tolist()
+            dst = np.array([self._pos[tuple(a)] for a in targets], dtype=np.intp)
+            table = (slice(0, count), dst, self._sqrt_norms[dst] / self._sqrt_norms[:count])
+            self._shifts[gamma] = table
+        return table
+
+    def multiply(self, phi: Polynomial, u, adjoint: bool = False, degree: int | None = None) -> np.ndarray:
+        """Coordinates of phi f cut to the window, for f with coordinates u
+        (a vector, or one column per function), summed over shift tables.
+
+        adjoint=True gives M_phi* f instead, with the semantics of
+        mult_adjoint_apply on the window of the given degree (default and
+        maximum: the space's): the output is supported in degrees
+        <= degree - deg(phi), and f must fit the window; the engine raises
+        rather than truncate.
+        """
+        if phi.dim != self.dim:
+            raise InputError("dimension mismatch")
+        u = np.asarray(u, dtype=np.complex128)
+        if u.ndim not in (1, 2) or u.shape[0] != len(self):
+            raise InputError(f"coordinates must have {len(self)} rows")
+        degree = self.degree if degree is None else degree
+        if adjoint and np.any(u[self.size_at_most(degree) :]):
+            raise WindowOverflowError(f"input does not fit the degree-{degree} window")
+        out = np.zeros(u.shape, dtype=np.complex128)
+        for gamma, c in phi.coeffs.items():
+            src, dst, weight = self.shift(gamma)
+            w = weight if u.ndim == 1 else weight[:, None]
+            if adjoint:
+                out[src] += complex(c).conjugate() * (w * u[dst])
+            else:
+                out[dst] += complex(c) * (w * u[src])
+        if adjoint:
+            out[self.size_at_most(degree - phi.degree) :] = 0
+        return out
 
     def __repr__(self):
         return f"TruncatedSpace(dim={self.dim}, degree={self.degree}, size={len(self)})"
 
 
-@dataclass(frozen=True)
-class FockSubspace:
+class FockSubspace(Subspace):
     """Subspace of a TruncatedSpace with an orthonormal basis.
 
     Columns of basis are isometric coordinate vectors, so standard
     orthonormality here means orthonormality of the underlying polynomials
-    in the weighted inner product.
+    in the weighted inner product. The orthonormality check and the
+    projection are those of linalg.Subspace.
     """
 
-    space: TruncatedSpace
-    basis: np.ndarray
+    __slots__ = ("space",)
 
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.complex128)
-        if b.ndim != 2 or b.shape[0] != len(self.space):
+    def __init__(self, space: TruncatedSpace, basis):
+        if np.ndim(basis) != 2 or np.shape(basis)[0] != len(space):
             raise InputError("basis shape does not match the space")
-        if b.shape[1]:
-            defect = np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1])))
-            if defect > _ORTHONORMAL_TOL:
-                raise InputError(f"basis columns not orthonormal (defect {defect:.3e})")
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def project(self, u: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.conj().T @ np.asarray(u, dtype=np.complex128))
+        super().__init__(basis)
+        self.space = space
 
     def polynomials(self) -> list:
         return [self.space.polynomial(self.basis[:, k]) for k in range(self.dim)]
+
+
+def _rank_revealing_svd(v: np.ndarray, full_matrices: bool = False):
+    """Left singular vectors of v and its numerical rank: the number of
+    singular values above s[0] * max(v.shape) * eps."""
+    u, s, _ = np.linalg.svd(v, full_matrices=full_matrices)
+    rank = int(np.sum(s > s[0] * max(v.shape) * np.finfo(float).eps)) if s.size else 0
+    return u, rank
 
 
 def span_of_polynomials(space: TruncatedSpace, polys: Iterable[Polynomial]) -> FockSubspace:
@@ -599,12 +573,7 @@ def span_of_polynomials(space: TruncatedSpace, polys: Iterable[Polynomial]) -> F
     cols = [space.iso_vector(p) for p in polys]
     if not cols:
         return FockSubspace(space, np.zeros((len(space), 0)))
-    v = np.column_stack(cols)
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if s.size:
-        rank = int(np.sum(s > s[0] * max(v.shape) * np.finfo(float).eps))
-    else:
-        rank = 0
+    u, rank = _rank_revealing_svd(np.column_stack(cols))
     return FockSubspace(space, u[:, :rank])
 
 
@@ -622,14 +591,10 @@ def vanishing_subspace(points: PointSet, degree: int) -> VanishingSubspaces:
     Both come from one singular value decomposition.
     """
     space = TruncatedSpace(points.dim, degree)
-    m = len(space)
-    if len(points) > m:
-        raise InputError(
-            f"{len(points)} points exceed the {m} basis monomials of the window"
-        )
-    v = np.column_stack([space.kernel_vector(z) for z in points.points])
-    u, s, _ = np.linalg.svd(v, full_matrices=True)
-    rank = int(np.sum(s > s[0] * max(v.shape) * np.finfo(float).eps)) if s.size else 0
+    if len(points) > len(space):
+        m = len(space)
+        raise InputError(f"{len(points)} points exceed the {m} basis monomials of the window")
+    u, rank = _rank_revealing_svd(space.kernel_vector(points.points), full_matrices=True)
     return VanishingSubspaces(
         ideal=FockSubspace(space, u[:, rank:]),
         complement=FockSubspace(space, u[:, :rank]),
@@ -660,24 +625,20 @@ def in_closure(z, points: PointSet, degree: int, tol: float = 1e-8) -> ClosureMe
 def compression_defect(phi: Polynomial, subspace: FockSubspace) -> float:
     """Smallest eigenvalue of the self-commutator of P_F M_phi |_F.
 
-    The compressed matrix is assembled from exact pairings <phi f_l, f_k>;
-    components of the products beyond the window are orthogonal to the
-    window and drop out of the compression exactly, so no degree headroom
-    is needed. A defect below zero outside noise is a refutation witness
-    for hyponormality of the compression; a non-negative defect certifies
-    hyponormality of this finite model only.
+    The compressed matrix is B* (M_phi B) for the orthonormal basis B of F,
+    with M_phi B applied through the shift tables. Components of the
+    products beyond the window are orthogonal to the window and drop out of
+    the compression exactly, so no degree headroom is needed. A defect
+    below zero outside noise is a refutation witness for hyponormality of
+    the compression; a non-negative defect certifies hyponormality of this
+    finite model only.
     """
     if phi.dim != subspace.space.dim:
         raise InputError("dimension mismatch")
-    k = subspace.dim
-    if k == 0:
+    if subspace.dim == 0:
         return 0.0
-    cols = subspace.polynomials()
-    products = [phi * c for c in cols]
-    t = np.empty((k, k), dtype=np.complex128)
-    for l in range(k):
-        for i in range(k):
-            t[i, l] = complex(inner_product(products[l], cols[i]))
+    b = subspace.basis
+    t = b.conj().T @ subspace.space.multiply(phi, b)
     s = t.conj().T @ t - t @ t.conj().T
     return min_eigenvalue(HermitianMatrix(s))
 
@@ -709,6 +670,33 @@ class TailBalance(NamedTuple):
     adjoint_norm_sq: float  # ||M_{<., z>}* f||^2 for f = K_N(., z) - 1
     forward_norm_sq: float  # ||M_{<., z>} f||^2
     tail_bound: float  # 3 ||z||^(2N+2) / (1 - ||z||^2)
+    rounding_bound: float  # floating-point allowance, see tail_balance
+
+    @property
+    def within_bound(self) -> bool:
+        """|adjoint - forward| <= tail_bound + rounding_bound."""
+        gap = abs(self.adjoint_norm_sq - self.forward_norm_sq)
+        return gap <= self.tail_bound + self.rounding_bound
+
+
+def _pairing_setup(z):
+    """The multiplier <., z>, z as a complex array, and ||z||^2."""
+    entries = _coerce_vector(z)
+    zv = np.array([complex(e) for e in entries], dtype=np.complex128)
+    return pairing(entries), zv, float(_vector_norm_sq(entries))
+
+
+def _band_norms_sq(step: Polynomial, zv: np.ndarray, low: int, high: int) -> tuple:
+    """||M* f||^2, ||M f||^2 and the space size for M = step = <., z> and
+    f = sum_{low <= n <= high} <., z>^n: M f is kept whole in degree high + 1,
+    and the adjoint has the degree-high window."""
+    space = TruncatedSpace(len(zv), high + 1)
+    f = space.kernel_vector(zv)  # degree-n block: coordinates of <., z>^n
+    f[: space.size_at_most(low - 1)] = 0.0
+    f[space.size_at_most(high) :] = 0.0
+    adj = space.multiply(step, f, adjoint=True, degree=high)
+    fwd = space.multiply(step, f)
+    return float(np.vdot(adj, adj).real), float(np.vdot(fwd, fwd).real), len(space)
 
 
 def tail_balance(z, degree: int) -> TailBalance:
@@ -716,24 +704,36 @@ def tail_balance(z, degree: int) -> TailBalance:
 
     For f the truncated kernel function at z minus the constant term, the
     adjoint image is ||z||^2 times the one-step-shorter truncation, and the
-    forward image re-sums the same geometric series; the two squared norms
-    agree up to the attached tail bound (on the truncated model they agree
-    exactly). Both are computed through the engine, not from the closed
-    form. z = 0 is rejected as degenerate (f vanishes).
+    forward image re-sums the same geometric series; on the truncated model
+    both squared norms equal sum_{n=2}^{N+1} ||z||^(2n). Both are computed
+    through the engine, not from the closed form: exactly for exact z, where
+    their agreement is the result (rounding_bound is then 0), and through
+    the shift tables otherwise. z = 0 is rejected as degenerate.
+
+    For float z, rounding_bound is (len + 12 (N + d + 2)) eps (adjoint + forward), len
+    the number of monomials of degree <= N + 1: each image coordinate sums
+    d terms of one phase, each a product of at most 2N + d + 4 rounded
+    factors, so it is off by less than 6 (N + d + 2) eps relative; squaring
+    doubles that and summing len non-negative squares adds len eps / 2.
+    Each computed norm is thus within half the bound of the exact value.
     """
-    entries = _coerce_vector(z)
-    nz = float(_vector_norm_sq(entries))
+    step, zv, nz = _pairing_setup(z)
     if nz == 0.0:
         raise InputError("z must be nonzero; the tail vanishes at z = 0")
     if degree < 1:
         raise InputError("degree must be at least 1")
-    kernel = truncated_kernel_fn(entries, degree)
-    f = kernel.poly - 1
-    step = pairing(entries)
-    adj = float(norm_sq(mult_adjoint_apply(step, f, degree)))
-    fwd = float(norm_sq(step * f))
+    if not nz < 1.0:
+        raise DomainError(f"||z||^2 = {nz:.6f} is not below 1")
+    if step.is_exact:
+        f = truncated_kernel_fn(z, degree).poly - 1
+        adj = float(norm_sq(mult_adjoint_apply(step, f, degree)))
+        fwd = float(norm_sq(step * f))
+        rounding = 0.0
+    else:
+        adj, fwd, size = _band_norms_sq(step, zv, 1, degree)
+        rounding = (size + 12 * (degree + len(zv) + 2)) * math.ulp(1.0) * (adj + fwd)
     bound = 3.0 * nz ** (degree + 1) / (1.0 - nz)
-    return TailBalance(adjoint_norm_sq=adj, forward_norm_sq=fwd, tail_bound=bound)
+    return TailBalance(adjoint_norm_sq=adj, forward_norm_sq=fwd, tail_bound=bound, rounding_bound=rounding)
 
 
 class PairingPowerNorms(NamedTuple):
@@ -744,19 +744,15 @@ class PairingPowerNorms(NamedTuple):
 def pairing_power_norms(z, n: int, degree: int) -> PairingPowerNorms:
     """Both norms around the (n-1)-st power of <., z>; each equals ||z||^n.
 
-    Exact finite computations with no truncation error: the power fits the
-    window whenever n <= degree.
+    Finite computations with no truncation error, through the shift tables
+    in floating point: the power fits the window whenever n <= degree.
     """
     if not isinstance(n, int) or n < 2:
         raise InputError("n must be an integer >= 2")
-    entries = _coerce_vector(z)
-    nz = float(_vector_norm_sq(entries))
+    step, zv, nz = _pairing_setup(z)
     if not 0.0 < nz < 1.0:
         raise DomainError("need 0 < ||z|| < 1")
     if n > degree:
         raise WindowOverflowError(f"power {n} does not fit the degree-{degree} window")
-    step = pairing(entries)
-    prev = step ** (n - 1)
-    adj = math.sqrt(float(norm_sq(mult_adjoint_apply(step, prev, degree))))
-    fwd = math.sqrt(float(norm_sq(step * prev)))
-    return PairingPowerNorms(adjoint_norm=adj, forward_norm=fwd)
+    adj, fwd, _ = _band_norms_sq(step, zv, n - 1, n - 1)
+    return PairingPowerNorms(adjoint_norm=math.sqrt(adj), forward_norm=math.sqrt(fwd))

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from rkhslab.cli import main
@@ -213,6 +215,23 @@ class TestOtherCommands:
         assert code == 0
         assert report["results"]["within_bound"] is True
 
+    def test_fock_balance_tail_bound_below_rounding(self, corpus, capsys):
+        # the tail bound here is 5.6e-25, below one rounding of the norms
+        code, report, _ = run(
+            capsys, ["fock", "balance", "--z", "[[0.5,0.1],[0.3,-0.2]]", "--degree", "60"]
+        )
+        res = report["results"]
+        assert code == 0 and res["within_bound"] is True
+        assert res["tail_bound"] < 1e-24 < res["rounding_bound"] < 1e-12
+
+    def test_fock_balance_seeded_degree_30(self, corpus, capsys):
+        rng = np.random.default_rng(30)
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        z *= math.sqrt(rng.uniform(0.6, 0.75)) / np.linalg.norm(z)
+        arg = json.dumps([[x.real, x.imag] for x in z])
+        code, report, _ = run(capsys, ["fock", "balance", "--z", arg, "--degree", "30"])
+        assert code == 0 and report["results"]["within_bound"] is True
+
     def test_fock_defect_shift_refutes(self, corpus, capsys):
         code, report, _ = run(
             capsys,
@@ -264,6 +283,23 @@ class TestOtherCommands:
 class TestErrorPaths:
     def test_broken_json(self, corpus, capsys):
         code, report, _ = run(capsys, ["ratio-check", corpus / "broken.json"])
+        assert code == 2
+        assert "not valid JSON" in report["results"]["error"]["message"]
+
+    def test_integer_beyond_float_range_refused(self, corpus, capsys):
+        huge = 10**400
+        family = corpus / "huge.json"
+        family.write_text(json.dumps({"type": "polynomial_tail", "c": 0.5, "p": huge}))
+        code, report, _ = run(capsys, ["blaschke", family])
+        assert code == 2
+        assert report["results"]["error"]["type"] == "InputError"
+        z = json.dumps([[huge, 0], [0, 0]])
+        code, report, _ = run(capsys, ["fock", "balance", "--z", z, "--degree", "3"])
+        assert code == 2
+        assert report["results"]["error"]["type"] == "InputError"
+
+    def test_malformed_json_argument(self, corpus, capsys):
+        code, report, _ = run(capsys, ["fock", "balance", "--z", "[[0.5,0]", "--degree", "3"])
         assert code == 2
         assert "not valid JSON" in report["results"]["error"]["message"]
 
