@@ -74,7 +74,7 @@ class QQi:
         return QQi(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other if isinstance(other, QQi) else -Fraction(other) if isinstance(other, Rational) else -other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -103,9 +103,10 @@ class QQi:
         return complex(float(self.re), float(self.im))
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is not None:
-            return self.re == o.re and self.im == o.im
+        if isinstance(other, QQi):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, Rational):
+            return self.im == 0 and self.re == other
         if isinstance(other, (float, complex)):
             return complex(self) == complex(other)
         return NotImplemented
@@ -127,10 +128,12 @@ def _coerce_coeff(x) -> Coefficient:
     """Exact types (int, Fraction, QQi) stay exact; everything else is complex."""
     if isinstance(x, QQi):
         return x
-    if isinstance(x, np.integer):
-        x = int(x)
+    if isinstance(x, bool):
+        return QQi(int(x))
     if isinstance(x, Rational):
         return QQi(x)
+    if isinstance(x, (np.integer,)):
+        return QQi(int(x))
     c = complex(x)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise InputError("coefficients must be finite")
@@ -145,9 +148,14 @@ def monomial_norm_sq(alpha: tuple) -> Fraction:
     degree-n part <z, w>^n spreads the multinomial weight n!/alpha! over
     the monomials, and the reproducing property inverts that weight.
     """
-    if any(e < 0 for e in alpha):
-        raise InputError("multi-index entries must be non-negative")
-    return Fraction(math.prod(map(math.factorial, alpha)), math.factorial(sum(alpha)))
+    total = 0
+    num = 1
+    for e in alpha:
+        if e < 0:
+            raise InputError("multi-index entries must be non-negative")
+        num *= math.factorial(e)
+        total += e
+    return Fraction(num, math.factorial(total))
 
 
 class Polynomial:
@@ -205,11 +213,16 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(a) for a in self.coeffs), default=-1)
+        if not self.coeffs:
+            return -1
+        return max(sum(a) for a in self.coeffs)
+
+    def _wrap_scalar(self, other) -> "Polynomial":
+        return Polynomial.constant(self.dim, other)
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.dim, other)
+            other = self._wrap_scalar(other)
         if other.dim != self.dim:
             raise InputError("dimension mismatch")
         merged = dict(self.coeffs)
@@ -224,7 +237,7 @@ class Polynomial:
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.dim, other)
+            other = self._wrap_scalar(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -232,7 +245,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.dim, other)
+            other = self._wrap_scalar(other)
         if other.dim != self.dim:
             raise InputError("dimension mismatch")
         out: dict = {}
@@ -260,7 +273,14 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
+        if self.dim != other.dim or set(self.coeffs) != set(other.coeffs):
+            return False
+        return all(
+            self.coeffs[a] == other.coeffs[a]
+            if isinstance(self.coeffs[a], QQi) or isinstance(other.coeffs[a], QQi)
+            else complex(self.coeffs[a]) == complex(other.coeffs[a])
+            for a in self.coeffs
+        )
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.coeffs)))
@@ -305,7 +325,9 @@ def inner_product(p: Polynomial, q: Polynomial) -> Coefficient:
 def norm_sq(p: Polynomial) -> Union[Fraction, float]:
     """||p||^2; a Fraction on the exact path, a float otherwise."""
     ip = inner_product(p, p)
-    return ip.re if isinstance(ip, QQi) else ip.real
+    if isinstance(ip, QQi):
+        return ip.re
+    return ip.real
 
 
 def _coerce_vector(w) -> list:
@@ -336,8 +358,11 @@ def pairing(w) -> Polynomial:
     """
     entries = _coerce_vector(w)
     d = len(entries)
-    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-    return Polynomial(d, {e: wi.conjugate() for e, wi in zip(units, entries)})
+    coeffs = {}
+    for i, wi in enumerate(entries):
+        alpha = tuple(1 if k == i else 0 for k in range(d))
+        coeffs[alpha] = wi.conjugate()
+    return Polynomial(d, coeffs)
 
 
 class TruncatedKernel(NamedTuple):
@@ -354,15 +379,19 @@ def truncated_kernel_fn(z, degree: int) -> TruncatedKernel:
     if degree < 0:
         raise InputError("degree must be non-negative")
     entries = _coerce_vector(z)
-    t = float(_vector_norm_sq(entries))
-    if not t < 1.0:
-        raise DomainError(f"||z||^2 = {t:.6f} is not below 1")
-    result = term = Polynomial.constant(len(entries), 1)
+    nz = _vector_norm_sq(entries)
+    if not float(nz) < 1.0:
+        raise DomainError(f"||z||^2 = {float(nz):.6f} is not below 1")
+    d = len(entries)
+    result = Polynomial.constant(d, 1)
     step = pairing(entries)
+    term = Polynomial.constant(d, 1)
     for _ in range(degree):
         term = term * step
         result = result + term
-    return TruncatedKernel(poly=result, tail_norm_sq=t ** (degree + 1) / (1.0 - t))
+    t = float(nz)
+    tail = t ** (degree + 1) / (1.0 - t)
+    return TruncatedKernel(poly=result, tail_norm_sq=tail)
 
 
 def mult_adjoint_apply(phi: Polynomial, f: Polynomial, degree: int) -> Polynomial:
@@ -403,8 +432,13 @@ def _graded_basis(dim: int, degree: int) -> tuple:
     for total in range(degree + 1):
         stars = []
         for cuts in itertools.combinations(range(total + dim - 1), dim - 1):
-            bars = (-1, *cuts, total + dim - 1)
-            stars.append(tuple(b - a - 1 for a, b in zip(bars, bars[1:])))
+            prev = -1
+            alpha = []
+            for c in cuts:
+                alpha.append(c - prev - 1)
+                prev = c
+            alpha.append(total + dim - 1 - prev - 1)
+            stars.append(tuple(alpha))
         out.extend(sorted(stars))
     return tuple(out)
 
@@ -439,6 +473,12 @@ class TruncatedSpace:
 
     def __len__(self) -> int:
         return len(self.basis)
+
+    def index(self, alpha) -> int:
+        try:
+            return self._pos[tuple(alpha)]
+        except KeyError:
+            raise InputError(f"multi-index {alpha} is not in the basis") from None
 
     def size_at_most(self, degree: int) -> int:
         """Number of basis monomials of total degree <= degree; the graded
@@ -483,7 +523,12 @@ class TruncatedSpace:
             raise InputError(f"point must have {self.dim} coordinates")
         if np.any(np.linalg.norm(pts, axis=1) >= 1.0):
             raise DomainError("point must lie inside the open unit ball")
-        u = np.prod(np.conjugate(pts)[:, None, :] ** self.exponents, axis=2) / self._sqrt_norms
+        zc = np.conjugate(pts)
+        u = np.empty((len(pts), len(self)), dtype=np.complex128)
+        block = max(1, len(pts) // self.dim)  # its (block, k, dim) powers fit in the size of u
+        for i in range(0, len(pts), block):
+            u[i : i + block] = np.prod(zc[i : i + block, None, :] ** self.exponents, axis=2)
+        u /= self._sqrt_norms
         return u.T if zv.ndim == 2 else u[0]
 
     def shift(self, gamma) -> tuple:
@@ -505,24 +550,20 @@ class TruncatedSpace:
             self._shifts[gamma] = table
         return table
 
-    def multiply(self, phi: Polynomial, u, adjoint: bool = False, degree: int | None = None) -> np.ndarray:
+    def multiply(self, phi: Polynomial, u, adjoint: bool = False) -> np.ndarray:
         """Coordinates of phi f cut to the window, for f with coordinates u
         (a vector, or one column per function), summed over shift tables.
 
         adjoint=True gives M_phi* f instead, with the semantics of
-        mult_adjoint_apply on the window of the given degree (default and
-        maximum: the space's): the output is supported in degrees
-        <= degree - deg(phi), and f must fit the window; the engine raises
-        rather than truncate.
+        mult_adjoint_apply on the space's window: the output is supported in
+        degrees <= degree - deg(phi). An f beyond the window has no
+        coordinates here; iso_vector refuses it with WindowOverflowError.
         """
         if phi.dim != self.dim:
             raise InputError("dimension mismatch")
         u = np.asarray(u, dtype=np.complex128)
         if u.ndim not in (1, 2) or u.shape[0] != len(self):
             raise InputError(f"coordinates must have {len(self)} rows")
-        degree = self.degree if degree is None else degree
-        if adjoint and np.any(u[self.size_at_most(degree) :]):
-            raise WindowOverflowError(f"input does not fit the degree-{degree} window")
         out = np.zeros(u.shape, dtype=np.complex128)
         for gamma, c in phi.coeffs.items():
             src, dst, weight = self.shift(gamma)
@@ -532,7 +573,7 @@ class TruncatedSpace:
             else:
                 out[dst] += complex(c) * (w * u[src])
         if adjoint:
-            out[self.size_at_most(degree - phi.degree) :] = 0
+            out[self.size_at_most(self.degree - phi.degree) :] = 0
         return out
 
     def __repr__(self):
@@ -688,13 +729,13 @@ def _pairing_setup(z):
 
 def _band_norms_sq(step: Polynomial, zv: np.ndarray, low: int, high: int) -> tuple:
     """||M* f||^2, ||M f||^2 and the space size for M = step = <., z> and
-    f = sum_{low <= n <= high} <., z>^n: M f is kept whole in degree high + 1,
-    and the adjoint has the degree-high window."""
+    f = sum_{low <= n <= high} <., z>^n: M f is kept whole in degree high + 1;
+    f vanishes there, so the adjoint equals its degree-high window value."""
     space = TruncatedSpace(len(zv), high + 1)
     f = space.kernel_vector(zv)  # degree-n block: coordinates of <., z>^n
     f[: space.size_at_most(low - 1)] = 0.0
     f[space.size_at_most(high) :] = 0.0
-    adj = space.multiply(step, f, adjoint=True, degree=high)
+    adj = space.multiply(step, f, adjoint=True)
     fwd = space.multiply(step, f)
     return float(np.vdot(adj, adj).real), float(np.vdot(fwd, fwd).real), len(space)
 

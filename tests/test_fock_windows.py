@@ -154,11 +154,11 @@ class TestKernelVector:
     def test_matches_monomial_loop(self, dim, seed):
         rng = np.random.default_rng(seed)
         space = TruncatedSpace(dim, int(rng.integers(0, 12)))
-        zs = random_ball_points(rng, 3, dim, radius=0.95)
+        zs = random_ball_points(rng, 5, dim, radius=0.95)
         for z in zs:
             assert np.array_equal(space.kernel_vector(z), dict_kernel_vector(space, z))
         cols = space.kernel_vector(zs)
-        assert cols.shape == (len(space), 3)
+        assert cols.shape == (len(space), 5)
         for j, z in enumerate(zs):
             assert np.array_equal(cols[:, j], space.kernel_vector(z))
 
@@ -168,11 +168,11 @@ class TestShiftTables:
     @seeded
     def test_adjoint_matches_mult_adjoint_apply(self, dim, seed):
         rng = np.random.default_rng(seed)
-        space = TruncatedSpace(dim, WINDOWS[dim])
-        window = int(rng.integers(1, space.degree + 1))
+        window = int(rng.integers(1, WINDOWS[dim] + 1))
+        space = TruncatedSpace(dim, window)
         phi = random_poly(rng, dim, 2, 3)
         f = random_poly(rng, dim, window, 6)
-        got = space.multiply(phi, space.iso_vector(f), adjoint=True, degree=window)
+        got = space.multiply(phi, space.iso_vector(f), adjoint=True)
         want = space.iso_vector(mult_adjoint_apply(phi, f, window))
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -189,13 +189,16 @@ class TestShiftTables:
         got = space.multiply(phi, np.column_stack([space.iso_vector(f)] * 2))
         assert np.max(np.abs(got - want[:, None])) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
-    def test_adjoint_refuses_input_beyond_the_window(self):
-        space = TruncatedSpace(2, 5)
-        f = space.iso_vector(Polynomial.monomial(2, (3, 2)))
+    def test_input_beyond_the_window_is_refused(self):
+        # f of degree 5 on a degree-4 window: both paths raise, the table
+        # path when f is given coordinates, since it has none there
+        f = Polynomial.monomial(2, (3, 2))
         with pytest.raises(WindowOverflowError):
-            space.multiply(pairing((0.5, 0.5)), f, adjoint=True, degree=4)
+            mult_adjoint_apply(pairing((0.5, 0.5)), f, 4)
         with pytest.raises(WindowOverflowError):
-            mult_adjoint_apply(pairing((0.5, 0.5)), Polynomial.monomial(2, (3, 2)), 4)
+            TruncatedSpace(2, 4).iso_vector(f)
+        with pytest.raises(InputError, match="rows"):
+            TruncatedSpace(2, 4).multiply(pairing((0.5, 0.5)), np.zeros(21), adjoint=True)
 
     def test_table_covers_exactly_the_fitting_monomials(self):
         space = TruncatedSpace(3, 5)
