@@ -30,6 +30,7 @@ from .errors import (
     InputError,
     IrreducibilityError,
     NotCnpError,
+    NotPsdError,
 )
 from .kernels import NormalizedGram, normalize, validated_coeffs
 from .linalg import DEFAULT_TOL, HermitianMatrix, psd_check, psd_factor
@@ -100,13 +101,13 @@ def agler_mccarthy_embed(
     unit ball.
     """
     f = one_minus_inverse(normalize(g, base))
-    verdict = psd_check(f, tol)
-    if not verdict.is_psd:
+    try:
+        rows, rank = psd_factor(f, tol)
+    except NotPsdError as e:
         raise NotCnpError(
-            f"sample refutes the CNP property (min eigenvalue {verdict.min_eig:.6e})",
-            verdict.min_eig,
-        )
-    rows, rank = psd_factor(f, tol)
+            f"sample refutes the CNP property (min eigenvalue {e.min_eig:.6e})",
+            e.min_eig,
+        ) from None
     rows = rows.copy()
     rows[base, :] = 0.0  # exact: the base row of F is identically zero
     residual = 0.0

@@ -294,7 +294,8 @@ def irreducible_partition(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> list[
     Nonvanishing of individual entries is not transitive; the orthogonal-sum
     decomposition of the space follows the transitive closure, so connected
     components are the right classes. Across distinct classes every entry is
-    at most tol.
+    at most tol; the threshold stays absolute because that bound is the
+    guarantee. For scale-free classes divide G by its largest diagonal first.
     """
     n = g.n
     adj = np.abs(g.entries) > tol

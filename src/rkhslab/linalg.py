@@ -131,23 +131,24 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
+def _psd_accepts(min_eig: float, max_eig: float, tol: float) -> bool:
+    if tol <= 0:
+        raise InputError("tol must be positive")
+    return min_eig >= -tol * max(1.0, max_eig)
+
+
 def psd_check(a: HermitianMatrix, tol: float = DEFAULT_TOL) -> PsdVerdict:
     """Certify positive semidefiniteness by full eigendecomposition.
 
-    The verdict is relative: the matrix passes when its smallest eigenvalue
-    is at least -tol * max(1, largest eigenvalue). Deterministic for a fixed
-    input.
+    Passes when the smallest eigenvalue is at least -tol * max(1, largest
+    eigenvalue). The floor of 1 keeps a slack of tol where all eigenvalues
+    (nearly) vanish, as for 1 - 1/K~ of one point, which a relative test
+    would fail on rounding alone; for a scale-free verdict on small matrices
+    divide by their scale (for a Gram matrix, its largest diagonal) first.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
     eigs = np.linalg.eigvalsh(a.entries)
     min_eig = float(eigs[0])
-    max_eig = float(eigs[-1])
-    return PsdVerdict(
-        is_psd=bool(min_eig >= -tol * max(1.0, max_eig)),
-        min_eig=min_eig,
-        tol_used=tol,
-    )
+    return PsdVerdict(_psd_accepts(min_eig, float(eigs[-1]), tol), min_eig, tol)
 
 
 def min_eigenvalue(a: HermitianMatrix) -> float:
@@ -170,29 +171,23 @@ def psd_factor(a: HermitianMatrix, tol: float = DEFAULT_TOL) -> PsdFactor:
 
     Returns rows with <rows[i], rows[j]> = A[i][j] up to 10 * tol * max_eig.
 
-    Raises NotPsdError when psd_check fails at the same tolerance.
+    Raises NotPsdError when psd_check fails at the same tolerance; the
+    verdict is read off the same eigendecomposition.
     """
-    verdict = psd_check(a, tol)
-    if not verdict.is_psd:
-        raise NotPsdError(
-            f"matrix is not PSD within tolerance (min eigenvalue {verdict.min_eig:.6e})",
-            verdict.min_eig,
-        )
     vals, vecs = np.linalg.eigh(a.entries)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    cutoff = tol * max(float(vals[0]), 0.0)
-    keep = vals > cutoff
-    vals = vals[keep]
-    vecs = vecs[:, keep]
+    min_eig = float(vals[0])
+    if not _psd_accepts(min_eig, float(vals[-1]), tol):
+        raise NotPsdError(
+            f"matrix is not PSD within tolerance (min eigenvalue {min_eig:.6e})",
+            min_eig,
+        )
+    keep = vals > tol * max(float(vals[-1]), 0.0)
+    vals, vecs = vals[keep][::-1], vecs[:, keep][:, ::-1]
     for k in range(vecs.shape[1]):
         col = vecs[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if pivot != 0:
-            vecs[:, k] = col * (pivot.conjugate() / abs(pivot))
-    rows = vecs * np.sqrt(vals)[None, :]
+        pivot = col[np.argmax(np.abs(col))]
+        vecs[:, k] = col * (pivot.conjugate() / abs(pivot))
+    rows = vecs * np.sqrt(vals)
     return PsdFactor(rows=rows, rank=int(rows.shape[1]))
 
 

@@ -1,4 +1,4 @@
-"""Pick matrices, interpolation feasibility, minimal norm by bisection.
+"""Pick matrices, interpolation feasibility, minimal norm in closed form.
 
 The Pick matrix of an interpolation problem at norm level t has entries
 (t^2 - w_i conj(w_j)) K(z_i, z_j). Its positive semidefiniteness is always
@@ -9,7 +9,7 @@ matrix condition only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -55,64 +55,62 @@ class PickProblem:
         return self.kernel.gram(self.nodes)
 
 
-def _pick_from_gram(g: HermitianMatrix, targets: np.ndarray, t: float) -> HermitianMatrix:
+def _pick_from_gram(g: np.ndarray, targets: np.ndarray, t: float) -> HermitianMatrix:
+    if not t > 0:
+        raise InputError("norm level t must be positive")
     w = targets
-    return HermitianMatrix((t * t - np.outer(w, w.conj())) * g.entries)
+    return HermitianMatrix((t * t - np.outer(w, w.conj())) * g)
 
 
 def pick_matrix(problem: PickProblem, t: float) -> HermitianMatrix:
     """Pick matrix ((t^2 - w_i conj(w_j)) K(z_i, z_j)); t = 1 is the classical one."""
-    if not t > 0:
-        raise InputError("norm level t must be positive")
-    return _pick_from_gram(problem.gram(), problem.targets, t)
+    return _pick_from_gram(problem.gram().entries, problem.targets, t)
 
 
 def pick_feasible(problem: PickProblem, t: float, tol: float = DEFAULT_TOL) -> PsdVerdict:
     """PSD verdict for the Pick matrix at norm level t.
 
     For Nevanlinna-Pick kernels this decides existence of an interpolant of
-    multiplier norm at most t; for other kernels it is necessary only.
+    multiplier norm at most t; for other kernels it is necessary only. The
+    verdict is taken on the Gram matrix divided by its largest diagonal
+    entry, so rescaling the kernel does not change it; min_eig is reported
+    in the kernel's own units.
     """
-    return psd_check(pick_matrix(problem, t), tol)
+    g = problem.gram().entries
+    scale = float(np.max(g.diagonal().real))
+    scale = scale if scale > 0 else 1.0  # a zero Gram matrix has no scale
+    verdict = psd_check(_pick_from_gram(g / scale, problem.targets, t), tol)
+    return replace(verdict, min_eig=verdict.min_eig * scale)
 
 
 def minimal_interpolation_norm(problem: PickProblem, tol: float = DEFAULT_TOL) -> float:
-    """Smallest t (to absolute accuracy tol) with a PSD Pick matrix.
+    """Smallest t with a PSD Pick matrix, in closed form.
 
-    Feasibility is upward-closed in t because raising t adds the PSD matrix
-    (t'^2 - t^2) G, so bisection applies. The upper bracket starts at
-    max |w_i| and doubles until feasible; a positive definite Gram matrix
-    guarantees this terminates.
+    The Pick matrix is t^2 G - D G D* with D = diag(w), so t*^2 is the
+    largest eigenvalue of the pencil (D G D*, G) (Golub & Van Loan, Matrix
+    Computations, 8.7). With G = L L*, D G D* = (D L)(D L)*, hence
+    t* = ||L^-1 D L||_2, which rescaling the kernel does not change. On
+    random 1-10 node Szego problems in radius 0.7 it agrees with the
+    Cholesky-reduced eigenvalue to 1e-12 relative, and gives an exact
+    answer 1 within 1e-11 (tests/test_pick.py); the error grows with the
+    condition number of G.
+
+    Raises PreconditionError unless min eig(G) > tol * max_i G_ii. Nearly
+    coincident nodes are refused on purpose: at a ratio of 1e-12 (12
+    equispaced real Szego nodes in [-0.6, 0.6]) t* is off by about 5e-6.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     g = problem.gram()
     gram_min = min_eigenvalue(g)
-    if not gram_min > tol:
+    scale = float(np.max(g.entries.diagonal().real))
+    if not gram_min > tol * scale:
         raise PreconditionError(
-            f"Gram matrix is not positive definite (min eigenvalue {gram_min:.3e}); "
-            "bisection bracket is not guaranteed"
+            f"Gram matrix is not positive definite relative to its largest "
+            f"diagonal entry {scale:.3e} (min eigenvalue {gram_min:.3e})"
         )
     w = problem.targets
-    wmax = float(np.max(np.abs(w)))
-    if wmax == 0.0:
+    if not np.any(w):
         return 0.0
-
-    def feasible(t: float) -> bool:
-        return psd_check(_pick_from_gram(g, w, t), tol).is_psd
-
-    hi = wmax
-    for _ in range(200):
-        if feasible(hi):
-            break
-        hi *= 2.0
-    else:
-        raise PreconditionError("no feasible norm level found while doubling the bracket")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lower = np.linalg.cholesky(g.entries)
+    return float(np.linalg.norm(np.linalg.solve(lower, w[:, None] * lower), 2))

@@ -20,13 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from .cnp import CONSISTENT, agler_mccarthy_embed, cnp_sample_check
+# cnp_sample_check is not called here; bench/tracing.py patches it by this name.
+from .cnp import agler_mccarthy_embed, cnp_sample_check
 from .errors import (
     ClassificationError,
     HypothesisError,
     InconsistentSampleError,
     InputError,
     IrreducibilityError,
+    NotCnpError,
 )
 from .kernels import check_irreducible_sample, first_coincident_pair, normalize
 from .linalg import DEFAULT_TOL, HermitianMatrix
@@ -94,38 +96,36 @@ def classify(g: HermitianMatrix, base: int, tol: float = DEFAULT_TOL) -> Reconst
     """Classify a sampled kernel as singleton, disk-realizable, or higher rank.
 
     Hypotheses checked up front: the sample must be irreducible (nowhere-zero
-    entries, no proportional rows) and CNP-consistent. Violations raise
-    HypothesisError naming the failed hypothesis.
+    entries, no proportional rows, judged on G / max |G_ij| so that scale does
+    not matter) and CNP-consistent. Violations raise HypothesisError naming
+    the failed hypothesis.
 
     The recovered j is canonical only up to a unimodular factor; the first
     non-base value is rotated to be real positive, matching the
     deterministic factorization convention.
     """
-    if not check_irreducible_sample(g, tol):
+    scale = float(np.max(np.abs(g.entries)))
+    if scale == 0 or not check_irreducible_sample(HermitianMatrix(g.entries / scale), tol):
         raise HypothesisError(
             "sample is not irreducible (zero entry or proportional rows)",
             hypothesis="irreducibility",
         )
-    verdict = cnp_sample_check(g, base, tol)
-    if verdict.status != CONSISTENT:
-        raise HypothesisError(
-            f"sample refutes the CNP property (min eigenvalue {verdict.min_eig:.6e})",
-            hypothesis="cnp_consistency",
-        )
+    try:
+        embedding = agler_mccarthy_embed(g, base, tol)
+    except NotCnpError as e:  # message: "sample refutes the CNP property ..."
+        raise HypothesisError(str(e), hypothesis="cnp_consistency") from None
     delta = normalize(g, base).delta
 
     if g.n == 1:
-        result = ReconstructionResult(
+        return ReconstructionResult(
             classification=SINGLETON,
             delta=delta,
             j_values=None,
             factorization_residual=verify_factorization(g, delta, np.zeros(1)),
             rank=0,
-            embedding_residual=0.0,
+            embedding_residual=embedding.residual,
         )
-        return result
 
-    embedding = agler_mccarthy_embed(g, base, tol)
     if embedding.rank == 1:
         j = _phase_fixed_j(embedding.b_points, base)
         pair = first_coincident_pair(j)

@@ -5,6 +5,22 @@ import pytest
 
 SEED = 20250811
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    def seeded_by(examples):
+        """Decorator running test(seed) on seeds that hypothesis draws,
+        reproducibly; on fixed seeds when hypothesis is not installed."""
+        return lambda test: settings(
+            max_examples=examples, deadline=None, derandomize=True, database=None
+        )(given(seed=st.integers(0, 2**32 - 1))(test))
+
+except ImportError:  # hypothesis is optional
+
+    def seeded_by(examples):
+        return pytest.mark.parametrize("seed", range(examples))
+
 
 @pytest.fixture
 def rng():
@@ -29,6 +45,15 @@ def random_ball_points(rng, n, dim, radius=0.7):
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     scales = radius * rng.uniform(0.2, 1.0, size=(n, 1))
     return x / norms * scales
+
+
+def blaschke(z, zeros):
+    """Finite Blaschke product with the given zeros, evaluated at z."""
+    z = np.asarray(z, dtype=complex)
+    out = np.ones_like(z)
+    for a in zeros:
+        out = out * (z - a) / (1.0 - np.conj(a) * z)
+    return out
 
 
 def cholesky_bisect_min_eig(entries, iters=70):

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import random_ball_points
+from conftest import random_ball_points, seeded_by
 
 from rkhslab import cli, cnp, linalg
 from rkhslab.errors import DomainError, InputError
@@ -25,21 +25,7 @@ from rkhslab.kernels import (
 )
 from rkhslab.linalg import HermitianMatrix
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    def seeded(test):
-        """Run test(seed) on seeds that hypothesis draws, reproducibly."""
-        return settings(max_examples=30, deadline=None, derandomize=True, database=None)(
-            given(seed=st.integers(0, 2**32 - 1))(test)
-        )
-
-except ImportError:  # hypothesis is optional
-
-    def seeded(test):
-        return pytest.mark.parametrize("seed", range(30))(test)
-
+seeded = seeded_by(30)
 
 TOL = 1e-9
 

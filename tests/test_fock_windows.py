@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_ball_points
+from conftest import random_ball_points, seeded_by
 
 from rkhslab.errors import InputError, WindowOverflowError
 from rkhslab.fock import (
@@ -34,20 +34,7 @@ from rkhslab.fock import (
 from rkhslab.kernels import PointSet
 from rkhslab.linalg import HermitianMatrix, Subspace, min_eigenvalue
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    def seeded(test):
-        """Run test(seed) on seeds that hypothesis draws, reproducibly."""
-        return settings(max_examples=25, deadline=None, derandomize=True, database=None)(
-            given(seed=st.integers(0, 2**32 - 1))(test)
-        )
-
-except ImportError:  # hypothesis is optional
-
-    def seeded(test):
-        return pytest.mark.parametrize("seed", range(25))(test)
+seeded = seeded_by(25)
 
 
 # the tail-balance input whose tail bound (5.6e-25) lies below rounding

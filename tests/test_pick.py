@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import blaschke, seeded_by
 
 from rkhslab.errors import InputError, PreconditionError
 from rkhslab.kernels import PointSet, PowerSeriesKernel
@@ -13,9 +14,20 @@ from rkhslab.pick import (
 
 SZEGO = PowerSeriesKernel([1] * 60)
 
+seeded = seeded_by(40)
+
 
 def szego_problem(nodes, targets):
     return PickProblem(kernel=SZEGO, nodes=PointSet(1, [[z] for z in nodes]), targets=targets)
+
+
+def reduced_lambda_max_norm(g, w):
+    """sqrt(lambda_max(L^-1 D G D^* L^-*)) with G = L L^*, D = diag(w): the
+    largest eigenvalue of the pencil (D G D^*, G) after Cholesky reduction."""
+    linv = np.linalg.inv(np.linalg.cholesky(g))
+    d = np.diag(w)
+    m = linv @ d @ g @ d.conj().T @ linv.conj().T
+    return float(np.sqrt(max(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[-1], 0.0)))
 
 
 class TestPickMatrix:
@@ -125,6 +137,53 @@ class TestMinimalNorm:
         p = szego_problem([0.3, 0.3 + 1e-13], [0.1, 0.1])
         with pytest.raises(PreconditionError):
             minimal_interpolation_norm(p, 1e-9)
+
+
+class TestClosedForm:
+    @seeded
+    def test_agrees_with_reduced_eigenproblem(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 11))
+        nodes = 0.7 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        targets = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        p = szego_problem(list(nodes), targets)
+        g = p.gram().entries
+        if np.linalg.eigvalsh(g)[0] <= 1e-9 * np.max(g.diagonal().real):
+            with pytest.raises(PreconditionError):
+                minimal_interpolation_norm(p, 1e-9)
+            return
+        want = reduced_lambda_max_norm(g, targets)
+        assert abs(minimal_interpolation_norm(p, 1e-9) - want) <= 1e-12 * want
+
+    def test_exact_answer_one(self):
+        # Szego data w = B(z) with B of three zeros at four nodes: the minimal
+        # norm is exactly 1 (bisection returned 0.99974 here)
+        nodes = np.array([0.0, 0.1, 0.2, 0.3])
+        p = szego_problem(list(nodes), blaschke(nodes, [0.5, 0.6, 0.7]))
+        assert abs(minimal_interpolation_norm(p, 1e-9) - 1.0) <= 1e-11
+
+    def test_feasible_exactly_above_the_minimal_norm(self):
+        nodes = np.array([0.0, 0.3, 0.5j, -0.4])
+        p = szego_problem(list(nodes), 1.5 * blaschke(nodes, [0.2 - 0.1j]))
+        t = minimal_interpolation_norm(p, 1e-9)
+        assert pick_feasible(p, t * (1 + 1e-6), 1e-9).is_psd
+        assert not pick_feasible(p, t * (1 - 1e-6), 1e-9).is_psd
+
+    def test_refuses_twelve_close_real_nodes(self):
+        """Twelve equispaced real Szego nodes in [-0.6, 0.6], targets 0.5 z.
+
+        The exact answer is 0.5, but the least Gram eigenvalue is 1.6e-12,
+        1.0e-12 of the largest diagonal entry: below the guard tol = 1e-9,
+        so the problem is refused on purpose. The closed form there would
+        be off by 4.8e-6, far outside the accuracy the solver claims.
+        """
+        nodes = np.linspace(-0.6, 0.6, 12)
+        with pytest.raises(PreconditionError):
+            minimal_interpolation_norm(szego_problem(list(nodes), 0.5 * nodes), 1e-9)
+
+    def test_rejects_nonpositive_tol(self):
+        with pytest.raises(InputError):
+            minimal_interpolation_norm(szego_problem([0.0], [0.5]), 0.0)
 
 
 class TestProblemValidation:

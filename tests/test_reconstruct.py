@@ -64,6 +64,17 @@ class TestClassify:
         assert res.j_values is None and res.factorization_residual is None
         assert "arveson" in res.note
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-5, 1.0, 1e5, 1e12])
+    def test_classification_invariant_under_kernel_scale(self, scale):
+        # the absolute minor test once refused this sample at scale 1e-5
+        zs = np.array([0.0, 0.3, 0.5j, -0.4])
+        g = synth_disk_gram(np.full(4, np.sqrt(scale)), zs)
+        res = classify(g, 0, 1e-9)
+        assert res.classification == HARDY_EQUIVALENT
+        assert res.rank == 1
+        assert np.allclose(np.abs(res.j_values), np.abs(zs), atol=1e-9)
+        assert np.allclose(res.delta, np.sqrt(scale), rtol=1e-12, atol=0)
+
     def test_rejects_reducible_sample(self):
         g = HermitianMatrix([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(HypothesisError) as exc:
