@@ -295,7 +295,7 @@ def irreducible_partition(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> list[
     decomposition of the space follows the transitive closure, so connected
     components are the right classes. Across distinct classes every entry is
     at most tol; the threshold stays absolute because that bound is the
-    guarantee. For scale-free classes divide G by its largest diagonal first.
+    guarantee. For scale-free classes pass G_ij / sqrt(G_ii G_jj) instead.
     """
     n = g.n
     adj = np.abs(g.entries) > tol

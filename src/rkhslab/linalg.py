@@ -144,11 +144,26 @@ def psd_check(a: HermitianMatrix, tol: float = DEFAULT_TOL) -> PsdVerdict:
     eigenvalue). The floor of 1 keeps a slack of tol where all eigenvalues
     (nearly) vanish, as for 1 - 1/K~ of one point, which a relative test
     would fail on rounding alone; for a scale-free verdict on small matrices
-    divide by their scale (for a Gram matrix, its largest diagonal) first.
+    divide by their scale (for a Gram matrix, gram_scale) first.
+    Deterministic for a fixed input.
     """
     eigs = np.linalg.eigvalsh(a.entries)
     min_eig = float(eigs[0])
-    return PsdVerdict(_psd_accepts(min_eig, float(eigs[-1]), tol), min_eig, tol)
+    max_eig = float(eigs[-1])
+    return PsdVerdict(
+        is_psd=_psd_accepts(min_eig, max_eig, tol),
+        min_eig=min_eig,
+        tol_used=tol,
+    )
+
+
+def gram_scale(g: np.ndarray) -> float:
+    """Largest diagonal entry of a Gram matrix, the size of its entries.
+
+    1.0 when no diagonal entry is positive: such a matrix has no scale.
+    """
+    scale = float(np.max(g.diagonal().real))
+    return scale if scale > 0 else 1.0
 
 
 def min_eigenvalue(a: HermitianMatrix) -> float:
@@ -176,18 +191,26 @@ def psd_factor(a: HermitianMatrix, tol: float = DEFAULT_TOL) -> PsdFactor:
     """
     vals, vecs = np.linalg.eigh(a.entries)
     min_eig = float(vals[0])
-    if not _psd_accepts(min_eig, float(vals[-1]), tol):
+    max_eig = float(vals[-1])
+    if not _psd_accepts(min_eig, max_eig, tol):
         raise NotPsdError(
             f"matrix is not PSD within tolerance (min eigenvalue {min_eig:.6e})",
             min_eig,
         )
-    keep = vals > tol * max(float(vals[-1]), 0.0)
-    vals, vecs = vals[keep][::-1], vecs[:, keep][:, ::-1]
+    # eigh sorts ascending; reversing gives the descending order.
+    vals = vals[::-1]
+    vecs = vecs[:, ::-1]
+    cutoff = tol * max(max_eig, 0.0)
+    keep = vals > cutoff
+    vals = vals[keep]
+    vecs = vecs[:, keep]
     for k in range(vecs.shape[1]):
         col = vecs[:, k]
-        pivot = col[np.argmax(np.abs(col))]
-        vecs[:, k] = col * (pivot.conjugate() / abs(pivot))
-    rows = vecs * np.sqrt(vals)
+        idx = int(np.argmax(np.abs(col)))
+        pivot = col[idx]
+        if pivot != 0:
+            vecs[:, k] = col * (pivot.conjugate() / abs(pivot))
+    rows = vecs * np.sqrt(vals)[None, :]
     return PsdFactor(rows=rows, rank=int(rows.shape[1]))
 
 

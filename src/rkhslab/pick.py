@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .kernels import KernelSpec, PointSet
-from .linalg import DEFAULT_TOL, HermitianMatrix, PsdVerdict, min_eigenvalue, psd_check
+from .linalg import DEFAULT_TOL, HermitianMatrix, PsdVerdict, gram_scale, min_eigenvalue, psd_check
 
 Nodes = Union[PointSet, Sequence[str]]
 
@@ -72,13 +72,12 @@ def pick_feasible(problem: PickProblem, t: float, tol: float = DEFAULT_TOL) -> P
 
     For Nevanlinna-Pick kernels this decides existence of an interpolant of
     multiplier norm at most t; for other kernels it is necessary only. The
-    verdict is taken on the Gram matrix divided by its largest diagonal
-    entry, so rescaling the kernel does not change it; min_eig is reported
-    in the kernel's own units.
+    verdict is taken on the Gram matrix divided by its gram_scale (largest
+    diagonal entry), so rescaling the kernel does not change it; min_eig is
+    reported in the kernel's own units.
     """
     g = problem.gram().entries
-    scale = float(np.max(g.diagonal().real))
-    scale = scale if scale > 0 else 1.0  # a zero Gram matrix has no scale
+    scale = gram_scale(g)
     verdict = psd_check(_pick_from_gram(g / scale, problem.targets, t), tol)
     return replace(verdict, min_eig=verdict.min_eig * scale)
 
@@ -95,19 +94,20 @@ def minimal_interpolation_norm(problem: PickProblem, tol: float = DEFAULT_TOL) -
     answer 1 within 1e-11 (tests/test_pick.py); the error grows with the
     condition number of G.
 
-    Raises PreconditionError unless min eig(G) > tol * max_i G_ii. Nearly
-    coincident nodes are refused on purpose: at a ratio of 1e-12 (12
-    equispaced real Szego nodes in [-0.6, 0.6]) t* is off by about 5e-6.
+    Raises PreconditionError unless min eig(G) > tol * gram_scale(G), the
+    largest diagonal entry. Nearly coincident nodes are refused on purpose:
+    at a ratio of 1e-12 (12 equispaced real Szego nodes in [-0.6, 0.6]) t*
+    is off by about 5e-6.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     g = problem.gram()
     gram_min = min_eigenvalue(g)
-    scale = float(np.max(g.entries.diagonal().real))
+    scale = gram_scale(g.entries)
     if not gram_min > tol * scale:
         raise PreconditionError(
-            f"Gram matrix is not positive definite relative to its largest "
-            f"diagonal entry {scale:.3e} (min eigenvalue {gram_min:.3e})"
+            f"Gram matrix is not positive definite relative to its scale "
+            f"{scale:.3e} (min eigenvalue {gram_min:.3e})"
         )
     w = problem.targets
     if not np.any(w):

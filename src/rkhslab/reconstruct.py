@@ -95,17 +95,21 @@ def _phase_fixed_j(b_points: np.ndarray, base: int) -> np.ndarray:
 def classify(g: HermitianMatrix, base: int, tol: float = DEFAULT_TOL) -> ReconstructionResult:
     """Classify a sampled kernel as singleton, disk-realizable, or higher rank.
 
-    Hypotheses checked up front: the sample must be irreducible (nowhere-zero
-    entries, no proportional rows, judged on G / max |G_ij| so that scale does
-    not matter) and CNP-consistent. Violations raise HypothesisError naming
-    the failed hypothesis.
+    Hypotheses checked up front: the sample must be irreducible (positive
+    diagonal, nowhere-zero entries, no proportional rows) and CNP-consistent.
+    Violations raise HypothesisError naming the failed hypothesis.
+    Irreducibility is judged on G_ij / sqrt(G_ii G_jj): zero entries and
+    proportional rows survive that positive diagonal congruence, so neither
+    the kernel's scale nor one point's large diagonal changes the verdict.
 
     The recovered j is canonical only up to a unimodular factor; the first
     non-base value is rotated to be real positive, matching the
     deterministic factorization convention.
     """
-    scale = float(np.max(np.abs(g.entries)))
-    if scale == 0 or not check_irreducible_sample(HermitianMatrix(g.entries / scale), tol):
+    diag = g.entries.diagonal().real
+    if not np.all(diag > 0) or not check_irreducible_sample(
+        HermitianMatrix(g.entries / np.sqrt(np.outer(diag, diag))), tol
+    ):
         raise HypothesisError(
             "sample is not irreducible (zero entry or proportional rows)",
             hypothesis="irreducibility",

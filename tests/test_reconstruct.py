@@ -75,6 +75,30 @@ class TestClassify:
         assert np.allclose(np.abs(res.j_values), np.abs(zs), atol=1e-9)
         assert np.allclose(res.delta, np.sqrt(scale), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-5, 1.0, 1e5, 1e12])
+    def test_one_point_near_the_boundary(self, scale):
+        # G_22 = 5e4 once shrank every other minor below tol when the
+        # irreducibility test divided G by its largest entry
+        zs = np.array([0.0, 0.1, 0.99999])
+        res = classify(synth_disk_gram(np.full(3, np.sqrt(scale)), zs), 0, 1e-9)
+        assert (res.classification, res.rank) == (HARDY_EQUIVALENT, 1)
+        assert np.allclose(np.abs(res.j_values), zs, atol=1e-6)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_bergman_near_the_boundary_is_refuted_not_reducible(self, scale):
+        zs = np.array([0.0, 0.1, 0.999])
+        g = HermitianMatrix(scale / (1.0 - np.outer(zs, zs)) ** 2)
+        with pytest.raises(HypothesisError) as exc:
+            classify(g, 0, 1e-9)
+        assert exc.value.hypothesis == "cnp_consistency"
+
+    @pytest.mark.parametrize("corner", [0.0, -1.0])
+    def test_rejects_nonpositive_diagonal(self, corner):
+        g = HermitianMatrix([[1.0, 0.5], [0.5, corner]])
+        with pytest.raises(HypothesisError) as exc:
+            classify(g, 0, 1e-9)
+        assert exc.value.hypothesis == "irreducibility"
+
     def test_rejects_reducible_sample(self):
         g = HermitianMatrix([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(HypothesisError) as exc:

@@ -4,7 +4,8 @@ Each verdict-producing entry point -- minimal_interpolation_norm,
 pick_feasible, cnp_sample_check, the rank of agler_mccarthy_embed and
 classify -- is checked under positive rescaling of the kernel from 1e-12 to
 1e12, permutation of the sample and unitary rotation of Drury-Arveson
-points; the CNP verdict also under change of base point. Random cases are
+points; the CNP verdict also under change of base point, and classify
+under rescaling of single points. Random cases are
 drawn by hypothesis when it is installed and from fixed seeds otherwise.
 """
 
@@ -227,6 +228,9 @@ class TestCnpSymmetries:
         order = rng.permutation(n)
         variants = [(scaled(g, s), base, np.arange(n), np.sqrt(s)) for s in SCALES]
         variants.append((permuted(g, order), int(np.flatnonzero(order == base)[0]), order, 1.0))
+        # rescaling single points far apart (a positive diagonal congruence)
+        d = 10.0 ** rng.uniform(-6, 6, n)
+        variants.append((HermitianMatrix(np.outer(d, d) * g.entries), base, np.arange(n), d))
         for h, b, idx, factor in variants:
             got = classify(h, b, TOL)
             assert (got.classification, got.rank) == (HARDY_EQUIVALENT, 1)
