@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -55,8 +56,18 @@ DEFAULT_DEGREE = 12
 # input parsing
 
 
-def _fail(msg: str) -> InputError:
-    return InputError(msg)
+def _parse_list(x, what: str, length: int | None = None, shape: str = "an array") -> list:
+    """x itself when it is a JSON array, of the given length if one is given."""
+    if not isinstance(x, list) or length is not None and len(x) != length:
+        raise InputError(f"{what}: expected {shape}, got {x!r:.60}")
+    return x
+
+
+def _parse_int(x, what: str, least: int) -> int:
+    """A JSON integer of at least `least`; booleans and floats are refused."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < least:
+        raise InputError(f"{what}: expected an integer >= {least}, got {x!r:.60}")
+    return x
 
 
 def _parse_number(x, what: str):
@@ -66,16 +77,16 @@ def _parse_number(x, what: str):
     command computes in floating point somewhere downstream.
     """
     if isinstance(x, bool):
-        raise _fail(f"{what}: expected a number, got a boolean")
+        raise InputError(f"{what}: expected a number, got a boolean")
     if isinstance(x, dict) and set(x) == {"num", "den"}:
-        try:
-            x = Fraction(int(x["num"]), int(x["den"]))
+        try:  # through str, so that 1.5 and true are refused rather than truncated
+            x = Fraction(int(str(x["num"])), int(str(x["den"])))
         except (ValueError, ZeroDivisionError) as e:
-            raise _fail(f"{what}: bad rational {x!r} ({e})") from None
+            raise InputError(f"{what}: bad rational {x!r} ({e})") from None
     elif not isinstance(x, (int, float)):
-        raise _fail(f"{what}: expected a number, got {x!r}")
+        raise InputError(f"{what}: expected a number, got {x!r:.60}")
     if not isinstance(x, float) and abs(x) > sys.float_info.max:
-        raise _fail(f"{what}: number beyond the float range")
+        raise InputError(f"{what}: number beyond the float range")
     return x
 
 
@@ -83,82 +94,67 @@ def _parse_json_arg(text: str, what: str):
     try:
         return json.loads(text)
     except ValueError as e:
-        raise _fail(f"{what}: not valid JSON ({e})") from None
+        raise InputError(f"{what}: not valid JSON ({e})") from None
 
 
 def _parse_complex(x, what: str) -> complex:
-    if not (isinstance(x, list) and len(x) == 2):
-        raise _fail(f"{what}: complex numbers are two-element arrays [re, im], got {x!r}")
-    re = _parse_number(x[0], what)
-    im = _parse_number(x[1], what)
-    return complex(float(re), float(im))
+    re, im = _parse_list(x, what, 2, "[re, im]")
+    return complex(float(_parse_number(re, what)), float(_parse_number(im, what)))
 
 
 def _parse_coeff(x, what: str):
     """Complex coefficient, exactness-preserving: integer or rational parts
     stay exact."""
-    if isinstance(x, (int, dict)) and not isinstance(x, bool):
+    if not isinstance(x, list):
         return _parse_number(x, what)
-    if isinstance(x, float):
-        return x
-    if isinstance(x, list) and len(x) == 2:
-        re = _parse_number(x[0], what)
-        im = _parse_number(x[1], what)
-        if not isinstance(re, float) and not isinstance(im, float):
-            return fock.QQi(re, im)
-        return complex(float(re), float(im))
-    raise _fail(f"{what}: expected a number or [re, im], got {x!r}")
+    re, im = (_parse_number(v, what) for v in _parse_list(x, what, 2, "a number or [re, im]"))
+    if not isinstance(re, float) and not isinstance(im, float):
+        return fock.QQi(re, im)
+    return complex(float(re), float(im))
 
 
 def _parse_point(x, dim: int, what: str) -> list:
-    if not isinstance(x, list) or len(x) != dim:
-        raise _fail(f"{what}: a point in {dim} variables is a list of {dim} [re, im] pairs")
-    return [_parse_complex(c, what) for c in x]
+    shape = f"a point in {dim} variables, a list of {dim} [re, im] pairs"
+    return [_parse_complex(c, what) for c in _parse_list(x, what, dim, shape)]
 
 
 def _parse_points_obj(obj, what: str) -> PointSet:
     if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
-        raise _fail(f'{what}: expected {{"dim": d, "points": [...]}}')
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise _fail(f"{what}: dim must be a positive integer")
-    pts = [_parse_point(p, dim, what) for p in obj["points"]]
+        raise InputError(f'{what}: expected {{"dim": d, "points": [...]}}')
+    dim = _parse_int(obj["dim"], f"{what}.dim", 1)
+    pts = [_parse_point(p, dim, what) for p in _parse_list(obj["points"], f"{what}.points")]
     return PointSet(dim, np.array(pts, dtype=np.complex128))
 
 
 def _parse_kernel_obj(obj, what: str) -> KernelSpec:
     if not isinstance(obj, dict) or "type" not in obj:
-        raise _fail(f'{what}: expected an object with a "type" field')
+        raise InputError(f'{what}: expected an object with a "type" field')
     kind = obj["type"]
     if kind == "power_series":
-        coeffs = obj.get("coeffs")
-        if not isinstance(coeffs, list):
-            raise _fail(f'{what}: power_series needs a "coeffs" array')
+        coeffs = _parse_list(obj.get("coeffs"), f"{what}.coeffs")
         return PowerSeriesKernel([_parse_number(c, f"{what}.coeffs") for c in coeffs])
     if kind == "drury_arveson":
-        dim = obj.get("dim")
-        if not isinstance(dim, int):
-            raise _fail(f'{what}: drury_arveson needs an integer "dim"')
-        return DruryArvesonKernel(dim)
+        return DruryArvesonKernel(_parse_int(obj.get("dim"), f"{what}.dim", 1))
     if kind == "sampled":
-        labels = obj.get("labels")
-        gram = obj.get("gram")
-        if not isinstance(labels, list) or not isinstance(gram, list):
-            raise _fail(f'{what}: sampled needs "labels" and "gram"')
-        rows = [[_parse_complex(v, f"{what}.gram") for v in row] for row in gram]
-        return SampledGramKernel([str(x) for x in labels], np.array(rows, dtype=np.complex128))
-    raise _fail(f"{what}: unknown kernel type {kind!r}")
+        labels = _parse_list(obj.get("labels"), f"{what}.labels")
+        gram = _parse_list(obj.get("gram"), f"{what}.gram")
+        n = len(gram)
+        rows = [_parse_list(r, f"{what}.gram", n, f"a row of {n} entries") for r in gram]
+        entries = [[_parse_complex(v, f"{what}.gram") for v in row] for row in rows]
+        return SampledGramKernel([str(x) for x in labels], np.array(entries, dtype=np.complex128))
+    raise InputError(f"{what}: unknown kernel type {kind!r}")
 
 
 def _parse_family_obj(obj, what: str) -> BlaschkeFamily:
     if not isinstance(obj, dict) or "type" not in obj:
-        raise _fail(f'{what}: expected an object with a "type" field')
+        raise InputError(f'{what}: expected an object with a "type" field')
     kind = obj["type"]
-    prefix = tuple(float(_parse_number(r, f"{what}.prefix")) for r in obj.get("prefix", []))
+    prefix = tuple(
+        float(_parse_number(r, f"{what}.prefix"))
+        for r in _parse_list(obj.get("prefix", []), f"{what}.prefix")
+    )
     if kind == "finite_list":
-        radii = obj.get("radii")
-        if not isinstance(radii, list):
-            raise _fail(f'{what}: finite_list needs a "radii" array')
+        radii = _parse_list(obj.get("radii"), f"{what}.radii")
         return FiniteRadii(tuple(float(_parse_number(r, f"{what}.radii")) for r in radii))
     if kind == "geometric_tail":
         return GeometricTail(
@@ -172,23 +168,21 @@ def _parse_family_obj(obj, what: str) -> BlaschkeFamily:
             p=float(_parse_number(obj.get("p"), f"{what}.p")),
             prefix=prefix,
         )
-    raise _fail(f"{what}: unknown family type {kind!r}")
+    raise InputError(f"{what}: unknown family type {kind!r}")
 
 
 def _parse_poly_obj(obj, what: str) -> fock.Polynomial:
     if not isinstance(obj, dict) or "dim" not in obj or "terms" not in obj:
-        raise _fail(f'{what}: expected {{"dim": d, "terms": [{{"exp": [...], "coeff": ...}}]}}')
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise _fail(f"{what}: dim must be a positive integer")
+        raise InputError(
+            f'{what}: expected {{"dim": d, "terms": [{{"exp": [...], "coeff": ...}}]}}'
+        )
+    dim = _parse_int(obj["dim"], f"{what}.dim", 1)
     coeffs = {}
-    for t in obj["terms"]:
+    for t in _parse_list(obj["terms"], f"{what}.terms"):
         if not isinstance(t, dict) or "exp" not in t or "coeff" not in t:
-            raise _fail(f'{what}: each term needs "exp" and "coeff"')
-        exp = t["exp"]
-        if not isinstance(exp, list) or len(exp) != dim:
-            raise _fail(f"{what}: exp must list {dim} exponents")
-        key = tuple(int(e) for e in exp)
+            raise InputError(f'{what}: each term needs "exp" and "coeff"')
+        exp = _parse_list(t["exp"], f"{what}.exp", dim, f"{dim} exponents")
+        key = tuple(_parse_int(e, f"{what}.exp", 0) for e in exp)
         c = _parse_coeff(t["coeff"], f"{what}.coeff")
         coeffs[key] = coeffs[key] + c if key in coeffs else c
     return fock.Polynomial(dim, coeffs)
@@ -209,13 +203,13 @@ class _Loader:
             with open(path, "rb") as fh:
                 raw = fh.read()
         except OSError as e:
-            raise _fail(f"{what}: cannot read {path!r} ({e})") from None
+            raise InputError(f"{what}: cannot read {path!r} ({e})") from None
         self.hasher.update(raw)
         self.hasher.update(b"\x00")
         try:
             return json.loads(raw.decode("utf-8"))
         except ValueError as e:  # bad UTF-8, bad JSON, or an integer too long to read
-            raise _fail(f"{what}: {path!r} is not valid JSON ({e})") from None
+            raise InputError(f"{what}: {path!r} is not valid JSON ({e})") from None
 
     def digest(self) -> str:
         return "sha256:" + self.hasher.hexdigest()
@@ -225,27 +219,18 @@ class _Loader:
 # report rendering
 
 
-def _jsonable(x):
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
-    if isinstance(x, float):
-        return x
+def _encode(x):
+    """json's default hook: the file form of each value json does not know."""
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, np.complexfloating):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, np.generic):
         return x.item()
     if isinstance(x, Fraction):
         return {"num": str(x.numerator), "den": str(x.denominator)}
     if isinstance(x, fock.QQi):
-        return [_jsonable(x.re), _jsonable(x.im)]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [x.re, x.im]
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
@@ -258,14 +243,14 @@ def _text_lines(prefix: str, value, out: list) -> None:
 
 
 def _emit(report: dict, fmt: str, stream) -> None:
+    """The canonical json, or text lines read back from the same encoding
+    (insertion-ordered, so a Fraction renders as .num and .den lines)."""
     if fmt == "json":
-        stream.write(json.dumps(report, indent=2, sort_keys=True))
-        stream.write("\n")
+        stream.write(json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n")
     else:
         lines: list = []
-        _text_lines("", report, lines)
-        stream.write("\n".join(lines))
-        stream.write("\n")
+        _text_lines("", json.loads(json.dumps(report, default=_encode)), lines)
+        stream.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +262,88 @@ def _load_gram(args, loader: _Loader):
     spec = _parse_kernel_obj(loader.load_json(args.kernel, "kernel"), "kernel")
     if isinstance(spec, SampledGramKernel):
         if args.points is not None:
-            raise _fail("sampled kernels carry their own sample; omit --points")
+            raise InputError("sampled kernels carry their own sample; omit --points")
         return spec.gram(), list(spec.labels)
     if args.points is None:
-        raise _fail("analytic kernels need --points")
+        raise InputError("analytic kernels need --points")
     pts = _parse_points_obj(loader.load_json(args.points, "points"), "points")
-    return spec.gram(pts), [_jsonable(p) for p in pts.points]
+    return spec.gram(pts), pts.points
 
 
 def _check_base(base: int, n: int) -> int:
     if not 0 <= base < n:
-        raise _fail(f"--base {base} out of range for {n} sample points")
+        raise InputError(f"--base {base} out of range for {n} sample points")
     return base
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (results dict, exit code)
+# command table and handlers: each handler returns (results dict, exit code)
 
 
+def _checked(convert, accepts, rule: str):
+    """argparse type that refuses, as a usage error, text the rule does not accept."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accepts(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+
+    return parse
+
+
+def _arg(*names, **options):
+    return names, options
+
+
+KERNEL = _arg("kernel", help="kernel file")
+SERIES = _arg("kernel", help="power_series kernel file")
+PROBLEM = _arg("problem", help="problem file")
+FAMILY = _arg("family", help="family file")
+POINTS = _arg("--points", default=None, help="points file (for analytic kernels, or --span kernel)")
+SET_Y = _arg("--points", required=True, help="points file for the set Y")
+BASE = _arg("--base", type=int, default=0, help="base index (default 0)")
+DEGREE = _arg("--degree", type=int, default=DEFAULT_DEGREE, help="degree window (default 12)")
+NORM = _arg("--norm", type=float, default=None, help="check feasibility at this norm level")
+Z = _arg("--z", required=True, help="point as JSON, e.g. '[[0.5,0],[0,0]]'")
+PHI = _arg("--phi", required=True, help='multiplier as JSON {"dim": d, "terms": [...]}')
+SPAN = _arg(
+    "--span",
+    choices=("full", "powers", "kernel"),
+    default="full",
+    help="compression subspace: whole window, powers of phi, or kernel span of --points",
+)
+COUNT = _arg(
+    "--count",
+    type=_checked(int, lambda n: n >= 0, "a non-negative integer"),
+    help="number of powers for --span powers",
+)
+TOL = _arg(
+    "--tol",
+    type=_checked(float, lambda t: 0 < t < math.inf, "a finite positive number"),
+    default=DEFAULT_TOL,
+    help="tolerance (default 1e-9)",
+)
+FORMAT = _arg("--format", choices=("json", "text"), default="json")
+GROUPS = {"fock": "exact truncated ball-kernel computations"}
+COMMANDS: dict = {}  # name -> (handler, help, arguments besides TOL and FORMAT)
+
+
+def _command(name: str, help_text: str, *arguments):
+    """Enter the decorated handler in COMMANDS. A name "g leaf" is the
+    subcommand leaf of the group g in GROUPS."""
+
+    def enter(handler):
+        COMMANDS[name] = (handler, help_text, arguments)
+        return handler
+
+    return enter
+
+
+@_command("cnp-check", "sample-level complete Nevanlinna-Pick test", KERNEL, POINTS, BASE)
 def _cmd_cnp_check(args, loader):
     g, labels = _load_gram(args, loader)
     verdict = cnp_sample_check(g, _check_base(args.base, g.n), args.tol)
@@ -307,10 +356,11 @@ def _cmd_cnp_check(args, loader):
     }, (0 if ok else 1)
 
 
+@_command("ratio-check", "coefficient ratio tests for disk kernels", SERIES)
 def _cmd_ratio_check(args, loader):
     spec = _parse_kernel_obj(loader.load_json(args.kernel, "kernel"), "kernel")
     if not isinstance(spec, PowerSeriesKernel):
-        raise _fail("ratio-check applies to power_series kernels only")
+        raise InputError("ratio-check applies to power_series kernels only")
     report = ratio_report(spec.coeffs)
     results = {
         "hyponormal_ok": report.hyponormal_ok,
@@ -325,23 +375,22 @@ def _cmd_ratio_check(args, loader):
     return results, (0 if report.hyponormal_ok else 1)
 
 
+@_command("pick", "Pick feasibility or minimal interpolation norm", PROBLEM, NORM)
 def _cmd_pick(args, loader):
     obj = loader.load_json(args.problem, "problem")
-    if not isinstance(obj, dict) or "kernel" not in obj or "nodes" not in obj or "targets" not in obj:
-        raise _fail('problem: expected {"kernel": ..., "nodes": [...], "targets": [...]}')
+    if not isinstance(obj, dict) or not {"kernel", "nodes", "targets"} <= obj.keys():
+        raise InputError('problem: expected {"kernel": ..., "nodes": [...], "targets": [...]}')
     spec = _parse_kernel_obj(obj["kernel"], "problem.kernel")
-    targets_raw = obj["targets"]
-    if not isinstance(targets_raw, list) or not targets_raw:
-        raise _fail("problem.targets must be a non-empty array")
+    targets_raw = _parse_list(obj["targets"], "problem.targets")
+    nodes_raw = _parse_list(obj["nodes"], "problem.nodes")
+    if not targets_raw or not nodes_raw:
+        raise InputError("problem.nodes and problem.targets must be non-empty")
     for t in targets_raw:
         if isinstance(t, list) and t and isinstance(t[0], list):
-            raise _fail("matrix-valued targets are not supported")
+            raise InputError("matrix-valued targets are not supported")
     targets = np.array(
         [_parse_complex(t, "problem.targets") for t in targets_raw], dtype=np.complex128
     )
-    nodes_raw = obj["nodes"]
-    if not isinstance(nodes_raw, list) or not nodes_raw:
-        raise _fail("problem.nodes must be a non-empty array")
     if isinstance(spec, SampledGramKernel):
         nodes = [str(x) for x in nodes_raw]
     else:
@@ -362,6 +411,7 @@ def _cmd_pick(args, loader):
     return {"mode": "minimal_norm", "minimal_norm": t_star}, 0
 
 
+@_command("embed", "realize a sample inside the unit ball", KERNEL, POINTS, BASE)
 def _cmd_embed(args, loader):
     g, labels = _load_gram(args, loader)
     base = _check_base(args.base, g.n)
@@ -383,6 +433,7 @@ def _cmd_embed(args, loader):
     }, 0
 
 
+@_command("reconstruct", "classify a sample and factor through the disk", KERNEL, POINTS, BASE)
 def _cmd_reconstruct(args, loader):
     g, labels = _load_gram(args, loader)
     base = _check_base(args.base, g.n)
@@ -403,12 +454,14 @@ def _cmd_reconstruct(args, loader):
     return out, 0
 
 
+@_command("partition", "split a sample into irreducible blocks", KERNEL, POINTS)
 def _cmd_partition(args, loader):
     g, labels = _load_gram(args, loader)
     classes = irreducible_partition(g, args.tol)
     return {"classes": classes, "count": len(classes), "sample": labels}, 0
 
 
+@_command("blaschke", "classify a radii family's gap sum", FAMILY)
 def _cmd_blaschke(args, loader):
     fam = _parse_family_obj(loader.load_json(args.family, "family"), "family")
     verdict = blaschke_classify(fam)
@@ -419,6 +472,7 @@ def _cmd_blaschke(args, loader):
     }, 0
 
 
+@_command("closure", "kernel-span membership for a point", SET_Y, Z, DEGREE)
 def _cmd_closure(args, loader):
     pts = _parse_points_obj(loader.load_json(args.points, "points"), "points")
     z = _parse_point(_parse_json_arg(args.z, "--z"), pts.dim, "--z")
@@ -430,6 +484,7 @@ def _cmd_closure(args, loader):
     }, (0 if membership.member else 1)
 
 
+@_command("fock arveson", "exact non-hyponormal multiplier witness")
 def _cmd_fock_arveson(args, loader):
     witness = fock.arveson_example()
     space = fock.TruncatedSpace(2, 6)
@@ -444,10 +499,9 @@ def _cmd_fock_arveson(args, loader):
     }, 0
 
 
+@_command("fock balance", "adjoint/forward norm balance on the kernel tail", Z, DEGREE)
 def _cmd_fock_balance(args, loader):
-    raw = _parse_json_arg(args.z, "--z")
-    if not isinstance(raw, list):
-        raise _fail("--z: a point is a list of [re, im] pairs")
+    raw = _parse_list(_parse_json_arg(args.z, "--z"), "--z", shape="a list of [re, im] pairs")
     balance = fock.tail_balance([_parse_coeff(c, "--z") for c in raw], args.degree)
     ok = balance.within_bound
     return {
@@ -460,6 +514,11 @@ def _cmd_fock_balance(args, loader):
     }, (0 if ok else 1)
 
 
+@_command(
+    "fock defect",
+    "self-commutator defect of a compressed multiplier",
+    PHI, SPAN, COUNT, POINTS, DEGREE,
+)
 def _cmd_fock_defect(args, loader):
     phi = _parse_poly_obj(_parse_json_arg(args.phi, "--phi"), "--phi")
     space = fock.TruncatedSpace(phi.dim, args.degree)
@@ -472,10 +531,10 @@ def _cmd_fock_defect(args, loader):
         subspace = fock.span_of_polynomials(space, [phi**k for k in range(count + 1)])
     else:  # kernel
         if args.points is None:
-            raise _fail("--span kernel needs --points")
+            raise InputError("--span kernel needs --points")
         pts = _parse_points_obj(loader.load_json(args.points, "points"), "points")
         if pts.dim != phi.dim:
-            raise _fail("points dimension does not match the multiplier")
+            raise InputError("points dimension does not match the multiplier")
         subspace = fock.vanishing_subspace(pts, args.degree).complement
     defect = fock.compression_defect(phi, subspace)
     hyponormal_here = defect >= -args.tol
@@ -502,95 +561,22 @@ def build_parser() -> argparse.ArgumentParser:
         "and disk reconstruction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, points=False, base=False, degree=False):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance (default 1e-9)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if points:
-            p.add_argument("--points", default=None, help="points file (for analytic kernels)")
-        if base:
-            p.add_argument("--base", type=int, default=0, help="base index (default 0)")
-        if degree:
-            p.add_argument(
-                "--degree", type=int, default=DEFAULT_DEGREE, help="degree window (default 12)"
-            )
-
-    p = sub.add_parser("cnp-check", help="sample-level complete Nevanlinna-Pick test")
-    p.add_argument("kernel", help="kernel file")
-    common(p, points=True, base=True)
-    p.set_defaults(handler=_cmd_cnp_check)
-
-    p = sub.add_parser("ratio-check", help="coefficient ratio tests for disk kernels")
-    p.add_argument("kernel", help="power_series kernel file")
-    common(p)
-    p.set_defaults(handler=_cmd_ratio_check)
-
-    p = sub.add_parser("pick", help="Pick feasibility or minimal interpolation norm")
-    p.add_argument("problem", help="problem file")
-    p.add_argument("--norm", type=float, default=None, help="check feasibility at this norm level")
-    common(p)
-    p.set_defaults(handler=_cmd_pick)
-
-    p = sub.add_parser("embed", help="realize a sample inside the unit ball")
-    p.add_argument("kernel", help="kernel file")
-    common(p, points=True, base=True)
-    p.set_defaults(handler=_cmd_embed)
-
-    p = sub.add_parser("reconstruct", help="classify a sample and factor through the disk")
-    p.add_argument("kernel", help="kernel file")
-    common(p, points=True, base=True)
-    p.set_defaults(handler=_cmd_reconstruct)
-
-    p = sub.add_parser("partition", help="split a sample into irreducible blocks")
-    p.add_argument("kernel", help="kernel file")
-    common(p, points=True)
-    p.set_defaults(handler=_cmd_partition)
-
-    p = sub.add_parser("blaschke", help="classify a radii family's gap sum")
-    p.add_argument("family", help="family file")
-    common(p)
-    p.set_defaults(handler=_cmd_blaschke)
-
-    p = sub.add_parser("closure", help="kernel-span membership for a point")
-    p.add_argument("--points", required=True, help="points file for the set Y")
-    p.add_argument("--z", required=True, help="candidate point as JSON, e.g. '[[0.3,0],[0,0]]'")
-    common(p, degree=True)
-    p.set_defaults(handler=_cmd_closure)
-
-    p = sub.add_parser("fock", help="exact truncated ball-kernel computations")
-    fsub = p.add_subparsers(dest="fock_command", required=True)
-
-    q = fsub.add_parser("arveson", help="exact non-hyponormal multiplier witness")
-    common(q)
-    q.set_defaults(handler=_cmd_fock_arveson)
-
-    q = fsub.add_parser("balance", help="adjoint/forward norm balance on the kernel tail")
-    q.add_argument("--z", required=True, help="point as JSON, e.g. '[[0.5,0],[0,0]]'")
-    common(q, degree=True)
-    q.set_defaults(handler=_cmd_fock_balance)
-
-    q = fsub.add_parser("defect", help="self-commutator defect of a compressed multiplier")
-    q.add_argument("--phi", required=True, help='multiplier as JSON {"dim": d, "terms": [...]}')
-    q.add_argument(
-        "--span",
-        choices=("full", "powers", "kernel"),
-        default="full",
-        help="compression subspace: whole window, powers of phi, or kernel span of --points",
-    )
-    q.add_argument("--count", type=int, default=None, help="number of powers for --span powers")
-    common(q, points=True, degree=True)
-    q.set_defaults(handler=_cmd_fock_defect)
-
+    groups: dict = {}
+    for name, (handler, help_text, arguments) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            group_parser = sub.add_parser(group, help=GROUPS[group])
+            groups[group] = group_parser.add_subparsers(dest=f"{group}_command", required=True)
+        p = (groups[group] if group else sub).add_parser(leaf, help=help_text)
+        for names, options in arguments + (TOL, FORMAT):
+            p.add_argument(*names, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    command = args.command
-    if command == "fock":
-        command = f"fock {args.fock_command}"
+    args = build_parser().parse_args(argv)
+    command = f"fock {args.fock_command}" if args.command == "fock" else args.command
 
     loader = _Loader()
     loader.note(command)
@@ -604,7 +590,7 @@ def main(argv=None) -> int:
     digest_params = {
         k: v for k, v in params.items() if k not in ("kernel", "points", "problem", "family")
     }
-    loader.note(json.dumps(_jsonable(digest_params), sort_keys=True))
+    loader.note(json.dumps(digest_params, sort_keys=True, default=_encode))
 
     try:
         results, code = args.handler(args, loader)
@@ -618,8 +604,8 @@ def main(argv=None) -> int:
     report = {
         "command": command,
         "inputs_digest": loader.digest(),
-        "parameters": _jsonable(params),
-        "results": _jsonable(results),
+        "parameters": params,
+        "results": results,
         "exit_code": code,
     }
     _emit(report, args.format, sys.stdout)

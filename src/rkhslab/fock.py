@@ -655,7 +655,7 @@ def in_closure(z, points: PointSet, degree: int, tol: float = 1e-8) -> ClosureMe
     truncated kernel vector at z from the span; member means
     residual <= tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InputError("tol must be positive")
     spaces = vanishing_subspace(points, degree)
     u = spaces.complement.space.kernel_vector(z)

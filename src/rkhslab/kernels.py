@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InputError, IrreducibilityError
-from .linalg import DEFAULT_TOL, HermitianMatrix, psd_check
+from .linalg import DEFAULT_TOL, HermitianMatrix, gram_scale, psd_check
 
 
 def _as_point(p, dim: int) -> np.ndarray:
@@ -204,7 +204,12 @@ class DruryArvesonKernel:
 
 
 class SampledGramKernel:
-    """Kernel known only through its Gram matrix on labelled points."""
+    """Kernel known only through its Gram matrix on labelled points.
+
+    The Gram matrix must be PSD. That verdict is taken on G / gram_scale(G),
+    so rescaling the kernel does not change it; a refusal reports the least
+    eigenvalue in the kernel's own units.
+    """
 
     def __init__(self, labels: Sequence[str], gram, tol: float = DEFAULT_TOL):
         labels = tuple(str(x) for x in labels)
@@ -213,10 +218,11 @@ class SampledGramKernel:
         g = gram if isinstance(gram, HermitianMatrix) else HermitianMatrix(gram)
         if g.n != len(labels):
             raise InputError(f"{len(labels)} labels for a {g.n}x{g.n} Gram matrix")
-        verdict = psd_check(g, tol)
+        scale = gram_scale(g.entries)
+        verdict = psd_check(HermitianMatrix(g.entries / scale), tol)
         if not verdict.is_psd:
             raise InputError(
-                f"sampled Gram matrix is not PSD (min eigenvalue {verdict.min_eig:.6e})"
+                f"sampled Gram matrix is not PSD (min eigenvalue {verdict.min_eig * scale:.6e})"
             )
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}

@@ -132,7 +132,7 @@ class Subspace:
 
 
 def _psd_accepts(min_eig: float, max_eig: float, tol: float) -> bool:
-    if tol <= 0:
+    if not tol > 0:
         raise InputError("tol must be positive")
     return min_eig >= -tol * max(1.0, max_eig)
 
@@ -238,7 +238,7 @@ def verify_hyponormal_closure(
 
     Raises PreconditionError when f is not in M to within tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InputError("tol must be positive")
     a = _square_complex(t, "operator")
     v = np.asarray(f, dtype=np.complex128)

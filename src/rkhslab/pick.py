@@ -99,7 +99,7 @@ def minimal_interpolation_norm(problem: PickProblem, tol: float = DEFAULT_TOL) -
     at a ratio of 1e-12 (12 equispaced real Szego nodes in [-0.6, 0.6]) t*
     is off by about 5e-6.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InputError("tol must be positive")
     g = problem.gram()
     gram_min = min_eigenvalue(g)

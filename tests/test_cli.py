@@ -314,3 +314,78 @@ class TestErrorPaths:
         assert code == 0
         assert "results.gap_sum = 1.0" in out
         assert "exit_code = 0" in out
+
+
+def in_corpus(corpus, argv) -> list:
+    return [str(corpus / a) if a.endswith(".json") else a for a in argv]
+
+
+def phi_with_exponent(e) -> str:
+    return json.dumps({"dim": 1, "terms": [{"exp": [e], "coeff": 1}]})
+
+
+GEOMETRIC = {"type": "geometric_tail", "c": 0.5, "q": 0.5}
+SAMPLED = {"type": "sampled", "labels": ["a", "b"]}
+SZEGO_AT_CASE = ["cnp-check", "szego.json", "--points", "case.json"]
+
+# (argv, content of case.json): malformed shapes, most of which used to crash
+# with a traceback or be misread (an exponent 1.5 as 1, true as 1)
+MALFORMED = {
+    "points-not-a-list": (SZEGO_AT_CASE, {"dim": 1, "points": 5}),
+    "dim-boolean": (SZEGO_AT_CASE, {"dim": True, "points": []}),
+    "gram-row-not-a-list": (["cnp-check", "case.json"], {**SAMPLED, "gram": [[[1, 0], [0, 0]], 5]}),
+    "gram-row-ragged": (["cnp-check", "case.json"], {**SAMPLED, "gram": [[[1, 0], [0, 0]], [[1]]]}),
+    "prefix-not-a-list": (["blaschke", "case.json"], {**GEOMETRIC, "prefix": 3}),
+    "rational-num-a-list": (["blaschke", "case.json"], {**GEOMETRIC, "c": {"num": [1], "den": 2}}),
+    "rational-num-a-float": (["blaschke", "case.json"], {**GEOMETRIC, "c": {"num": 1.5, "den": 2}}),
+    "terms-not-a-list": (["fock", "defect", "--phi", '{"dim": 1, "terms": 5}'], None),
+    "exp-object": (["fock", "defect", "--phi", phi_with_exponent({})], None),
+    "exp-null": (["fock", "defect", "--phi", phi_with_exponent(None)], None),
+    "exp-float": (["fock", "defect", "--phi", phi_with_exponent(1.5)], None),
+    "exp-boolean": (["fock", "defect", "--phi", phi_with_exponent(True)], None),
+    "exp-negative": (["fock", "defect", "--phi", phi_with_exponent(-1)], None),
+    "z-not-a-list": (["fock", "balance", "--z", "5"], None),
+}
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_refused_with_exit_two(self, case, corpus, capsys):
+        argv, content = MALFORMED[case]
+        if content is not None:
+            (corpus / "case.json").write_text(json.dumps(content))
+        code, report, _ = run(capsys, in_corpus(corpus, argv))
+        assert code == 2 and report["exit_code"] == 2
+        assert list(report["results"]) == ["error"]
+        assert report["results"]["error"]["type"] == "InputError"
+
+
+class TestArgumentRules:
+    COMMANDS = [
+        ["cnp-check", "bergman.json", "--points", "pts.json"],
+        ["partition", "szego.json", "--points", "pts.json"],
+        ["fock", "arveson"],
+    ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9", "abc"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_tol_must_be_finite_and_positive(self, command, value, corpus, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(in_corpus(corpus, command) + ["--tol", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol" in captured.err
+
+    @pytest.mark.parametrize("value", ["-3", "-1", "1.5", "two"])
+    def test_count_must_be_a_non_negative_integer(self, value, capsys):
+        phi = phi_with_exponent(1)
+        with pytest.raises(SystemExit) as exc:
+            main(["fock", "defect", "--phi", phi, "--span", "powers", "--count", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--count" in captured.err
+
+    def test_count_zero_spans_the_constants(self, capsys):
+        argv = ["fock", "defect", "--phi", phi_with_exponent(1), "--span", "powers", "--count", "0"]
+        code, report, _ = run(capsys, argv)
+        assert code == 0 and report["results"]["span_dim"] == 1

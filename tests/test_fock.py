@@ -330,6 +330,11 @@ class TestInClosure:
         member, residual = in_closure(np.array([0.3, 0.0]), pts, 8, tol=1e-8)
         assert not member and residual > 0.01
 
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_rejects_nonpositive_or_nan_tol(self, tol):
+        with pytest.raises(InputError, match="tol must be positive"):
+            in_closure(np.array([0.2]), PointSet(1, [[0.0]]), 8, tol=tol)
+
     def test_single_origin_excludes_disk_point(self):
         pts = PointSet(1, [[0.0]])
         member, residual = in_closure(np.array([0.2]), pts, 8, tol=1e-8)

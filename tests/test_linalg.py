@@ -71,6 +71,10 @@ class TestPsdCheck:
         with pytest.raises(InputError):
             psd_check(HermitianMatrix(np.eye(2)), 0.0)
 
+    def test_rejects_nan_tol(self):
+        with pytest.raises(InputError, match="tol must be positive"):
+            psd_check(HermitianMatrix(np.eye(2)), float("nan"))
+
 
 class TestMinEigenvalue:
     def test_diagonal(self):
@@ -177,6 +181,11 @@ class TestHyponormalClosure:
         f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         check = verify_hyponormal_closure(u, sub, f, 1e-9)
         assert check == (True, True)
+
+    def test_rejects_nan_tol(self):
+        sub = Subspace(np.eye(2))
+        with pytest.raises(InputError, match="tol must be positive"):
+            verify_hyponormal_closure(np.eye(2), sub, np.ones(2), float("nan"))
 
     def test_vector_outside_subspace_rejected(self):
         sub = Subspace(np.eye(3)[:, :1])

@@ -185,6 +185,10 @@ class TestClosedForm:
         with pytest.raises(InputError):
             minimal_interpolation_norm(szego_problem([0.0], [0.5]), 0.0)
 
+    def test_rejects_nan_tol(self):
+        with pytest.raises(InputError, match="tol must be positive"):
+            minimal_interpolation_norm(szego_problem([0.0], [0.5]), float("nan"))
+
 
 class TestProblemValidation:
     def test_length_mismatch(self):

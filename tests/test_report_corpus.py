@@ -1,0 +1,39 @@
+"""Smoke test of tools/report_corpus.py on one workload at one seed."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "report_corpus.py"
+
+
+def corpus_tool(*args):
+    return subprocess.run(
+        [sys.executable, str(TOOL), *map(str, args)], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_dump_and_compare(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for out in (first, second):
+        done = corpus_tool("dump", out, "--seeds", "1", "--workloads", "fock_engine")
+        assert done.returncode == 0, done.stderr
+    corpus = json.loads(first.read_text())
+    assert corpus and all(k.startswith("fock_engine/1/") for k in corpus)
+    assert {k.rsplit("/", 1)[1] for k in corpus} == {"json", "text"}
+    assert not any(text.startswith("CRASH") for text in corpus.values())
+    text = "".join(corpus.values())
+    paths = re.findall(r"[^\s\"]*in\d{3}\.json", text)  # input files the reports name
+    assert paths and all(p.startswith("<inputs>/") for p in paths)
+
+    same = corpus_tool("compare", first, second)
+    assert same.returncode == 0 and f"{len(corpus)} identical, 0 differ" in same.stdout
+
+    key = sorted(corpus)[0]
+    corpus[key] += " "
+    second.write_text(json.dumps(corpus))
+    differs = corpus_tool("compare", first, second)
+    assert differs.returncode == 1 and f"DIFFERS {key}" in differs.stdout

@@ -5,7 +5,8 @@ pick_feasible, cnp_sample_check, the rank of agler_mccarthy_embed and
 classify -- is checked under positive rescaling of the kernel from 1e-12 to
 1e12, permutation of the sample and unitary rotation of Drury-Arveson
 points; the CNP verdict also under change of base point, and classify
-under rescaling of single points. Random cases are
+under rescaling of single points. A sampled Gram matrix is refused as
+non-PSD at every scale or at none. Random cases are
 drawn by hypothesis when it is installed and from fixed seeds otherwise.
 """
 
@@ -14,7 +15,7 @@ import pytest
 from conftest import blaschke, random_ball_points, random_unitary, seeded_by
 
 from rkhslab.cnp import agler_mccarthy_embed, cnp_sample_check
-from rkhslab.errors import PreconditionError
+from rkhslab.errors import InputError, PreconditionError
 from rkhslab.kernels import (
     DruryArvesonKernel,
     PointSet,
@@ -152,6 +153,17 @@ class TestPickSymmetries:
         assert abs(got - 1.4724734492586) <= 1e-12
         assert pick_feasible(problem, 1.01 * got, TOL).is_psd
         assert not pick_feasible(problem, 0.5 * got, TOL).is_psd
+
+
+class TestSampledGramScaling:
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_indefinite_gram_refused_at_every_scale(self, scale):
+        # least eigenvalue -5e-7 of the largest entry; the absolute floor of
+        # psd_check accepted it at scales below about 1e-3
+        with pytest.raises(InputError, match="not PSD") as exc:
+            SampledGramKernel(["a", "b"], scale * np.array([[1.0, 1.0], [1.0, 1.0 - 1e-6]]))
+        reported = float(str(exc.value).rsplit(" ", 1)[1].rstrip(")"))
+        assert reported == pytest.approx(-5e-7 * scale, rel=1e-5)  # in the kernel's units
 
 
 # ---------------------------------------------------------------------------

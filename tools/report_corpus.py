@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Dump the benchmark's reports as a corpus, and compare two corpora.
+
+    python3 tools/report_corpus.py dump OUT.json [--root CHECKOUT] [--seeds 1-3] [--workloads W,...]
+    python3 tools/report_corpus.py compare A.json B.json
+
+`dump` builds every request of the benchmark workloads (bench/workloads.py,
+imported read-only) at each seed, runs each through rkhslab.cli.main in
+--format json and --format text, and writes one JSON object mapping
+"workload/seed/index/label/format" to the report text. The input files live
+in a temporary directory whose path is masked as <inputs>, so two dumps of
+equal programs are equal. --root names the source checkout whose src/ and
+bench/ are used (default: the checkout holding this script), so a parent
+commit can be dumped without copying this tool into it.
+
+`compare` prints each key whose report differs or that only one corpus has,
+and exits 0 when the corpora are identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# Pin BLAS to one thread before numpy loads, as the benchmark does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+MASK = "<inputs>"
+FORMATS = ("json", "text")
+
+
+def seed_range(text: str) -> list:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run_report(main, argv: list) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            main(argv)
+        except Exception as e:  # the CLI maps its own errors; anything else is a crash
+            return f"CRASH {type(e).__name__}: {e}\n"
+    return buf.getvalue()
+
+
+def dump(root: Path, seeds: list, names: list) -> dict:
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    from rkhslab.cli import main
+    import workloads
+
+    corpus = {}
+    for name in names or list(workloads.WORKLOADS):
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as tmp:
+                for i, req in enumerate(workloads.build(name, seed, Path(tmp))):
+                    for fmt in FORMATS:
+                        text = run_report(main, list(req.argv) + ["--format", fmt])
+                        corpus[f"{name}/{seed}/{i:03d}/{req.label}/{fmt}"] = text.replace(tmp, MASK)
+    return corpus
+
+
+def compare(a: dict, b: dict) -> list:
+    """Keys whose reports differ or that only one corpus has, sorted."""
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="action", required=True)
+    d = sub.add_parser("dump", help="write the corpus of one checkout")
+    d.add_argument("out", type=Path)
+    d.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
+    d.add_argument("--seeds", type=seed_range, default=seed_range("1-3"))
+    d.add_argument("--workloads", type=lambda s: s.split(","), default=[])
+    c = sub.add_parser("compare", help="list the reports two corpora disagree on")
+    c.add_argument("a", type=Path)
+    c.add_argument("b", type=Path)
+    args = ap.parse_args()
+
+    if args.action == "dump":
+        corpus = dump(args.root.resolve(), args.seeds, args.workloads)
+        args.out.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+        print(f"{len(corpus)} reports written to {args.out}")
+        return 0
+    a, b = (json.loads(p.read_text()) for p in (args.a, args.b))
+    diff = compare(a, b)
+    for key in diff:
+        print(f"DIFFERS {key}")
+    print(f"{len(a.keys() | b.keys()) - len(diff)} identical, {len(diff)} differ")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
