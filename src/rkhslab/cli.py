@@ -45,7 +45,7 @@ from .kernels import (
     SampledGramKernel,
     irreducible_partition,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, threshold
 from .pick import PickProblem, minimal_interpolation_norm, pick_feasible
 from .reconstruct import classify
 
@@ -325,7 +325,7 @@ TOL = _arg(
     "--tol",
     type=_checked(float, lambda t: 0 < t < math.inf, "a finite positive number"),
     default=DEFAULT_TOL,
-    help="tolerance (default 1e-9)",
+    help="tolerance, relative to the scale of the data each command judges (default 1e-9)",
 )
 FORMAT = _arg("--format", choices=("json", "text"), default="json")
 GROUPS = {"fock": "exact truncated ball-kernel computations"}
@@ -537,7 +537,7 @@ def _cmd_fock_defect(args, loader):
             raise InputError("points dimension does not match the multiplier")
         subspace = fock.vanishing_subspace(pts, args.degree).complement
     defect = fock.compression_defect(phi, subspace)
-    hyponormal_here = defect >= -args.tol
+    hyponormal_here = defect >= -threshold(args.tol, fock.defect_scale(phi))
     return {
         "defect": defect,
         "span": args.span,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, WindowOverflowError
 from .kernels import PointSet
-from .linalg import HermitianMatrix, Subspace, min_eigenvalue
+from .linalg import HermitianMatrix, Subspace, min_eigenvalue, threshold
 
 
 class QQi:
@@ -653,14 +653,13 @@ def in_closure(z, points: PointSet, degree: int, tol: float = 1e-8) -> ClosureMe
     Membership characterizes the points to which every function vanishing
     on Y keeps vanishing. residual is the relative distance of the
     truncated kernel vector at z from the span; member means
-    residual <= tol.
+    residual <= threshold(tol, 1), the residual being relative already.
     """
-    if not tol > 0:
-        raise InputError("tol must be positive")
+    cut = threshold(tol, 1.0)
     spaces = vanishing_subspace(points, degree)
     u = spaces.complement.space.kernel_vector(z)
     residual = float(np.linalg.norm(u - spaces.complement.project(u)) / np.linalg.norm(u))
-    return ClosureMembership(member=residual <= tol, residual=residual)
+    return ClosureMembership(member=residual <= cut, residual=residual)
 
 
 def compression_defect(phi: Polynomial, subspace: FockSubspace) -> float:
@@ -670,9 +669,9 @@ def compression_defect(phi: Polynomial, subspace: FockSubspace) -> float:
     with M_phi B applied through the shift tables. Components of the
     products beyond the window are orthogonal to the window and drop out of
     the compression exactly, so no degree headroom is needed. A defect
-    below zero outside noise is a refutation witness for hyponormality of
-    the compression; a non-negative defect certifies hyponormality of this
-    finite model only.
+    below -threshold(tol, defect_scale(phi)) is a refutation witness for
+    hyponormality of the compression at every size of phi; a non-negative
+    defect certifies hyponormality of this finite model only.
     """
     if phi.dim != subspace.space.dim:
         raise InputError("dimension mismatch")
@@ -682,6 +681,11 @@ def compression_defect(phi: Polynomial, subspace: FockSubspace) -> float:
     t = b.conj().T @ subspace.space.multiply(phi, b)
     s = t.conj().T @ t - t @ t.conj().T
     return min_eigenvalue(HermitianMatrix(s))
+
+
+def defect_scale(phi: Polynomial) -> float:
+    """(sum |c_gamma|)^2 >= ||P_F M_phi|_F||^2 >= |compression_defect|: shift weights are <= 1."""
+    return sum(abs(complex(c)) for c in phi.coeffs.values()) ** 2
 
 
 class ArvesonWitness(NamedTuple):

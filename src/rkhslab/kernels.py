@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InputError, IrreducibilityError
-from .linalg import DEFAULT_TOL, HermitianMatrix, gram_scale, psd_check
+from .linalg import DEFAULT_TOL, HermitianMatrix, gram_scale, psd_check, threshold
 
 
 def _as_point(p, dim: int) -> np.ndarray:
@@ -300,11 +300,12 @@ def irreducible_partition(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> list[
     Nonvanishing of individual entries is not transitive; the orthogonal-sum
     decomposition of the space follows the transitive closure, so connected
     components are the right classes. Across distinct classes every entry is
-    at most tol; the threshold stays absolute because that bound is the
-    guarantee. For scale-free classes pass G_ij / sqrt(G_ii G_jj) instead.
+    at most tol; the threshold stays absolute, threshold(tol, 1), because
+    that bound is the guarantee. For scale-free classes pass
+    G_ij / sqrt(G_ii G_jj) instead.
     """
     n = g.n
-    adj = np.abs(g.entries) > tol
+    adj = np.abs(g.entries) > threshold(tol, 1.0)
     seen = [False] * n
     classes: list[list[int]] = []
     for start in range(n):
@@ -333,8 +334,8 @@ def check_irreducible_sample(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> bo
 
     Proportionality of rows i and j means every 2x2 minor built from them
     vanishes; the test declares rows proportional when all such minors have
-    modulus at most tol (an absolute threshold). A verdict of True certifies
-    nothing about points outside the sample.
+    modulus at most tol (the absolute threshold(tol, 1)). A verdict of True
+    certifies nothing about points outside the sample.
 
     All pairs are screened at once with Lagrange's identity: for rows a_i,
     a_j of length n,
@@ -359,6 +360,7 @@ def check_irreducible_sample(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> bo
     explicit max-minor test, so the verdict equals that of testing every
     pair explicitly.
     """
+    tol = threshold(tol, 1.0)
     a = g.entries
     if np.min(np.abs(a)) <= tol:
         return False

@@ -73,7 +73,7 @@ class HermitianMatrix:
 class PsdVerdict:
     """Outcome of a positive-semidefiniteness check.
 
-    is_psd holds exactly when min_eig >= -tol_used * max(1, max_eig).
+    is_psd holds exactly when min_eig >= -threshold(tol_used, max(1, max_eig)).
     """
 
     is_psd: bool
@@ -131,21 +131,27 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
+def threshold(tol: float, scale: float) -> float:
+    """tol * scale: every verdict's threshold, for the scale of the data it
+    judges. Raises InputError unless tol is finite and positive."""
+    if not 0 < tol < np.inf:
+        raise InputError(f"tol must be positive and finite, got {tol}")
+    return tol * scale
+
+
 def _psd_accepts(min_eig: float, max_eig: float, tol: float) -> bool:
-    if not tol > 0:
-        raise InputError("tol must be positive")
-    return min_eig >= -tol * max(1.0, max_eig)
+    return min_eig >= -threshold(tol, max(1.0, max_eig))
 
 
 def psd_check(a: HermitianMatrix, tol: float = DEFAULT_TOL) -> PsdVerdict:
     """Certify positive semidefiniteness by full eigendecomposition.
 
-    Passes when the smallest eigenvalue is at least -tol * max(1, largest
-    eigenvalue). The floor of 1 keeps a slack of tol where all eigenvalues
-    (nearly) vanish, as for 1 - 1/K~ of one point, which a relative test
-    would fail on rounding alone; for a scale-free verdict on small matrices
-    divide by their scale (for a Gram matrix, gram_scale) first.
-    Deterministic for a fixed input.
+    Passes when the smallest eigenvalue is at least -threshold(tol, max(1,
+    largest eigenvalue)). The floor of 1 keeps a slack of tol where all
+    eigenvalues (nearly) vanish, as for 1 - 1/K~ of one point, which a
+    relative test would fail on rounding alone; for a scale-free verdict on
+    small matrices divide by their scale (for a Gram matrix, gram_scale)
+    first. Deterministic for a fixed input.
     """
     eigs = np.linalg.eigvalsh(a.entries)
     min_eig = float(eigs[0])
@@ -200,7 +206,7 @@ def psd_factor(a: HermitianMatrix, tol: float = DEFAULT_TOL) -> PsdFactor:
     # eigh sorts ascending; reversing gives the descending order.
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
-    cutoff = tol * max(max_eig, 0.0)
+    cutoff = threshold(tol, max(max_eig, 0.0))
     keep = vals > cutoff
     vals = vals[keep]
     vecs = vecs[:, keep]
@@ -233,13 +239,12 @@ def verify_hyponormal_closure(
     those hypotheses, any f in M with ||T* f|| = ||T f|| must satisfy
     T f in M. This function returns the two measured facts:
 
-    norms_equal        | ||T* f|| - ||T f|| |  <=  tol * max(1, ||T f||)
-    image_in_subspace  ||T f - P_M T f||      <=  tol * max(1, ||T f||)
+    norms_equal        | ||T* f|| - ||T f|| |  <=  tol ||T||_2 ||f||
+    image_in_subspace  ||T f - P_M T f||      <=  tol ||T||_2 ||f||
 
-    Raises PreconditionError when f is not in M to within tol.
+    Neither verdict changes under T -> sT or f -> rf for s, r > 0.
+    Raises PreconditionError when f is farther than tol ||f|| from M.
     """
-    if not tol > 0:
-        raise InputError("tol must be positive")
     a = _square_complex(t, "operator")
     v = np.asarray(f, dtype=np.complex128)
     if v.ndim != 1 or v.shape[0] != a.shape[0]:
@@ -249,8 +254,9 @@ def verify_hyponormal_closure(
     if subspace.ambient_dim != a.shape[0]:
         raise InputError("subspace ambient dimension does not match the operator")
 
+    norm_f = float(np.linalg.norm(v))
     dist_f = float(np.linalg.norm(v - subspace.project(v)))
-    if dist_f > tol * max(1.0, float(np.linalg.norm(v))):
+    if dist_f > threshold(tol, norm_f):
         raise PreconditionError(
             f"f is not in the subspace (distance {dist_f:.3e})"
         )
@@ -258,7 +264,7 @@ def verify_hyponormal_closure(
     tf = a @ v
     t_adj_f = a.conj().T @ v
     norm_tf = float(np.linalg.norm(tf))
-    scale = tol * max(1.0, norm_tf)
-    norms_equal = abs(float(np.linalg.norm(t_adj_f)) - norm_tf) <= scale
-    image_in = float(np.linalg.norm(tf - subspace.project(tf))) <= scale
+    bound = threshold(tol, float(np.linalg.norm(a, 2)) * norm_f)
+    norms_equal = abs(float(np.linalg.norm(t_adj_f)) - norm_tf) <= bound
+    image_in = float(np.linalg.norm(tf - subspace.project(tf))) <= bound
     return ClosureCheck(norms_equal=norms_equal, image_in_subspace=image_in)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .kernels import KernelSpec, PointSet
-from .linalg import DEFAULT_TOL, HermitianMatrix, PsdVerdict, gram_scale, min_eigenvalue, psd_check
+from .linalg import DEFAULT_TOL, HermitianMatrix, PsdVerdict, gram_scale, min_eigenvalue, psd_check, threshold
 
 Nodes = Union[PointSet, Sequence[str]]
 
@@ -99,12 +99,10 @@ def minimal_interpolation_norm(problem: PickProblem, tol: float = DEFAULT_TOL) -
     at a ratio of 1e-12 (12 equispaced real Szego nodes in [-0.6, 0.6]) t*
     is off by about 5e-6.
     """
-    if not tol > 0:
-        raise InputError("tol must be positive")
     g = problem.gram()
     gram_min = min_eigenvalue(g)
     scale = gram_scale(g.entries)
-    if not gram_min > tol * scale:
+    if not gram_min > threshold(tol, scale):
         raise PreconditionError(
             f"Gram matrix is not positive definite relative to its scale "
             f"{scale:.3e} (min eigenvalue {gram_min:.3e})"

@@ -21,6 +21,7 @@ from rkhslab.fock import (
     TruncatedSpace,
     arveson_example,
     compression_defect,
+    defect_scale,
     inner_product,
     mult_adjoint_apply,
     norm_sq,
@@ -97,7 +98,7 @@ WINDOWS = {1: 9, 2: 6, 3: 4}
 
 
 def assert_defect_matches(phi: Polynomial, subspace: FockSubspace) -> None:
-    scale = max(1.0, sum(abs(complex(c)) for c in phi.coeffs.values())) ** 2
+    scale = max(1.0, defect_scale(phi))
     assert abs(compression_defect(phi, subspace) - dict_defect(phi, subspace)) <= 1e-12 * scale
 
 
@@ -133,6 +134,35 @@ class TestCompressionDefect:
         space = TruncatedSpace(2, 3)
         full = FockSubspace(space, np.eye(len(space)))
         assert compression_defect(Polynomial.monomial(2, (2, 2), 0.5j), full) == 0.0
+
+
+class TestDefectScale:
+    """The bound (sum |c_gamma|)^2 that fock defect scales its threshold by."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_shift_weight_in_zero_one(self, dim):
+        space = TruncatedSpace(dim, WINDOWS[dim])
+        for gamma in space.basis:
+            weight = space.shift(gamma)[2]
+            assert np.all(weight > 0) and np.all(weight <= 1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @seeded
+    def test_defect_within_scale(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        degree = WINDOWS[dim]
+        space = TruncatedSpace(dim, degree)
+        phi = random_poly(rng, dim, 2, 3)
+        pts = PointSet(dim, random_ball_points(rng, int(rng.integers(1, 6)), dim))
+        count = degree // max(phi.degree, 1)
+        spans = {
+            "full": FockSubspace(space, np.eye(len(space))),
+            "powers": span_of_polynomials(space, [phi**k for k in range(count + 1)]),
+            "kernel": vanishing_subspace(pts, degree).complement,
+        }
+        # c z^gamma in one variable attains the bound, so allow its rounding
+        for name, span in spans.items():
+            assert -compression_defect(phi, span) <= defect_scale(phi) * (1 + 1e-12), name
 
 
 class TestKernelVector:

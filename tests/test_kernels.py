@@ -146,6 +146,9 @@ class TestNormalize:
             normalize(g, 0)
 
 
+BAD_TOLS = [float("nan"), -1.0, 0.0, float("inf")]
+
+
 class TestPartition:
     def test_block_diagonal_splits(self):
         g = HermitianMatrix([[1.0, 0.0], [0.0, 1.0]])
@@ -166,6 +169,13 @@ class TestPartition:
         g = HermitianMatrix(np.diag([1.0, 2.0, 3.0, 4.0]))
         assert irreducible_partition(g, 1e-9) == [[0], [1], [2], [3]]
 
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_refuses_tol_not_finite_and_positive(self, tol):
+        # NaN would split every sample into singletons, a negative tol join
+        # the blocks of a diagonal matrix
+        with pytest.raises(InputError, match="tol must be positive"):
+            irreducible_partition(HermitianMatrix(np.eye(3)), tol)
+
 
 class TestIrreducibleSample:
     def test_szego_distinct_points(self):
@@ -177,3 +187,9 @@ class TestIrreducibleSample:
 
     def test_zero_entry(self):
         assert not check_irreducible_sample(HermitianMatrix(np.eye(2)), 1e-9)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_refuses_tol_not_finite_and_positive(self, tol):
+        # NaN or a negative tol would call proportional rows irreducible
+        with pytest.raises(InputError, match="tol must be positive"):
+            check_irreducible_sample(HermitianMatrix(np.ones((3, 3))), tol)

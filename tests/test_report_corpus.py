@@ -32,8 +32,19 @@ def test_dump_and_compare(tmp_path):
     same = corpus_tool("compare", first, second)
     assert same.returncode == 0 and f"{len(corpus)} identical, 0 differ" in same.stdout
 
-    key = sorted(corpus)[0]
-    corpus[key] += " "
+    keys = sorted(corpus)
+    appended, edited, dropped = keys[0], keys[1], keys[2]
+    lines = corpus[appended].splitlines(keepends=True)
+    corpus[appended] += " "
+    edited_lines = corpus[edited].splitlines(keepends=True)
+    corpus[edited] = "".join(edited_lines[:1] + ["changed\n"] + edited_lines[2:])
+    del corpus[dropped]
     second.write_text(json.dumps(corpus))
     differs = corpus_tool("compare", first, second)
-    assert differs.returncode == 1 and f"DIFFERS {key}" in differs.stdout
+    assert differs.returncode == 1
+    out = differs.stdout.splitlines()
+    # each DIFFERS line is followed by where the two reports first part
+    assert out[out.index(f"DIFFERS {appended}") + 1] == f"  line {len(lines) + 1}: <end of report> -> ' '"
+    assert out[out.index(f"DIFFERS {edited}") + 1] == f"  line 2: {edited_lines[1]!r} -> 'changed\\n'"
+    assert out[out.index(f"DIFFERS {dropped}") + 1] == "  only in the first corpus"
+    assert out[-1] == f"{len(keys) - 3} identical, 3 differ"

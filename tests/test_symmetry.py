@@ -6,23 +6,29 @@ classify -- is checked under positive rescaling of the kernel from 1e-12 to
 1e12, permutation of the sample and unitary rotation of Drury-Arveson
 points; the CNP verdict also under change of base point, and classify
 under rescaling of single points. A sampled Gram matrix is refused as
-non-PSD at every scale or at none. Random cases are
+non-PSD at every scale or at none. The Fock defect verdict is checked
+under rescaling of the multiplier, and the closure-step verdicts under
+rescaling of the operator and of the vector. Random cases are
 drawn by hypothesis when it is installed and from fixed seeds otherwise.
 """
+
+import json
 
 import numpy as np
 import pytest
 from conftest import blaschke, random_ball_points, random_unitary, seeded_by
 
+from rkhslab.cli import main
 from rkhslab.cnp import agler_mccarthy_embed, cnp_sample_check
 from rkhslab.errors import InputError, PreconditionError
+from rkhslab.fock import FockSubspace, Polynomial, TruncatedSpace, compression_defect, defect_scale
 from rkhslab.kernels import (
     DruryArvesonKernel,
     PointSet,
     PowerSeriesKernel,
     SampledGramKernel,
 )
-from rkhslab.linalg import HermitianMatrix
+from rkhslab.linalg import HermitianMatrix, Subspace, threshold, verify_hyponormal_closure
 from rkhslab.pick import PickProblem, minimal_interpolation_norm, pick_feasible
 from rkhslab.reconstruct import HARDY_EQUIVALENT, HIGHER_RANK, classify
 
@@ -249,3 +255,45 @@ class TestCnpSymmetries:
             assert agler_mccarthy_embed(h, b, TOL).rank == 1
             assert np.allclose(np.abs(got.j_values), np.abs(want.j_values[idx]), atol=1e-9)
             assert np.allclose(got.delta, factor * want.delta[idx], rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Fock defect and the closure step
+
+
+class TestDefectScaling:
+    @pytest.mark.parametrize("s", [1e-5, 1e-3, 1.0, 1e3, 1e5])
+    def test_z1z2_refuted_at_every_scale(self, s, capsys):
+        # Arveson's multiplier: defect -0.3 s^2 on the full degree-6 window,
+        # which an absolute threshold of -tol would accept for s = 1e-5
+        phi = Polynomial.monomial(2, (1, 1), s)
+        space = TruncatedSpace(2, 6)
+        defect = compression_defect(phi, FockSubspace(space, np.eye(len(space))))
+        assert defect == pytest.approx(-0.3 * s * s, rel=1e-12)
+        assert defect < -threshold(TOL, defect_scale(phi))
+        arg = json.dumps({"dim": 2, "terms": [{"exp": [1, 1], "coeff": s}]})
+        code = main(["fock", "defect", "--phi", arg, "--span", "full", "--degree", "6"])
+        assert json.loads(capsys.readouterr().out)["results"]["hyponormal_on_this_model"] is False
+        assert code == 1
+
+
+# operator, dim M (M spanned by the first unit vectors), f, verdicts
+CLOSURE_CASES = {
+    "normal": (np.diag([2.0, 1j, 0.5]), 2, [1.0, 1.0, 0.0], (True, True)),
+    "collapse": ([[1.0, 0.0], [1.0, 0.0]], 1, [1.0, 0.0], (False, False)),
+    "swap": ([[0.0, 1.0], [1.0, 0.0]], 1, [1.0, 0.0], (True, False)),
+    "jordan": ([[1.0, 1.0], [0.0, 1.0]], 1, [1.0, 0.0], (False, True)),
+}
+CLOSURE_SCALES = (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6)
+
+
+class TestClosureScaling:
+    @pytest.mark.parametrize("name", CLOSURE_CASES)
+    def test_verdicts_under_operator_and_vector_scaling(self, name):
+        # a floor such as max(1, ||T f||) would pass both checks for small T f
+        t, k, f, want = CLOSURE_CASES[name]
+        sub = Subspace(np.eye(len(f))[:, :k])
+        for s in CLOSURE_SCALES:
+            for r in CLOSURE_SCALES:
+                got = verify_hyponormal_closure(s * np.asarray(t), sub, r * np.asarray(f), TOL)
+                assert got == want, (s, r)

@@ -14,7 +14,8 @@ bench/ are used (default: the checkout holding this script), so a parent
 commit can be dumped without copying this tool into it.
 
 `compare` prints each key whose report differs or that only one corpus has,
-and exits 0 when the corpora are identical, 1 otherwise.
+each followed by the first line where the two reports part (numbered from 1,
+both sides quoted), and exits 0 when the corpora are identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -72,6 +73,16 @@ def compare(a: dict, b: dict) -> list:
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
+def first_difference(a, b) -> str:
+    """The first line where two reports differ, or which corpus lacks one."""
+    if a is None or b is None:
+        return "only in the " + ("second" if a is None else "first") + " corpus"
+    la, lb = a.splitlines(keepends=True), b.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+    side = lambda lines: repr(lines[i]) if i < len(lines) else "<end of report>"
+    return f"line {i + 1}: {side(la)} -> {side(lb)}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="action", required=True)
@@ -94,6 +105,7 @@ def main() -> int:
     diff = compare(a, b)
     for key in diff:
         print(f"DIFFERS {key}")
+        print(f"  {first_difference(a.get(key), b.get(key))}")
     print(f"{len(a.keys() | b.keys()) - len(diff)} identical, {len(diff)} differ")
     return 1 if diff else 0
 
