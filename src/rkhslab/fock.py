@@ -668,24 +668,25 @@ def compression_defect(phi: Polynomial, subspace: FockSubspace) -> float:
     The compressed matrix is B* (M_phi B) for the orthonormal basis B of F,
     with M_phi B applied through the shift tables. Components of the
     products beyond the window are orthogonal to the window and drop out of
-    the compression exactly, so no degree headroom is needed. A defect
-    below -threshold(tol, defect_scale(phi)) is a refutation witness for
-    hyponormality of the compression at every size of phi; a non-negative
-    defect certifies hyponormality of this finite model only.
+    the compression exactly, so no degree headroom is needed. The constant
+    term (c I, which commutes) is dropped with its rounding. A defect below
+    -tol * defect_scale(phi) refutes hyponormality of the compression at
+    every size of phi; a non-negative defect certifies this model only.
     """
     if phi.dim != subspace.space.dim:
         raise InputError("dimension mismatch")
     if subspace.dim == 0:
         return 0.0
     b = subspace.basis
+    phi = Polynomial(phi.dim, {g: c for g, c in phi.coeffs.items() if any(g)})
     t = b.conj().T @ subspace.space.multiply(phi, b)
     s = t.conj().T @ t - t @ t.conj().T
     return min_eigenvalue(HermitianMatrix(s))
 
 
 def defect_scale(phi: Polynomial) -> float:
-    """(sum |c_gamma|)^2 >= ||P_F M_phi|_F||^2 >= |compression_defect|: shift weights are <= 1."""
-    return sum(abs(complex(c)) for c in phi.coeffs.values()) ** 2
+    """(sum_{gamma != 0} |c_gamma|)^2 bounds -compression_defect: shift weights are <= 1."""
+    return sum(abs(complex(c)) for g, c in phi.coeffs.items() if any(g)) ** 2
 
 
 class ArvesonWitness(NamedTuple):

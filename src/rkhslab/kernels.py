@@ -300,9 +300,8 @@ def irreducible_partition(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> list[
     Nonvanishing of individual entries is not transitive; the orthogonal-sum
     decomposition of the space follows the transitive closure, so connected
     components are the right classes. Across distinct classes every entry is
-    at most tol; the threshold stays absolute, threshold(tol, 1), because
-    that bound is the guarantee. For scale-free classes pass
-    G_ij / sqrt(G_ii G_jj) instead.
+    at most tol: the absolute threshold(tol, 1), as that bound is the
+    guarantee. For scale-free classes pass G_ij / sqrt(G_ii G_jj) instead.
     """
     n = g.n
     adj = np.abs(g.entries) > threshold(tol, 1.0)

@@ -276,6 +276,21 @@ class TestDefectScaling:
         assert json.loads(capsys.readouterr().out)["results"]["hyponormal_on_this_model"] is False
         assert code == 1
 
+    @pytest.mark.parametrize("c", [0.0, 1e2, 1e5])
+    def test_constant_term_changes_nothing(self, c, capsys):
+        # M_(c + phi) = c I + M_phi has the self-commutator of M_phi, so
+        # neither the defect nor its threshold may grow with c
+        phi = Polynomial(2, {(0, 0): c, (1, 1): 1.0})
+        space = TruncatedSpace(2, 6)
+        defect = compression_defect(phi, FockSubspace(space, np.eye(len(space))))
+        assert defect == pytest.approx(-0.3, rel=1e-12)
+        assert defect_scale(phi) == 1.0
+        terms = [{"exp": [0, 0], "coeff": c}, {"exp": [1, 1], "coeff": 1.0}]
+        arg = json.dumps({"dim": 2, "terms": terms})
+        code = main(["fock", "defect", "--phi", arg, "--span", "full", "--degree", "6"])
+        assert json.loads(capsys.readouterr().out)["results"]["hyponormal_on_this_model"] is False
+        assert code == 1
+
 
 # operator, dim M (M spanned by the first unit vectors), f, verdicts
 CLOSURE_CASES = {
