@@ -57,6 +57,7 @@ from .fock import (
     norm_sq,
     pairing,
     pairing_power_norms,
+    powers_span,
     span_of_polynomials,
     tail_balance,
     truncated_kernel_fn,
@@ -72,6 +73,7 @@ from .kernels import (
     check_irreducible_sample,
     irreducible_partition,
     normalize,
+    unit_diagonal,
 )
 from .linalg import (
     DEFAULT_TOL,

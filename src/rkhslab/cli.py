@@ -44,6 +44,7 @@ from .kernels import (
     PowerSeriesKernel,
     SampledGramKernel,
     irreducible_partition,
+    unit_diagonal,
 )
 from .linalg import DEFAULT_TOL, threshold
 from .pick import PickProblem, minimal_interpolation_norm, pick_feasible
@@ -457,7 +458,7 @@ def _cmd_reconstruct(args, loader):
 @_command("partition", "split a sample into irreducible blocks", KERNEL, POINTS)
 def _cmd_partition(args, loader):
     g, labels = _load_gram(args, loader)
-    classes = irreducible_partition(g, args.tol)
+    classes = irreducible_partition(unit_diagonal(g), args.tol)
     return {"classes": classes, "count": len(classes), "sample": labels}, 0
 
 
@@ -489,7 +490,7 @@ def _cmd_fock_arveson(args, loader):
     witness = fock.arveson_example()
     space = fock.TruncatedSpace(2, 6)
     z1z2 = fock.Polynomial.monomial(2, (1, 1))
-    span = fock.span_of_polynomials(space, [z1z2**k for k in range(3)])
+    span = fock.powers_span(space, z1z2, 2)
     defect = fock.compression_defect(z1z2, span)
     return {
         "forward_norm_sq": witness.forward_norm_sq,
@@ -523,12 +524,12 @@ def _cmd_fock_defect(args, loader):
     phi = _parse_poly_obj(_parse_json_arg(args.phi, "--phi"), "--phi")
     space = fock.TruncatedSpace(phi.dim, args.degree)
     if args.span == "full":
-        subspace = fock.FockSubspace(space, np.eye(len(space), dtype=np.complex128))
+        subspace = space  # the whole window
     elif args.span == "powers":
         count = args.count
         if count is None:
             count = args.degree // max(phi.degree, 1)
-        subspace = fock.span_of_polynomials(space, [phi**k for k in range(count + 1)])
+        subspace = fock.powers_span(space, phi, count)
     else:  # kernel
         if args.points is None:
             raise InputError("--span kernel needs --points")
@@ -541,7 +542,7 @@ def _cmd_fock_defect(args, loader):
     return {
         "defect": defect,
         "span": args.span,
-        "span_dim": subspace.dim,
+        "span_dim": len(space) if subspace is space else subspace.dim,
         "degree": args.degree,
         "hyponormal_on_this_model": hyponormal_here,
         "claim_scope": "a negative defect is a refutation witness; a non-negative "

@@ -5,13 +5,16 @@ unit ball with kernel 1/(1 - <z, w>), cut off at a chosen total degree.
 Monomials z^alpha are orthogonal with norm squared alpha!/|alpha|!, kept
 here as exact rationals.
 
-Two roles. Polynomial is the exact path: with int or Fraction inputs its
-coefficients are Gaussian rationals and inner products come out as
-Fractions (a float coefficient makes it complex), so exact results such as
-Arveson's witness 1/6 < 1/4 come from it. Every numeric computation runs
-in the isometric coordinates of a TruncatedSpace instead, where
-multiplication by c z^gamma is a scatter-add over a shift table and its
-adjoint is the gather over the same table.
+Two roles. Polynomial arithmetic is the exact path: with int or Fraction
+inputs its coefficients are Gaussian rationals and inner products come out
+as Fractions (a float coefficient makes it complex). It serves the results
+whose exactness is the point, Arveson's witness 1/6 < 1/4
+(arveson_example) and tail_balance at exact z, and is the reference the
+tests compare the tables against. All numeric work, powers of a multiplier
+included, runs in the isometric coordinates of a TruncatedSpace instead,
+where multiplication by c z^gamma is a scatter-add over a shift table and
+its adjoint is the gather over the same table; there a Polynomial only
+lists the coefficients.
 
 Degree windows. Operations that consume a truncation of an infinite series
 take an explicit window so nothing is dropped silently: the adjoint of
@@ -73,12 +76,6 @@ class QQi:
     def __neg__(self):
         return QQi(-self.re, -self.im)
 
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, QQi) else -Fraction(other) if isinstance(other, Rational) else -other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -86,18 +83,6 @@ class QQi:
         return QQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) / other
-        den = o.abs_sq()
-        if den == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi(
-            (self.re * o.re + self.im * o.im) / den,
-            (self.im * o.re - self.re * o.im) / den,
-        )
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -111,9 +96,6 @@ class QQi:
             return complex(self) == complex(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash(complex(self)) if self.im else hash(self.re)
-
     def __bool__(self):
         return not self.is_zero
 
@@ -125,15 +107,12 @@ Coefficient = Union[QQi, complex]
 
 
 def _coerce_coeff(x) -> Coefficient:
-    """Exact types (int, Fraction, QQi) stay exact; everything else is complex."""
+    """Exact types (QQi, any Rational: int, bool, Fraction, numpy integers)
+    stay exact; everything else is complex."""
     if isinstance(x, QQi):
         return x
-    if isinstance(x, bool):
-        return QQi(int(x))
     if isinstance(x, Rational):
         return QQi(x)
-    if isinstance(x, (np.integer,)):
-        return QQi(int(x))
     c = complex(x)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise InputError("coefficients must be finite")
@@ -240,9 +219,6 @@ class Polynomial:
             other = self._wrap_scalar(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             other = self._wrap_scalar(other)
@@ -273,17 +249,7 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.dim != other.dim or set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(
-            self.coeffs[a] == other.coeffs[a]
-            if isinstance(self.coeffs[a], QQi) or isinstance(other.coeffs[a], QQi)
-            else complex(self.coeffs[a]) == complex(other.coeffs[a])
-            for a in self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.coeffs)))
+        return self.dim == other.dim and self.coeffs == other.coeffs
 
     def evaluate(self, point) -> complex:
         z = np.atleast_1d(np.asarray(point, dtype=np.complex128))
@@ -474,12 +440,6 @@ class TruncatedSpace:
     def __len__(self) -> int:
         return len(self.basis)
 
-    def index(self, alpha) -> int:
-        try:
-            return self._pos[tuple(alpha)]
-        except KeyError:
-            raise InputError(f"multi-index {alpha} is not in the basis") from None
-
     def size_at_most(self, degree: int) -> int:
         """Number of basis monomials of total degree <= degree; the graded
         order puts them first."""
@@ -618,6 +578,21 @@ def span_of_polynomials(space: TruncatedSpace, polys: Iterable[Polynomial]) -> F
     return FockSubspace(space, u[:, :rank])
 
 
+def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubspace:
+    """Orthonormalized span of 1, phi, ..., phi^count, each power the
+    shift-table product of phi with the one before. All must fit the window."""
+    if count * phi.degree > space.degree:
+        raise WindowOverflowError(
+            f"phi^{count} of degree {count * phi.degree} does not fit degree {space.degree}"
+        )
+    cols = np.zeros((len(space), count + 1), dtype=np.complex128)
+    cols[0, 0] = 1.0  # the constant 1, of norm 1
+    for k in range(1, count + 1):
+        cols[:, k] = space.multiply(phi, cols[:, k - 1])
+    u, rank = _rank_revealing_svd(cols)
+    return FockSubspace(space, u[:, :rank])
+
+
 class VanishingSubspaces(NamedTuple):
     ideal: FockSubspace  # polynomials of bounded degree vanishing on Y
     complement: FockSubspace  # its orthogonal complement, spanned by kernel functions
@@ -662,24 +637,29 @@ def in_closure(z, points: PointSet, degree: int, tol: float = 1e-8) -> ClosureMe
     return ClosureMembership(member=residual <= cut, residual=residual)
 
 
-def compression_defect(phi: Polynomial, subspace: FockSubspace) -> float:
+def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedSpace]) -> float:
     """Smallest eigenvalue of the self-commutator of P_F M_phi |_F.
 
     The compressed matrix is B* (M_phi B) for the orthonormal basis B of F,
-    with M_phi B applied through the shift tables. Components of the
-    products beyond the window are orthogonal to the window and drop out of
-    the compression exactly, so no degree headroom is needed. The constant
-    term (c I, which commutes) is dropped with its rounding. A defect below
-    -tol * defect_scale(phi) refutes hyponormality of the compression at
-    every size of phi; a non-negative defect certifies this model only.
+    with M_phi B applied through the shift tables. A TruncatedSpace stands
+    for its whole window, whose compression is the table operator itself.
+    Components of the products beyond the window are orthogonal to the
+    window and drop out of the compression exactly, so no degree headroom
+    is needed. The constant term (c I, which commutes) is dropped with its
+    rounding. A defect below -tol * defect_scale(phi) refutes hyponormality
+    of the compression at every size of phi; a non-negative defect
+    certifies this model only.
     """
-    if phi.dim != subspace.space.dim:
+    space = subspace if isinstance(subspace, TruncatedSpace) else subspace.space
+    if phi.dim != space.dim:
         raise InputError("dimension mismatch")
-    if subspace.dim == 0:
-        return 0.0
-    b = subspace.basis
     phi = Polynomial(phi.dim, {g: c for g, c in phi.coeffs.items() if any(g)})
-    t = b.conj().T @ subspace.space.multiply(phi, b)
+    if space is subspace:
+        t = space.multiply(phi, np.eye(len(space)))
+    elif subspace.dim == 0:
+        return 0.0
+    else:
+        t = subspace.basis.conj().T @ space.multiply(phi, subspace.basis)
     s = t.conj().T @ t - t @ t.conj().T
     return min_eigenvalue(HermitianMatrix(s))
 

@@ -294,6 +294,23 @@ def normalize(g: HermitianMatrix, base: int) -> NormalizedGram:
     return NormalizedGram(gram_tilde=HermitianMatrix(gt), delta=delta, base_index=base)
 
 
+def unit_diagonal(g: HermitianMatrix) -> HermitianMatrix:
+    """G_ij / sqrt(G_ii G_jj), the Gram matrix of the normalized kernel functions.
+
+    Zero entries and proportional rows survive this positive diagonal
+    congruence, so irreducibility judged on it ignores the kernel's scale and
+    one point's large diagonal. A row whose diagonal entry is not positive
+    (in a PSD Gram matrix, a zero row) is set to zero.
+    """
+    diag = g.entries.diagonal().real
+    live = diag > 0
+    scale = np.where(live, diag, 1.0)
+    unit = g.entries / np.sqrt(np.outer(scale, scale))
+    unit[~live] = 0
+    unit[:, ~live] = 0
+    return HermitianMatrix(unit)
+
+
 def irreducible_partition(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> list[list[int]]:
     """Partition indices into connected components of |G[i][j]| > tol.
 
@@ -301,7 +318,7 @@ def irreducible_partition(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> list[
     decomposition of the space follows the transitive closure, so connected
     components are the right classes. Across distinct classes every entry is
     at most tol: the absolute threshold(tol, 1), as that bound is the
-    guarantee. For scale-free classes pass G_ij / sqrt(G_ii G_jj) instead.
+    guarantee. For scale-free classes pass unit_diagonal(g), as partition does.
     """
     n = g.n
     adj = np.abs(g.entries) > threshold(tol, 1.0)

@@ -30,7 +30,7 @@ from .errors import (
     IrreducibilityError,
     NotCnpError,
 )
-from .kernels import check_irreducible_sample, first_coincident_pair, normalize
+from .kernels import check_irreducible_sample, first_coincident_pair, normalize, unit_diagonal
 from .linalg import DEFAULT_TOL, HermitianMatrix
 
 SINGLETON = "singleton"
@@ -98,18 +98,14 @@ def classify(g: HermitianMatrix, base: int, tol: float = DEFAULT_TOL) -> Reconst
     Hypotheses checked up front: the sample must be irreducible (positive
     diagonal, nowhere-zero entries, no proportional rows) and CNP-consistent.
     Violations raise HypothesisError naming the failed hypothesis.
-    Irreducibility is judged on G_ij / sqrt(G_ii G_jj): zero entries and
-    proportional rows survive that positive diagonal congruence, so neither
-    the kernel's scale nor one point's large diagonal changes the verdict.
+    Irreducibility is judged on unit_diagonal(g), so neither the kernel's
+    scale nor one point's large diagonal changes the verdict.
 
     The recovered j is canonical only up to a unimodular factor; the first
     non-base value is rotated to be real positive, matching the
     deterministic factorization convention.
     """
-    diag = g.entries.diagonal().real
-    if not np.all(diag > 0) or not check_irreducible_sample(
-        HermitianMatrix(g.entries / np.sqrt(np.outer(diag, diag))), tol
-    ):
+    if not check_irreducible_sample(unit_diagonal(g), tol):
         raise HypothesisError(
             "sample is not irreducible (zero entry or proportional rows)",
             hypothesis="irreducibility",

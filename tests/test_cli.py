@@ -1,9 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rkhslab import fock
 from rkhslab.cli import main
 
 SZEGO_COEFFS = [1] * 60
@@ -224,6 +226,18 @@ class TestOtherCommands:
         assert code == 0 and res["within_bound"] is True
         assert res["tail_bound"] < 1e-24 < res["rounding_bound"] < 1e-12
 
+    def test_fock_balance_exact_gaussian_rational_point(self, corpus, capsys):
+        # rational parts keep z exact, so both norms are the closed form
+        # sum_{n=2}^{N+1} ||z||^(2n), rounded once at the end
+        fifth = {"num": "1", "den": "5"}
+        z = [[{"num": "1", "den": "2"}, 0], [fifth, {"num": "-1", "den": "5"}]]
+        code, report, _ = run(capsys, ["fock", "balance", "--z", json.dumps(z), "--degree", "8"])
+        nz = Fraction(1, 4) + 2 * Fraction(1, 25)
+        want = float(sum(nz**n for n in range(2, 10)))
+        res = report["results"]
+        assert code == 0 and res["rounding_bound"] == 0.0
+        assert res["adjoint_norm_sq"] == want and res["forward_norm_sq"] == want
+
     def test_fock_balance_seeded_degree_30(self, corpus, capsys):
         rng = np.random.default_rng(30)
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -325,6 +339,7 @@ def phi_with_exponent(e) -> str:
 
 
 GEOMETRIC = {"type": "geometric_tail", "c": 0.5, "q": 0.5}
+SZEGO = {"type": "power_series", "coeffs": SZEGO_COEFFS}
 SAMPLED = {"type": "sampled", "labels": ["a", "b"]}
 SZEGO_AT_CASE = ["cnp-check", "szego.json", "--points", "case.json"]
 
@@ -345,6 +360,33 @@ MALFORMED = {
     "exp-boolean": (["fock", "defect", "--phi", phi_with_exponent(True)], None),
     "exp-negative": (["fock", "defect", "--phi", phi_with_exponent(-1)], None),
     "z-not-a-list": (["fock", "balance", "--z", "5"], None),
+    "number-boolean": (["blaschke", "case.json"], {**GEOMETRIC, "c": True}),
+    "number-string": (["blaschke", "case.json"], {**GEOMETRIC, "c": "half"}),
+    "points-without-dim": (SZEGO_AT_CASE, {"points": []}),
+    "kernel-without-type": (["cnp-check", "case.json", "--points", "pts.json"], {"coeffs": [1]}),
+    "kernel-type-unknown": (["cnp-check", "case.json", "--points", "pts.json"], {"type": "heat"}),
+    "family-without-type": (["blaschke", "case.json"], {"c": 0.5, "q": 0.5}),
+    "family-type-unknown": (["blaschke", "case.json"], {**GEOMETRIC, "type": "harmonic"}),
+    "phi-without-terms": (["fock", "defect", "--phi", '{"dim": 1}'], None),
+    "term-without-coeff": (["fock", "defect", "--phi", '{"dim": 1, "terms": [{"exp": [1]}]}'], None),
+    "file-missing": (["ratio-check", "missing.json"], None),
+    "sampled-with-points": (["cnp-check", "singleton.json", "--points", "pts.json"], None),
+    "base-out-of-range": (["cnp-check", "szego.json", "--points", "pts.json", "--base", "3"], None),
+    "ratio-of-sampled": (["ratio-check", "singleton.json"], None),
+    "problem-without-targets": (["pick", "case.json"], {"kernel": SZEGO, "nodes": [[[0, 0]]]}),
+    "problem-empty": (["pick", "case.json"], {"kernel": SZEGO, "nodes": [], "targets": []}),
+    "targets-matrix-valued": (
+        ["pick", "case.json"],
+        {"kernel": SZEGO, "nodes": [[[0, 0]]], "targets": [[[1, 0]]]},
+    ),
+    "kernel-span-without-points": (
+        ["fock", "defect", "--phi", phi_with_exponent(1), "--span", "kernel"],
+        None,
+    ),
+    "kernel-span-dim-mismatch": (
+        ["fock", "defect", "--phi", phi_with_exponent(1), "--span", "kernel", "--points", "pts2.json"],
+        None,
+    ),
 }
 
 
@@ -389,3 +431,32 @@ class TestArgumentRules:
         argv = ["fock", "defect", "--phi", phi_with_exponent(1), "--span", "powers", "--count", "0"]
         code, report, _ = run(capsys, argv)
         assert code == 0 and report["results"]["span_dim"] == 1
+
+
+class TestPowersSpan:
+    @staticmethod
+    def coordinate_sum(coeff) -> str:
+        exps = ([1, 0, 0], [0, 1, 0], [0, 0, 1])
+        return json.dumps({"dim": 3, "terms": [{"exp": e, "coeff": coeff} for e in exps]})
+
+    def test_integer_coefficients_run_on_the_tables(self, monkeypatch, capsys):
+        # the powers of an exact multiplier used to be built with Gaussian
+        # rationals, only to be rounded to floats
+        def exact_arithmetic(*args):
+            raise AssertionError("fock defect ran Gaussian-rational arithmetic")
+
+        monkeypatch.setattr(fock.Polynomial, "__pow__", exact_arithmetic)
+        monkeypatch.setattr(fock.QQi, "__mul__", exact_arithmetic)
+        monkeypatch.setattr(fock.QQi, "__rmul__", exact_arithmetic)
+        reports = [
+            run(capsys, ["fock", "defect", "--phi", self.coordinate_sum(c), "--span", "powers"])
+            for c in (1, 1.0)
+        ]
+        (code, exact, _), (float_code, numeric, _) = reports
+        assert code == float_code and exact["results"] == numeric["results"]
+        assert exact["results"]["span_dim"] == 13
+
+    def test_count_beyond_the_window(self, capsys):
+        argv = ["fock", "defect", "--phi", self.coordinate_sum(1), "--span", "powers", "--count", "7"]
+        code, report, _ = run(capsys, argv + ["--degree", "6"])
+        assert code == 2 and report["results"]["error"]["type"] == "WindowOverflowError"

@@ -27,6 +27,7 @@ from rkhslab.fock import (
     norm_sq,
     pairing,
     pairing_power_norms,
+    powers_span,
     span_of_polynomials,
     tail_balance,
     truncated_kernel_fn,
@@ -118,8 +119,7 @@ class TestCompressionDefect:
         degree = WINDOWS[dim]
         phi = random_poly(rng, dim, 2, 2)
         count = degree // max(phi.degree, 1)
-        span = span_of_polynomials(TruncatedSpace(dim, degree), [phi**k for k in range(count + 1)])
-        assert_defect_matches(phi, span)
+        assert_defect_matches(phi, powers_span(TruncatedSpace(dim, degree), phi, count))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @seeded
@@ -129,6 +129,15 @@ class TestCompressionDefect:
         pts = PointSet(dim, random_ball_points(rng, int(rng.integers(1, 6)), dim))
         phi = random_poly(rng, dim, 2, 3)
         assert_defect_matches(phi, vanishing_subspace(pts, degree).complement)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @seeded
+    def test_whole_window_is_the_identity_basis(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        space = TruncatedSpace(dim, WINDOWS[dim])
+        phi = random_poly(rng, dim, 2, 3)
+        full = FockSubspace(space, np.eye(len(space), dtype=complex))
+        assert compression_defect(phi, space) == compression_defect(phi, full)
 
     def test_multiplier_beyond_the_window_drops_out(self):
         space = TruncatedSpace(2, 3)
@@ -157,12 +166,41 @@ class TestDefectScale:
         count = degree // max(phi.degree, 1)
         spans = {
             "full": FockSubspace(space, np.eye(len(space))),
-            "powers": span_of_polynomials(space, [phi**k for k in range(count + 1)]),
+            "powers": powers_span(space, phi, count),
             "kernel": vanishing_subspace(pts, degree).complement,
         }
         # c z^gamma in one variable attains the bound, so allow its rounding
         for name, span in spans.items():
             assert -compression_defect(phi, span) <= defect_scale(phi) * (1 + 1e-12), name
+
+
+class TestPowersSpan:
+    """powers_span against the dict powers phi**k, orthonormalized."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @seeded
+    def test_spans_the_dict_powers(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        degree = WINDOWS[dim]
+        space = TruncatedSpace(dim, degree)
+        phi = random_poly(rng, dim, 2, 3)
+        count = degree // max(phi.degree, 1)
+        powers = [phi**k for k in range(count + 1)]
+        span = powers_span(space, phi, count)
+        assert span.dim == span_of_polynomials(space, powers).dim
+        for p in powers:
+            v = space.iso_vector(p)
+            assert np.linalg.norm(v - span.project(v)) <= 1e-12 * np.linalg.norm(v)
+
+    def test_overflow_refused_before_any_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("multiplied before the window check")
+
+        monkeypatch.setattr(TruncatedSpace, "multiply", refuse)
+        phi = Polynomial(2, {(1, 1): 1, (1, 0): 0.5})
+        with pytest.raises(WindowOverflowError):
+            powers_span(TruncatedSpace(2, 6), phi, 4)
+        assert powers_span(TruncatedSpace(2, 6), phi, 0).dim == 1
 
 
 class TestKernelVector:

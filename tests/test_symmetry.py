@@ -6,10 +6,11 @@ classify -- is checked under positive rescaling of the kernel from 1e-12 to
 1e12, permutation of the sample and unitary rotation of Drury-Arveson
 points; the CNP verdict also under change of base point, and classify
 under rescaling of single points. A sampled Gram matrix is refused as
-non-PSD at every scale or at none. The Fock defect verdict is checked
-under rescaling of the multiplier, and the closure-step verdicts under
-rescaling of the operator and of the vector. Random cases are
-drawn by hypothesis when it is installed and from fixed seeds otherwise.
+non-PSD at every scale or at none, and partition gives the same classes
+at every scale. The Fock defect verdict is checked under rescaling of the
+multiplier, and the closure-step verdicts under rescaling of the operator
+and of the vector. Random cases are drawn by hypothesis when it is
+installed and from fixed seeds otherwise.
 """
 
 import json
@@ -170,6 +171,34 @@ class TestSampledGramScaling:
             SampledGramKernel(["a", "b"], scale * np.array([[1.0, 1.0], [1.0, 1.0 - 1e-6]]))
         reported = float(str(exc.value).rsplit(" ", 1)[1].rstrip(")"))
         assert reported == pytest.approx(-5e-7 * scale, rel=1e-5)  # in the kernel's units
+
+
+def partition_classes(g, tmp_path, capsys):
+    labels = [str(i) for i in range(len(g))]
+    gram = [[[v.real, v.imag] for v in row] for row in np.asarray(g, dtype=complex)]
+    kernel = tmp_path / "sampled.json"
+    kernel.write_text(json.dumps({"type": "sampled", "labels": labels, "gram": gram}))
+    code = main(["partition", str(kernel)])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["results"]["classes"]
+
+
+class TestPartitionScaling:
+    # an absolute threshold on the raw entries would split the Szego sample
+    # into [[0], [1, 2]] at 1e-9 and into singletons at 1e-12
+    @pytest.mark.parametrize("scale", (1e-12, 1e-9) + SCALES[1:])
+    def test_classes_at_every_scale(self, scale, tmp_path, capsys):
+        szego = szego_gram(np.array([0.0, 0.3, 0.6]))
+        assert partition_classes(scale * szego, tmp_path, capsys) == [[0, 1, 2]]
+        direct_sum = np.zeros((3, 3))
+        direct_sum[:2, :2] = szego_gram(np.array([0.0, 0.5]))
+        direct_sum[2, 2] = 2.0
+        assert partition_classes(scale * direct_sum, tmp_path, capsys) == [[0, 1], [2]]
+
+    def test_zero_row_stays_a_singleton(self, tmp_path, capsys):
+        g = np.zeros((3, 3))
+        g[:2, :2] = szego_gram(np.array([0.0, 0.5]))
+        assert partition_classes(g, tmp_path, capsys) == [[0, 1], [2]]
 
 
 # ---------------------------------------------------------------------------
