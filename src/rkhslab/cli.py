@@ -2,8 +2,12 @@
 
 Each command reads JSON inputs, dispatches to the library, and writes one
 report to stdout. The json format is the canonical artifact and is
-byte-identical across runs on identical inputs; the text format is derived
-from it and carries no extra information.
+byte-identical across runs on identical inputs. Its bytes are those of
+Python's json.dumps(indent=2, sort_keys=True): 2-space indent, sorted keys,
+ASCII only with every other character escaped, and NaN and the infinities
+spelled NaN, Infinity and -Infinity. The text format is derived from it and
+carries no extra information. main(argv) may be called repeatedly in one
+process; the parser is built on the first call and reused.
 
 Conventions shared by all file formats: complex numbers are two-element
 arrays [re, im]; a point is a list of complex numbers, one per coordinate;
@@ -16,11 +20,13 @@ Exit codes: 0 pass/feasible/consistent/member, 1 fail/infeasible/refuted,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -100,6 +106,8 @@ def _parse_json_arg(text: str, what: str):
 
 def _parse_complex(x, what: str) -> complex:
     re, im = _parse_list(x, what, 2, "[re, im]")
+    if type(re) is float and type(im) is float:  # _parse_number returns floats as they are
+        return complex(re, im)
     return complex(float(_parse_number(re, what)), float(_parse_number(im, what)))
 
 
@@ -235,6 +243,38 @@ def _encode(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+_FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
+
+
+def _canonical(x, indent: str = "\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True, default=_encode) byte for byte,
+    written out: json runs its pure-Python encoder whenever indent is set."""
+    if isinstance(x, float):  # the most common leaf first
+        text = float.__repr__(x)
+        return _FLOAT_SPELLING.get(text, text)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_canonical(x[k], inner)}" for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_canonical(v, inner) for v in x]) + indent + "]"
+    return _canonical(_encode(x), indent)
+
+
 def _text_lines(prefix: str, value, out: list) -> None:
     if isinstance(value, dict):
         for k in value:
@@ -247,7 +287,7 @@ def _emit(report: dict, fmt: str, stream) -> None:
     """The canonical json, or text lines read back from the same encoding
     (insertion-ordered, so a Fraction renders as .num and .den lines)."""
     if fmt == "json":
-        stream.write(json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n")
+        stream.write(_canonical(report) + "\n")
     else:
         lines: list = []
         _text_lines("", json.loads(json.dumps(report, default=_encode)), lines)
@@ -554,7 +594,10 @@ def _cmd_fock_defect(args, loader):
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on the first call. Parsing leaves it as it was,
+    and each handler looks its library names up when it runs."""
     parser = argparse.ArgumentParser(
         prog="rkhslab",
         description="Reproducing-kernel Hilbert space laboratory: Pick feasibility, "

@@ -9,6 +9,7 @@ matrix condition only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence, Union
 
@@ -56,8 +57,9 @@ class PickProblem:
 
 
 def _pick_from_gram(g: np.ndarray, targets: np.ndarray, t: float) -> HermitianMatrix:
-    if not t > 0:
-        raise InputError("norm level t must be positive")
+    t = float(t)  # a numpy scalar would warn on overflow in t * t
+    if not (t > 0 and 0 < t * t < math.inf):
+        raise InputError("norm level t must be positive with t^2 finite")
     w = targets
     return HermitianMatrix((t * t - np.outer(w, w.conj())) * g)
 

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rkhslab import fock
+from rkhslab import cli, fock
 from rkhslab.cli import main
 
 SZEGO_COEFFS = [1] * 60
@@ -126,6 +131,19 @@ class TestCnpCheck:
 
 
 class TestPick:
+    @pytest.mark.parametrize("level", ["inf", "-inf", "nan", "0", "-1", "1e200"])
+    def test_norm_level_with_t_squared_not_finite_and_positive(self, level, corpus, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pick", str(corpus / "problem.json"), f"--norm={level}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == "" and not caught
+        error = json.loads(captured.out)["results"]["error"]
+        assert error == {
+            "type": "InputError",
+            "message": "norm level t must be positive with t^2 finite",
+        }
+
     def test_minimal_norm(self, corpus, capsys):
         code, report, _ = run(capsys, ["pick", corpus / "problem.json"])
         assert code == 0
@@ -387,6 +405,21 @@ MALFORMED = {
         ["fock", "defect", "--phi", phi_with_exponent(1), "--span", "kernel", "--points", "pts2.json"],
         None,
     ),
+    "coordinate-re-boolean": (SZEGO_AT_CASE, {"dim": 1, "points": [[[True, 0.0]]]}),
+    "coordinate-im-boolean": (SZEGO_AT_CASE, {"dim": 1, "points": [[[0.0, False]]]}),
+    "complex-one-part": (SZEGO_AT_CASE, {"dim": 1, "points": [[[0.5]]]}),
+    "complex-three-parts": (SZEGO_AT_CASE, {"dim": 1, "points": [[[0.1, 0.2, 0.3]]]}),
+    "complex-integer-beyond-float": (SZEGO_AT_CASE, {"dim": 1, "points": [[[10**400, 0.0]]]}),
+}
+
+# [re, im] pairs that are not two plain floats take the generic number path,
+# not the plain-float one, and keep its messages
+COMPLEX_REFUSALS = {
+    "coordinate-re-boolean": "points: expected a number, got a boolean",
+    "coordinate-im-boolean": "points: expected a number, got a boolean",
+    "complex-one-part": "points: expected [re, im], got [0.5]",
+    "complex-three-parts": "points: expected [re, im], got [0.1, 0.2, 0.3]",
+    "complex-integer-beyond-float": "points: number beyond the float range",
 }
 
 
@@ -400,6 +433,28 @@ class TestMalformedShapes:
         assert code == 2 and report["exit_code"] == 2
         assert list(report["results"]) == ["error"]
         assert report["results"]["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("case", COMPLEX_REFUSALS)
+    def test_complex_refusals_keep_their_messages(self, case, corpus, capsys):
+        argv, content = MALFORMED[case]
+        (corpus / "case.json").write_text(json.dumps(content))
+        _, report, _ = run(capsys, in_corpus(corpus, argv))
+        assert report["results"]["error"]["message"] == COMPLEX_REFUSALS[case]
+
+    def test_rational_and_integer_parts_still_accepted(self, corpus, capsys):
+        def problem(half, one):
+            return {
+                "kernel": SZEGO,
+                "nodes": [[[half, 0.0]], [[0.0, 0.0]]],
+                "targets": [[one, 0.5], [0.0, 0.0]],
+            }
+
+        reports = []
+        for half, one in (({"num": "1", "den": "2"}, 1), (0.5, 1.0)):
+            (corpus / "case.json").write_text(json.dumps(problem(half, one)))
+            reports.append(run(capsys, ["pick", corpus / "case.json"]))
+        (code, mixed, _), (_, floats, _) = reports
+        assert code == 0 and mixed["results"] == floats["results"]
 
 
 class TestArgumentRules:
@@ -460,3 +515,40 @@ class TestPowersSpan:
         argv = ["fock", "defect", "--phi", self.coordinate_sum(1), "--span", "powers", "--count", "7"]
         code, report, _ = run(capsys, argv + ["--degree", "6"])
         assert code == 2 and report["results"]["error"]["type"] == "WindowOverflowError"
+
+
+class TestOneParser:
+    """main builds the parser on its first call and reuses it; nothing of one
+    request may reach the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_count_does_not_carry_over(self, capsys):
+        phi = phi_with_exponent(1)
+        _, first, _ = run(capsys, ["fock", "defect", "--phi", phi, "--span", "powers", "--count", "3"])
+        _, second, _ = run(capsys, ["fock", "defect", "--phi", phi, "--span", "powers"])
+        assert first["parameters"]["count"] == 3 and "count" not in second["parameters"]
+
+    def test_usage_error_leaves_no_trace(self, corpus, capsys):
+        argv = in_corpus(corpus, ["cnp-check", "szego.json", "--points", "pts.json"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "nan"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        _, _, out = run(capsys, argv)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rkhslab.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert fresh.returncode == 0 and out == fresh.stdout
+
+    def test_help_twice(self, capsys):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert all(name.split()[0] in outputs[0] for name in cli.COMMANDS)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from conftest import blaschke, seeded_by
@@ -188,6 +191,25 @@ class TestClosedForm:
     def test_rejects_nan_tol(self):
         with pytest.raises(InputError, match="tol must be positive"):
             minimal_interpolation_norm(szego_problem([0.0], [0.5]), float("nan"))
+
+
+class TestNormLevel:
+    """A level whose square is not a finite positive float is refused as such,
+    before the Pick matrix is formed (inf and 1e200 once ran into a
+    RuntimeWarning and a refusal of the matrix as non-finite)."""
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 0.0, -1.0, 1e200, 1e-200])
+    def test_refused(self, t):
+        p = szego_problem([0.0, 0.5], [0.0, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (pick_matrix, lambda p, t: pick_feasible(p, t, 1e-9)):
+                with pytest.raises(InputError, match=r"^norm level t must be positive with t\^2 finite$"):
+                    build(p, t)
+
+    def test_large_finite_level_is_feasible(self):
+        p = szego_problem([0.0, 0.5], [0.0, 0.25])
+        assert pick_feasible(p, 1e150, 1e-9).is_psd
 
 
 class TestProblemValidation:
