@@ -135,7 +135,8 @@ def _parse_points_obj(obj, what: str) -> PointSet:
     return PointSet(dim, np.array(pts, dtype=np.complex128))
 
 
-def _parse_kernel_obj(obj, what: str) -> KernelSpec:
+def _parse_kernel_obj(obj, what: str, tol: float) -> KernelSpec:
+    """A kernel spec; a sampled Gram matrix is checked PSD at the command's tol."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError(f'{what}: expected an object with a "type" field')
     kind = obj["type"]
@@ -150,7 +151,7 @@ def _parse_kernel_obj(obj, what: str) -> KernelSpec:
         n = len(gram)
         rows = [_parse_list(r, f"{what}.gram", n, f"a row of {n} entries") for r in gram]
         entries = [[_parse_complex(v, f"{what}.gram") for v in row] for row in rows]
-        return SampledGramKernel([str(x) for x in labels], np.array(entries, dtype=np.complex128))
+        return SampledGramKernel([str(x) for x in labels], np.array(entries, dtype=complex), tol)
     raise InputError(f"{what}: unknown kernel type {kind!r}")
 
 
@@ -300,7 +301,7 @@ def _emit(report: dict, fmt: str, stream) -> None:
 
 def _load_gram(args, loader: _Loader):
     """Kernel file plus optional points file -> (gram, label description)."""
-    spec = _parse_kernel_obj(loader.load_json(args.kernel, "kernel"), "kernel")
+    spec = _parse_kernel_obj(loader.load_json(args.kernel, "kernel"), "kernel", args.tol)
     if isinstance(spec, SampledGramKernel):
         if args.points is not None:
             raise InputError("sampled kernels carry their own sample; omit --points")
@@ -399,7 +400,7 @@ def _cmd_cnp_check(args, loader):
 
 @_command("ratio-check", "coefficient ratio tests for disk kernels", SERIES)
 def _cmd_ratio_check(args, loader):
-    spec = _parse_kernel_obj(loader.load_json(args.kernel, "kernel"), "kernel")
+    spec = _parse_kernel_obj(loader.load_json(args.kernel, "kernel"), "kernel", args.tol)
     if not isinstance(spec, PowerSeriesKernel):
         raise InputError("ratio-check applies to power_series kernels only")
     report = ratio_report(spec.coeffs)
@@ -421,7 +422,7 @@ def _cmd_pick(args, loader):
     obj = loader.load_json(args.problem, "problem")
     if not isinstance(obj, dict) or not {"kernel", "nodes", "targets"} <= obj.keys():
         raise InputError('problem: expected {"kernel": ..., "nodes": [...], "targets": [...]}')
-    spec = _parse_kernel_obj(obj["kernel"], "problem.kernel")
+    spec = _parse_kernel_obj(obj["kernel"], "problem.kernel", args.tol)
     targets_raw = _parse_list(obj["targets"], "problem.targets")
     nodes_raw = _parse_list(obj["nodes"], "problem.nodes")
     if not targets_raw or not nodes_raw:
@@ -562,27 +563,24 @@ def _cmd_fock_balance(args, loader):
 )
 def _cmd_fock_defect(args, loader):
     phi = _parse_poly_obj(_parse_json_arg(args.phi, "--phi"), "--phi")
-    space = fock.TruncatedSpace(phi.dim, args.degree)
-    if args.span == "full":
-        subspace = space  # the whole window
-    elif args.span == "powers":
-        count = args.count
-        if count is None:
-            count = args.degree // max(phi.degree, 1)
-        subspace = fock.powers_span(space, phi, count)
-    else:  # kernel
+    if args.span == "kernel":  # vanishing_subspace builds its own window
         if args.points is None:
             raise InputError("--span kernel needs --points")
         pts = _parse_points_obj(loader.load_json(args.points, "points"), "points")
         if pts.dim != phi.dim:
             raise InputError("points dimension does not match the multiplier")
         subspace = fock.vanishing_subspace(pts, args.degree).complement
+    else:
+        subspace = fock.TruncatedSpace(phi.dim, args.degree)  # the whole window
+        if args.span == "powers":
+            count = args.degree // max(phi.degree, 1) if args.count is None else args.count
+            subspace = fock.powers_span(subspace, phi, count)
     defect = fock.compression_defect(phi, subspace)
     hyponormal_here = defect >= -threshold(args.tol, fock.defect_scale(phi))
     return {
         "defect": defect,
         "span": args.span,
-        "span_dim": len(space) if subspace is space else subspace.dim,
+        "span_dim": len(subspace) if args.span == "full" else subspace.dim,
         "degree": args.degree,
         "hyponormal_on_this_model": hyponormal_here,
         "claim_scope": "a negative defect is a refutation witness; a non-negative "
@@ -634,7 +632,7 @@ def main(argv=None) -> int:
     digest_params = {
         k: v for k, v in params.items() if k not in ("kernel", "points", "problem", "family")
     }
-    loader.note(json.dumps(digest_params, sort_keys=True, default=_encode))
+    loader.note(json.dumps(digest_params, sort_keys=True))
 
     try:
         results, code = args.handler(args, loader)

@@ -33,7 +33,7 @@ from .errors import (
     NotPsdError,
 )
 from .kernels import NormalizedGram, normalize, validated_coeffs
-from .linalg import DEFAULT_TOL, HermitianMatrix, psd_check, psd_factor
+from .linalg import DEFAULT_TOL, HermitianMatrix, psd_check, psd_factor, threshold
 
 CONSISTENT = "consistent"
 CERTIFIED_NOT_CNP = "certified_not_cnp"
@@ -128,34 +128,30 @@ class RatioCheck(NamedTuple):
     first_violation: Optional[int]
 
 
-def _validated_coeffs(coeffs: Sequence) -> tuple:
+def _first_violations(coeffs: Sequence) -> tuple[Optional[int], Optional[int]]:
+    """The first n at which a_n/a_{n-1} >= a_{n+1}/a_n fails and the first
+    at which a_n/a_{n-1} <= a_{n+1}/a_n fails (None where a direction holds
+    throughout), from one scan of the validated coefficients.
+
+    Each compares a_n^2 against a_{n-1} a_{n+1}, no division: exactly for
+    rational input, otherwise within threshold(1e-12, the larger side), so
+    geometric ties under rounding satisfy both directions.
+    """
     coeffs = tuple(coeffs)
     if len(coeffs) < 3:
         raise InputError("need at least 3 coefficients")
-    return validated_coeffs(coeffs)
-
-
-def _ratio_scan(coeffs: Sequence, reverse: bool) -> RatioCheck:
-    # Cross-multiplied form of a_n/a_{n-1} >= a_{n+1}/a_n (or <= when
-    # reverse): compare a_n^2 against a_{n-1} a_{n+1}, no division. Exact
-    # for rational input, relative tolerance 1e-12 otherwise, so geometric
-    # ties count as satisfying both directions.
+    coeffs = validated_coeffs(coeffs)
     exact = all(isinstance(c, Rational) for c in coeffs)
-    if exact:
-        vals = [Fraction(c) for c in coeffs]
-    else:
-        vals = [float(c) for c in coeffs]
+    vals = [Fraction(c) if exact else float(c) for c in coeffs]
+    down = up = None
     for n in range(1, len(vals) - 1):
-        lhs = vals[n] * vals[n]
-        rhs = vals[n - 1] * vals[n + 1]
-        if exact:
-            ok = (lhs <= rhs) if reverse else (lhs >= rhs)
-        else:
-            slack = _FLOAT_RATIO_RTOL * max(lhs, rhs)
-            ok = (lhs <= rhs + slack) if reverse else (lhs >= rhs - slack)
-        if not ok:
-            return RatioCheck(ok=False, first_violation=n)
-    return RatioCheck(ok=True, first_violation=None)
+        lhs, rhs = vals[n] * vals[n], vals[n - 1] * vals[n + 1]
+        slack = 0 if exact else threshold(_FLOAT_RATIO_RTOL, max(lhs, rhs))
+        if down is None and not lhs >= rhs - slack:
+            down = n
+        if up is None and not lhs <= rhs + slack:
+            up = n
+    return down, up
 
 
 def ratio_hyponormal(coeffs: Sequence) -> RatioCheck:
@@ -165,7 +161,8 @@ def ratio_hyponormal(coeffs: Sequence) -> RatioCheck:
     on the power-series space with these weights, so a violation is a
     refutation, not just a failed sufficient condition.
     """
-    return _ratio_scan(_validated_coeffs(coeffs), reverse=False)
+    first = _first_violations(coeffs)[0]
+    return RatioCheck(ok=first is None, first_violation=first)
 
 
 def ratio_np(coeffs: Sequence) -> RatioCheck:
@@ -174,7 +171,8 @@ def ratio_np(coeffs: Sequence) -> RatioCheck:
     A sufficient condition for the CNP property. Failure is inconclusive and
     must not be reported as "not CNP".
     """
-    return _ratio_scan(_validated_coeffs(coeffs), reverse=True)
+    first = _first_violations(coeffs)[1]
+    return RatioCheck(ok=first is None, first_violation=first)
 
 
 @dataclass(frozen=True)
@@ -193,14 +191,12 @@ class RatioReport:
 
 
 def ratio_report(coeffs: Sequence) -> RatioReport:
-    hypo = ratio_hyponormal(coeffs)
-    np_check = ratio_np(coeffs)
-    firsts = [v for v in (hypo.first_violation, np_check.first_violation) if v is not None]
+    down, up = _first_violations(coeffs)
     return RatioReport(
-        hyponormal_ok=hypo.ok,
-        np_ok=np_check.ok,
-        geometric=hypo.ok and np_check.ok,
-        first_violation=min(firsts) if firsts else None,
+        hyponormal_ok=down is None,
+        np_ok=up is None,
+        geometric=down is None and up is None,
+        first_violation=min((v for v in (down, up) if v is not None), default=None),
     )
 
 

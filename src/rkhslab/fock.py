@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, WindowOverflowError
 from .kernels import PointSet
-from .linalg import HermitianMatrix, Subspace, min_eigenvalue, threshold
+from .linalg import DEFAULT_TOL, HermitianMatrix, Subspace, min_eigenvalue, threshold
 
 
 class QQi:
@@ -622,7 +622,7 @@ class ClosureMembership(NamedTuple):
     residual: float
 
 
-def in_closure(z, points: PointSet, degree: int, tol: float = 1e-8) -> ClosureMembership:
+def in_closure(z, points: PointSet, degree: int, tol: float = DEFAULT_TOL) -> ClosureMembership:
     """Does the kernel function at z lie in the span of those of Y?
 
     Membership characterizes the points to which every function vanishing

@@ -117,7 +117,7 @@ def _first_outside_disk(x: np.ndarray) -> Optional[float]:
 
 def validated_coeffs(coeffs: Sequence) -> tuple:
     """Power-series coefficients as a tuple: non-empty, real (int, float or
-    Fraction, not bool), positive, with a_0 = 1."""
+    Fraction, not bool), positive, finite, with a_0 = 1."""
     coeffs = tuple(coeffs)
     if not coeffs:
         raise InputError("coefficient list must be non-empty")
@@ -126,6 +126,8 @@ def validated_coeffs(coeffs: Sequence) -> tuple:
             raise InputError(f"coefficient {i} is not a real number")
         if not c > 0:
             raise InputError(f"coefficient {i} must be positive, got {c}")
+        if not c < np.inf:
+            raise InputError(f"coefficient {i} must be finite, got {c}")
     if coeffs[0] != 1:
         raise InputError("a_0 must equal 1")
     return coeffs

@@ -83,12 +83,9 @@ def verify_factorization(g: HermitianMatrix, delta, j_values) -> float:
 
 def _phase_fixed_j(b_points: np.ndarray, base: int) -> np.ndarray:
     j = b_points[:, 0].copy()
-    for i in range(j.shape[0]):
-        if i != base:
-            pivot = j[i]
-            if pivot != 0:
-                j *= pivot.conjugate() / abs(pivot)
-            break
+    pivot = j[1 if base == 0 else 0]  # the first non-base value
+    if pivot != 0:
+        j *= pivot.conjugate() / abs(pivot)
     return j
 
 
@@ -115,18 +112,11 @@ def classify(g: HermitianMatrix, base: int, tol: float = DEFAULT_TOL) -> Reconst
     except NotCnpError as e:  # message: "sample refutes the CNP property ..."
         raise HypothesisError(str(e), hypothesis="cnp_consistency") from None
     delta = normalize(g, base).delta
-
+    j = None
     if g.n == 1:
-        return ReconstructionResult(
-            classification=SINGLETON,
-            delta=delta,
-            j_values=None,
-            factorization_residual=verify_factorization(g, delta, np.zeros(1)),
-            rank=0,
-            embedding_residual=embedding.residual,
-        )
-
-    if embedding.rank == 1:
+        classification = SINGLETON
+    elif embedding.rank == 1:
+        classification = HARDY_EQUIVALENT
         j = _phase_fixed_j(embedding.b_points, base)
         pair = first_coincident_pair(j)
         if pair is not None:
@@ -134,23 +124,19 @@ def classify(g: HermitianMatrix, base: int, tol: float = DEFAULT_TOL) -> Reconst
                 f"recovered disk points {pair[0]} and {pair[1]} coincide"
             )
         j.setflags(write=False)
-        return ReconstructionResult(
-            classification=HARDY_EQUIVALENT,
-            delta=delta,
-            j_values=j,
-            factorization_residual=verify_factorization(g, delta, j),
-            rank=1,
-            embedding_residual=embedding.residual,
-        )
-
+    else:
+        classification = HIGHER_RANK
+    disk = classification != HIGHER_RANK
     return ReconstructionResult(
-        classification=HIGHER_RANK,
+        classification=classification,
         delta=delta,
-        j_values=None,
-        factorization_residual=None,
-        rank=embedding.rank,
+        j_values=j,
+        factorization_residual=(
+            verify_factorization(g, delta, np.zeros(1) if j is None else j) if disk else None
+        ),
+        rank=embedding.rank,  # 0 for one point: F = 1 - 1/K~ is then exactly zero
         embedding_residual=embedding.residual,
-        note=_HIGHER_RANK_NOTE.format(rank=embedding.rank),
+        note=None if disk else _HIGHER_RANK_NOTE.format(rank=embedding.rank),
     )
 
 

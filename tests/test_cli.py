@@ -330,6 +330,20 @@ class TestErrorPaths:
         assert code == 2
         assert report["results"]["error"]["type"] == "InputError"
 
+    @pytest.mark.parametrize("coeff", ["Infinity", "1e400"])
+    def test_infinite_coefficient_refused_without_warnings(self, coeff, corpus, capsys):
+        # refused before the Gram assembly, which would warn of an invalid
+        # value on stderr
+        kernel = corpus / "infinite.json"
+        kernel.write_text(f'{{"type": "power_series", "coeffs": [1, {coeff}, 1]}}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["cnp-check", str(kernel), "--points", str(corpus / "pts.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == "" and not caught
+        error = json.loads(captured.out)["results"]["error"]
+        assert error == {"type": "InputError", "message": "coefficient 1 must be finite, got inf"}
+
     def test_malformed_json_argument(self, corpus, capsys):
         code, report, _ = run(capsys, ["fock", "balance", "--z", "[[0.5,0]", "--degree", "3"])
         assert code == 2
@@ -361,8 +375,10 @@ SZEGO = {"type": "power_series", "coeffs": SZEGO_COEFFS}
 SAMPLED = {"type": "sampled", "labels": ["a", "b"]}
 SZEGO_AT_CASE = ["cnp-check", "szego.json", "--points", "case.json"]
 
-# (argv, content of case.json): malformed shapes, most of which used to crash
-# with a traceback or be misread (an exponent 1.5 as 1, true as 1)
+# (argv, content of case.json, written as JSON, or as it is when a string):
+# malformed shapes, most of which used to crash with a traceback or be
+# misread (an exponent 1.5 as 1, true as 1, an infinite coefficient as
+# geometric)
 MALFORMED = {
     "points-not-a-list": (SZEGO_AT_CASE, {"dim": 1, "points": 5}),
     "dim-boolean": (SZEGO_AT_CASE, {"dim": True, "points": []}),
@@ -410,6 +426,11 @@ MALFORMED = {
     "complex-one-part": (SZEGO_AT_CASE, {"dim": 1, "points": [[[0.5]]]}),
     "complex-three-parts": (SZEGO_AT_CASE, {"dim": 1, "points": [[[0.1, 0.2, 0.3]]]}),
     "complex-integer-beyond-float": (SZEGO_AT_CASE, {"dim": 1, "points": [[[10**400, 0.0]]]}),
+    "coeff-infinity": (["ratio-check", "case.json"], {**SZEGO, "coeffs": [1, math.inf, 1]}),
+    "coeff-beyond-float": (
+        ["ratio-check", "case.json"],
+        '{"type": "power_series", "coeffs": [1, 1e400, 1]}',
+    ),
 }
 
 # [re, im] pairs that are not two plain floats take the generic number path,
@@ -428,7 +449,8 @@ class TestMalformedShapes:
     def test_refused_with_exit_two(self, case, corpus, capsys):
         argv, content = MALFORMED[case]
         if content is not None:
-            (corpus / "case.json").write_text(json.dumps(content))
+            text = content if isinstance(content, str) else json.dumps(content)
+            (corpus / "case.json").write_text(text)
         code, report, _ = run(capsys, in_corpus(corpus, argv))
         assert code == 2 and report["exit_code"] == 2
         assert list(report["results"]) == ["error"]
@@ -472,6 +494,20 @@ class TestArgumentRules:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--tol" in captured.err
+
+    def test_tol_reaches_the_sampled_gram_check(self, corpus, capsys):
+        # least eigenvalue -5.0e-7 at scale 1: not PSD at the default tol,
+        # PSD within 1e-6
+        gram = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0 - 1e-6, 0.0]]]
+        kernel = {**SAMPLED, "gram": gram}
+        (corpus / "case.json").write_text(json.dumps(kernel))
+        problem = {"kernel": kernel, "nodes": ["a", "b"], "targets": [[0.0, 0.0], [0.0, 0.0]]}
+        (corpus / "problem.json").write_text(json.dumps(problem))
+        for argv in (["partition", "case.json"], ["pick", "problem.json", "--norm", "1"]):
+            code, report, _ = run(capsys, in_corpus(corpus, argv))
+            assert code == 2 and "not PSD" in report["results"]["error"]["message"]
+            code, report, _ = run(capsys, in_corpus(corpus, argv) + ["--tol", "1e-6"])
+            assert code == 0 and report["parameters"]["tol"] == 1e-6
 
     @pytest.mark.parametrize("value", ["-3", "-1", "1.5", "two"])
     def test_count_must_be_a_non_negative_integer(self, value, capsys):

@@ -82,6 +82,23 @@ class TestSampleCheck:
         v = cnp_sample_check(HermitianMatrix([[2.5]]), 0, 1e-9)
         assert v.status == CONSISTENT
 
+    @staticmethod
+    def clustered_szego(r):
+        z = r * np.array([0, 1, -1, 2j, 1 + 1j, -1.5j])
+        return DruryArvesonKernel(1).gram(PointSet(1, z[:, None]))
+
+    @pytest.mark.parametrize("r", [1e-6, 1e-4])
+    def test_sample_clustered_at_the_base_consistent(self, r):
+        assert cnp_sample_check(self.clustered_szego(r), 0, 1e-9).status == CONSISTENT
+
+    def test_floor_of_psd_check_is_needed(self):
+        # 1 - 1/K~ carries rounding of order eps while its spectrum is of
+        # order r^2: a test relative to the largest eigenvalue alone would
+        # refute this Szego sample
+        f = one_minus_inverse(normalize(self.clustered_szego(1e-6), 0))
+        eigs = np.linalg.eigvalsh(f.entries)
+        assert eigs[0] < -1e-9 * eigs[-1]
+
     def test_monotone_under_subsampling(self, rng):
         # a refuted subset forces refutation of every superset containing it
         for _ in range(20):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import random_ball_points
@@ -52,6 +54,10 @@ class TestEvaluate:
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(InputError):
             PowerSeriesKernel([1, 0.0, 1])
+
+    def test_rejects_infinite_coefficient(self):
+        with pytest.raises(InputError, match="coefficient 1 must be finite, got inf"):
+            PowerSeriesKernel([1, math.inf, 1])
 
 
 class TestGram:

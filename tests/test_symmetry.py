@@ -8,9 +8,11 @@ points; the CNP verdict also under change of base point, and classify
 under rescaling of single points. A sampled Gram matrix is refused as
 non-PSD at every scale or at none, and partition gives the same classes
 at every scale. The Fock defect verdict is checked under rescaling of the
-multiplier, and the closure-step verdicts under rescaling of the operator
-and of the vector. Random cases are drawn by hypothesis when it is
-installed and from fixed seeds otherwise.
+multiplier and under a unitary change of variables, in_closure under a
+unitary rotation of the set and the point together, and the closure-step
+verdicts under rescaling of the operator and of the vector. Random cases
+are drawn by hypothesis when it is installed and from fixed seeds
+otherwise.
 """
 
 import json
@@ -22,7 +24,14 @@ from conftest import blaschke, random_ball_points, random_unitary, seeded_by
 from rkhslab.cli import main
 from rkhslab.cnp import agler_mccarthy_embed, cnp_sample_check
 from rkhslab.errors import InputError, PreconditionError
-from rkhslab.fock import FockSubspace, Polynomial, TruncatedSpace, compression_defect, defect_scale
+from rkhslab.fock import (
+    FockSubspace,
+    Polynomial,
+    TruncatedSpace,
+    compression_defect,
+    defect_scale,
+    in_closure,
+)
 from rkhslab.kernels import (
     DruryArvesonKernel,
     PointSet,
@@ -319,6 +328,54 @@ class TestDefectScaling:
         code = main(["fock", "defect", "--phi", arg, "--span", "full", "--degree", "6"])
         assert json.loads(capsys.readouterr().out)["results"]["hyponormal_on_this_model"] is False
         assert code == 1
+
+
+def compose_unitary(phi, u):
+    """phi(U z): each coordinate z_i becomes sum_j U_ij z_j."""
+    d = phi.dim
+    rows = [
+        Polynomial(d, {tuple(int(k == j) for k in range(d)): complex(u[i, j]) for j in range(d)})
+        for i in range(d)
+    ]
+    out = Polynomial.zero(d)
+    for gamma, c in phi.coeffs.items():
+        term = Polynomial.constant(d, c)
+        for row, e in zip(rows, gamma):
+            term = term * row**e
+        out = out + term
+    return out
+
+
+class TestUnitaryInvariance:
+    # f -> f(U* z) is unitary on the Drury-Arveson space and keeps each
+    # degree, so it maps every degree window onto itself (Arveson, Acta
+    # Math. 181, 1998). It carries M_phi to M_(phi o U*) and the kernel
+    # function at y to the one at U y.
+
+    @seeded
+    def test_full_window_defect(self, seed):
+        rng = np.random.default_rng(seed)
+        d, degree = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        monomials = TruncatedSpace(d, degree).basis
+        phi = Polynomial(d, {a: complex(*rng.standard_normal(2)) for a in monomials})
+        window = TruncatedSpace(d, 5)
+        want = compression_defect(phi, window)
+        got = compression_defect(compose_unitary(phi, random_unitary(rng, d)), window)
+        # rounding of k x k products (k <= 56) stays near k eps times the scale
+        assert abs(got - want) <= 1e-12 * defect_scale(phi)
+
+    @seeded
+    def test_closure_with_set_and_point_rotated(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        y = random_ball_points(rng, n, d)
+        u = random_unitary(rng, d)
+        for z in (random_ball_points(rng, 1, d)[0], y[0]):
+            want = in_closure(z, PointSet(d, y), 5, TOL)
+            got = in_closure(u @ z, PointSet(d, y @ u.T), 5, TOL)
+            assert got.member == want.member
+            assert abs(got.residual - want.residual) <= 1e-12
+        assert want.member  # the last z is a point of Y
 
 
 # operator, dim M (M spanned by the first unit vectors), f, verdicts
