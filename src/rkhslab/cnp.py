@@ -133,19 +133,20 @@ def _first_violations(coeffs: Sequence) -> tuple[Optional[int], Optional[int]]:
     at which a_n/a_{n-1} <= a_{n+1}/a_n fails (None where a direction holds
     throughout), from one scan of the validated coefficients.
 
-    Each compares a_n^2 against a_{n-1} a_{n+1}, no division: exactly for
-    rational input, otherwise within threshold(1e-12, the larger side), so
-    geometric ties under rounding satisfy both directions.
+    Each compares a_n^2 with a_{n-1} a_{n+1} on (mantissa, exponent) pairs, so no
+    scale overflows or underflows: exactly for rational input (exponent 0), else on
+    math.frexp pairs within threshold(1e-12, the larger side), so geometric ties pass.
     """
     coeffs = tuple(coeffs)
     if len(coeffs) < 3:
         raise InputError("need at least 3 coefficients")
     coeffs = validated_coeffs(coeffs)
     exact = all(isinstance(c, Rational) for c in coeffs)
-    vals = [Fraction(c) if exact else float(c) for c in coeffs]
+    vals = [(Fraction(c), 0) if exact else math.frexp(c) for c in coeffs]
     down = up = None
     for n in range(1, len(vals) - 1):
-        lhs, rhs = vals[n] * vals[n], vals[n - 1] * vals[n + 1]
+        (m0, e0), (m1, e1), (m2, e2) = vals[n - 1 : n + 2]  # a = m 2^e; 2 ** 0 is the int 1
+        lhs, rhs = m1 * m1 * 2 ** min(2 * e1 - e0 - e2, 0), m0 * m2 * 2 ** min(e0 + e2 - 2 * e1, 0)
         slack = 0 if exact else threshold(_FLOAT_RATIO_RTOL, max(lhs, rhs))
         if down is None and not lhs >= rhs - slack:
             down = n

@@ -14,7 +14,8 @@ tests compare the tables against. All numeric work, powers of a multiplier
 included, runs in the isometric coordinates of a TruncatedSpace instead,
 where multiplication by c z^gamma is a scatter-add over a shift table and
 its adjoint is the gather over the same table; there a Polynomial only
-lists the coefficients.
+lists the coefficients. Every orthonormal subspace of a window comes from
+FockSubspace.span: one thin SVD, cut at one numerical-rank rule.
 
 Degree windows. Operations that consume a truncation of an infinite series
 take an explicit window so nothing is dropped silently: the adjoint of
@@ -560,22 +561,19 @@ class FockSubspace(Subspace):
     def polynomials(self) -> list:
         return [self.space.polynomial(self.basis[:, k]) for k in range(self.dim)]
 
-
-def _rank_revealing_svd(v: np.ndarray, full_matrices: bool = False):
-    """Left singular vectors of v and its numerical rank: the number of
-    singular values above s[0] * max(v.shape) * eps."""
-    u, s, _ = np.linalg.svd(v, full_matrices=full_matrices)
-    rank = int(np.sum(s > s[0] * max(v.shape) * np.finfo(float).eps)) if s.size else 0
-    return u, rank
+    @classmethod
+    def span(cls, space: TruncatedSpace, columns) -> "FockSubspace":
+        """Orthonormal span of the columns of a (len(space), n) array, n >= 0: its thin
+        SVD's left singular vectors whose singular values exceed s[0] * max(shape) * eps."""
+        u, s, _ = np.linalg.svd(columns, full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(np.shape(columns)) * np.finfo(float).eps)) if s.size else 0
+        return cls(space, u[:, :rank])
 
 
 def span_of_polynomials(space: TruncatedSpace, polys: Iterable[Polynomial]) -> FockSubspace:
     """Orthonormalized span (SVD-based, rank-revealing) of given polynomials."""
-    cols = [space.iso_vector(p) for p in polys]
-    if not cols:
-        return FockSubspace(space, np.zeros((len(space), 0)))
-    u, rank = _rank_revealing_svd(np.column_stack(cols))
-    return FockSubspace(space, u[:, :rank])
+    rows = np.array([space.iso_vector(p) for p in polys])
+    return FockSubspace.span(space, rows.reshape(-1, len(space)).T)  # (len(space), 0) for no polys
 
 
 def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubspace:
@@ -589,32 +587,32 @@ def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubsp
     cols[0, 0] = 1.0  # the constant 1, of norm 1
     for k in range(1, count + 1):
         cols[:, k] = space.multiply(phi, cols[:, k - 1])
-    u, rank = _rank_revealing_svd(cols)
-    return FockSubspace(space, u[:, :rank])
+    return FockSubspace.span(space, cols)
 
 
 class VanishingSubspaces(NamedTuple):
-    ideal: FockSubspace  # polynomials of bounded degree vanishing on Y
-    complement: FockSubspace  # its orthogonal complement, spanned by kernel functions
+    complement: FockSubspace  # spanned by the kernel functions at Y
+
+    @property
+    def ideal(self) -> FockSubspace:
+        """Polynomials of bounded degree vanishing on Y, formed from complement on each read."""
+        u = np.linalg.svd(self.complement.basis, full_matrices=True)[0]
+        return FockSubspace(self.complement.space, u[:, self.complement.dim :])
 
 
 def vanishing_subspace(points: PointSet, degree: int) -> VanishingSubspaces:
     """Split the truncated space into functions vanishing on Y and the rest.
 
-    The complement is computed from the kernel-function span: evaluation at
-    y is the pairing with the truncated kernel vector at y, so the
+    The complement is the span of the truncated kernel vectors at Y:
+    evaluation at y is the pairing with the kernel vector at y, so the
     evaluation nullspace and the kernel span are exact orthocomplements.
-    Both come from one singular value decomposition.
+    Only the complement is built, by FockSubspace.span; the ideal on read.
     """
     space = TruncatedSpace(points.dim, degree)
     if len(points) > len(space):
         m = len(space)
         raise InputError(f"{len(points)} points exceed the {m} basis monomials of the window")
-    u, rank = _rank_revealing_svd(space.kernel_vector(points.points), full_matrices=True)
-    return VanishingSubspaces(
-        ideal=FockSubspace(space, u[:, rank:]),
-        complement=FockSubspace(space, u[:, :rank]),
-    )
+    return VanishingSubspaces(FockSubspace.span(space, space.kernel_vector(points.points)))
 
 
 class ClosureMembership(NamedTuple):

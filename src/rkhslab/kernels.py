@@ -8,6 +8,7 @@ expose evaluate() and gram().
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -117,7 +118,7 @@ def _first_outside_disk(x: np.ndarray) -> Optional[float]:
 
 def validated_coeffs(coeffs: Sequence) -> tuple:
     """Power-series coefficients as a tuple: non-empty, real (int, float or
-    Fraction, not bool), positive, finite, with a_0 = 1."""
+    Fraction, not bool), positive, within the float range, with a_0 = 1."""
     coeffs = tuple(coeffs)
     if not coeffs:
         raise InputError("coefficient list must be non-empty")
@@ -126,8 +127,9 @@ def validated_coeffs(coeffs: Sequence) -> tuple:
             raise InputError(f"coefficient {i} is not a real number")
         if not c > 0:
             raise InputError(f"coefficient {i} must be positive, got {c}")
-        if not c < np.inf:
-            raise InputError(f"coefficient {i} must be finite, got {c}")
+        if not c <= sys.float_info.max:  # inf, or an int or Fraction beyond the float range
+            got = c if isinstance(c, float) else "a number beyond the float range"
+            raise InputError(f"coefficient {i} must be finite, got {got}")
     if coeffs[0] != 1:
         raise InputError("a_0 must equal 1")
     return coeffs
@@ -297,20 +299,17 @@ def normalize(g: HermitianMatrix, base: int) -> NormalizedGram:
 
 
 def unit_diagonal(g: HermitianMatrix) -> HermitianMatrix:
-    """G_ij / sqrt(G_ii G_jj), the Gram matrix of the normalized kernel functions.
+    """G_ij / (sqrt(G_ii) sqrt(G_jj)), the Gram matrix of the normalized kernel functions.
 
     Zero entries and proportional rows survive this positive diagonal
     congruence, so irreducibility judged on it ignores the kernel's scale and
-    one point's large diagonal. A row whose diagonal entry is not positive
-    (in a PSD Gram matrix, a zero row) is set to zero.
+    one point's large diagonal; the product G_ii G_jj, which overflows from a
+    scale of about 2^512, is never formed. A row whose diagonal entry is not
+    positive (in a PSD Gram matrix, a zero row) is divided by inf, so zero.
     """
     diag = g.entries.diagonal().real
-    live = diag > 0
-    scale = np.where(live, diag, 1.0)
-    unit = g.entries / np.sqrt(np.outer(scale, scale))
-    unit[~live] = 0
-    unit[:, ~live] = 0
-    return HermitianMatrix(unit)
+    root = np.sqrt(np.where(diag > 0, diag, np.inf))
+    return HermitianMatrix(g.entries / np.outer(root, root))
 
 
 def irreducible_partition(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> list[list[int]]:

@@ -46,7 +46,8 @@ class HermitianMatrix:
 
     def __init__(self, entries):
         a = _square_complex(entries)
-        h = (a + a.conj().T) / 2.0
+        h = a / 2.0  # halved first: a + a* overflows above half the float range
+        h = h + h.conj().T
         h.setflags(write=False)
         self._entries = h
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import random_ball_points
 
+from rkhslab.cli import main
 from rkhslab.errors import DomainError, InputError, WindowOverflowError
 from rkhslab.fock import (
     FockSubspace,
@@ -20,6 +22,7 @@ from rkhslab.fock import (
     norm_sq,
     pairing,
     pairing_power_norms,
+    powers_span,
     span_of_polynomials,
     tail_balance,
     truncated_kernel_fn,
@@ -316,6 +319,65 @@ class TestVanishingSubspace:
         pts = PointSet(1, random_ball_points(rng, 4, 1))
         with pytest.raises(InputError):
             vanishing_subspace(pts, 2)
+
+
+class TestFockSubspaceSpan:
+    """FockSubspace.span builds every subspace of the module; the ideal is
+    formed from the complement only when read."""
+
+    def test_every_built_basis_is_orthonormal(self, rng, monkeypatch):
+        built = []
+        span = FockSubspace.span.__func__
+
+        def recording(cls, space, columns):
+            built.append(span(cls, space, columns))
+            return built[-1]
+
+        monkeypatch.setattr(FockSubspace, "span", classmethod(recording))
+        space = TruncatedSpace(2, 6)
+        phi = Polynomial(2, {(1, 0): 0.5, (0, 2): 0.25j})
+        one = Polynomial.constant(2, 1)
+        cols = np.column_stack([space.iso_vector(p) for p in (one, phi, phi * phi)])
+        span_of_polynomials(space, [one, phi, phi + one, phi * phi])
+        span_of_polynomials(space, [])
+        powers_span(space, phi, 3)
+        FockSubspace.span(space, np.column_stack([cols, cols @ [1.0, 2.0, -1j], 1e-3 * cols]))
+        FockSubspace.span(space, np.zeros((len(space), 2)))
+        pts = random_ball_points(rng, 5, 2)
+        vanishing_subspace(PointSet(2, pts), 6)
+        in_closure(0.5 * pts[0], PointSet(2, pts[1:]), 6)
+        assert [sub.dim for sub in built] == [3, 0, 4, 3, 0, 5, 4]
+        for sub in built:
+            gram = sub.basis.conj().T @ sub.basis
+            assert np.max(np.abs(gram - np.eye(sub.dim)), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("dim, m, degree", [(1, 3, 4), (2, 5, 5), (3, 4, 3)])
+    def test_ideal_is_the_orthocomplement(self, rng, dim, m, degree):
+        spaces = vanishing_subspace(PointSet(dim, random_ball_points(rng, m, dim)), degree)
+        ideal, complement = spaces.ideal, spaces.complement
+        assert ideal.space is complement.space
+        assert ideal.dim + complement.dim == len(complement.space)
+        assert np.max(np.abs(ideal.basis.conj().T @ complement.basis)) <= 1e-12
+
+    def test_closure_and_kernel_defect_build_no_ideal(self, rng, monkeypatch, tmp_path, capsys):
+        # k = 120 monomials at d = 3, degree 7; only the m-column complement is built
+        shapes = []
+        init = FockSubspace.__init__
+
+        def recording(self, space, basis):
+            shapes.append(np.shape(basis))
+            init(self, space, basis)
+
+        monkeypatch.setattr(FockSubspace, "__init__", recording)
+        m, pts = 6, random_ball_points(rng, 6, 3)
+        in_closure(0.5 * pts[0], PointSet(3, pts), 7)
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"dim": 3, "points": [[[c.real, c.imag] for c in p] for p in pts]}))
+        phi = '{"dim":3,"terms":[{"exp":[1,1,0],"coeff":1}]}'
+        argv = ["fock", "defect", "--phi", phi, "--span", "kernel", "--points", str(path), "--degree", "7"]
+        assert main(argv) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["results"]["span_dim"] == m
+        assert shapes == [(120, m), (120, m)]
 
 
 class TestInClosure:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,12 @@ class TestEvaluate:
     def test_rejects_infinite_coefficient(self):
         with pytest.raises(InputError, match="coefficient 1 must be finite, got inf"):
             PowerSeriesKernel([1, math.inf, 1])
+
+    @pytest.mark.parametrize("big", [Fraction(10**400), 10**400, Fraction(10**400, 3)], ids=["fraction", "int", "ratio"])
+    def test_rejects_rational_beyond_the_float_range(self, big):
+        # float(big) overflows; it raised OverflowError from gram() before
+        with pytest.raises(InputError, match="coefficient 1 must be finite, got a number beyond"):
+            PowerSeriesKernel([1, big, 1]).gram(PointSet(1, [[0.1], [0.2]]))
 
 
 class TestGram:

@@ -10,12 +10,19 @@ non-PSD at every scale or at none, and partition gives the same classes
 at every scale. The Fock defect verdict is checked under rescaling of the
 multiplier and under a unitary change of variables, in_closure under a
 unitary rotation of the set and the point together, and the closure-step
-verdicts under rescaling of the operator and of the vector. Random cases
+verdicts under rescaling of the operator and of the vector. Sampled Grams
+and power-series coefficients are also scaled by 2^k over the whole float
+range: that scaling is exact, so no verdict may change at all. Random cases
 are drawn by hypothesis when it is installed and from fixed seeds
 otherwise.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -398,3 +405,153 @@ class TestClosureScaling:
             for r in CLOSURE_SCALES:
                 got = verify_hyponormal_closure(s * np.asarray(t), sub, r * np.asarray(f), TOL)
                 assert got == want, (s, r)
+
+
+# ---------------------------------------------------------------------------
+# Scaling by 2^k over the whole float range
+
+
+def exponent_range(values, powers):
+    """Every k for which each nonzero value * 2^(k * power) stays finite
+    and normal. With x = m 2^e, m in [0.5, 1), that is
+    -1021 <= e + k * power <= 1024 (math.frexp's convention)."""
+    values, powers = np.abs(np.asarray(values, dtype=float)), np.asarray(powers)
+    live = (values > 0) & (powers > 0)
+    e, p = np.frexp(values[live])[1], powers[live]
+    return int(np.max(-((1021 + e) // p))), int(np.min((1024 - e) // p))
+
+
+def times_power_of_two(values, exponents):
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        return np.ldexp(values.real, exponents) + 1j * np.ldexp(values.imag, exponents)
+    return np.ldexp(values, exponents)
+
+
+VERDICT_FIELDS = {
+    "partition": ("classes",),
+    "reconstruct": ("classification", "rank"),
+    "cnp-check": ("status",),
+    "embed": ("status", "rank"),
+    "ratio-check": ("hyponormal_ok", "np_sufficient_ok", "geometric", "first_violation"),
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("power_of_two")
+
+
+def verdict(command, kernel, workdir):
+    """Exit code and verdict fields of one run, which must warn nothing."""
+    fd, path = tempfile.mkstemp(suffix=".json", dir=workdir)  # a new file: rewriting one can be slow
+    with os.fdopen(fd, "w") as fh:
+        json.dump(kernel, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([command, path])
+    assert not caught, (command, [str(w.message) for w in caught])
+    assert err.getvalue() == "", (command, err.getvalue())
+    results = json.loads(out.getvalue())["results"]
+    if code == 2:
+        return code, results["error"]["type"]
+    return code, {field: results.get(field) for field in VERDICT_FIELDS[command]}
+
+
+def sampled_kernel(g):
+    labels = [str(i) for i in range(len(g))]
+    return {"type": "sampled", "labels": labels, "gram": [[[v.real, v.imag] for v in row] for row in g]}
+
+
+GRAM_COMMANDS = ("partition", "reconstruct", "cnp-check", "embed")
+FIVE_POINT_SZEGO = szego_gram(np.array([0, 0.3, 0.5j, -0.4, 0.2 + 0.2j]))
+
+
+def random_gram(rng, name):
+    n = int(rng.integers(2, 7))
+    if name == "ball":
+        d = int(rng.integers(2, 4))
+        return DruryArvesonKernel(d).gram(PointSet(d, random_ball_points(rng, n, d))).entries
+    if name == "direct_sum":
+        g = np.zeros((n + 2, n + 2), dtype=complex)
+        g[:n, :n] = szego_gram(disk_points(rng, n))
+        g[n:, n:] = szego_gram(disk_points(rng, 2))
+        return g
+    return disk_sample(rng, CNP_KERNELS[name], n).entries
+
+
+def random_coeffs(rng, name):
+    n = np.arange(int(rng.integers(3, 13)), dtype=float)
+    if name == "geometric":
+        return float(rng.uniform(0.1, 10.0)) ** n
+    if name == "bergman":
+        return n + 1.0
+    if name == "dirichlet":
+        return 1.0 / (n + 1.0)
+    steps = np.exp(rng.normal(0.0, 1.0, len(n) - 1))  # random successive ratios
+    return np.concatenate([[1.0], np.cumprod(steps)])
+
+
+class TestPowerOfTwoScaling:
+    """Multiplying by 2^k is exact in binary floating point, barring overflow
+    and underflow (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 2), so each verdict, exit code and the silence of stderr must be
+    those of k = 0 at both ends of the normal range and at a k in between."""
+
+    @pytest.mark.parametrize("name", ["szego", "bergman", "dirichlet", "ball", "direct_sum"])
+    @seeded
+    def test_sampled_grams(self, name, seed, workdir):
+        rng = np.random.default_rng(seed)
+        g = random_gram(rng, name)
+        parts = np.concatenate([g.real.ravel(), g.imag.ravel()])
+        lo, hi = exponent_range(parts, np.ones(parts.size))
+        for command in GRAM_COMMANDS:
+            want = verdict(command, sampled_kernel(g), workdir)
+            for k in (lo, int(rng.integers(lo, hi + 1)), hi):
+                got = verdict(command, sampled_kernel(times_power_of_two(g, k)), workdir)
+                assert got == want, (command, k)
+
+    @pytest.mark.parametrize("name", ["geometric", "bergman", "dirichlet", "random"])
+    @seeded
+    def test_power_series_coefficients(self, name, seed, workdir):
+        rng = np.random.default_rng(seed)
+        a = random_coeffs(rng, name)
+        n = np.arange(len(a))
+        lo, hi = exponent_range(a, n)
+        want = verdict("ratio-check", {"type": "power_series", "coeffs": a.tolist()}, workdir)
+        for k in (lo, int(rng.integers(lo, hi + 1)), hi):
+            scaled_a = times_power_of_two(a, k * n).tolist()
+            got = verdict("ratio-check", {"type": "power_series", "coeffs": scaled_a}, workdir)
+            assert got == want, k
+
+    # the five-point Szego sample: from 2^512 up, G_ii G_jj is beyond the
+    # float range, and from 2^-1000 down it is below it
+    @pytest.mark.parametrize("k", [-1020, -1000, 512, 1000])
+    def test_five_point_szego_sample(self, k, workdir):
+        kernel = sampled_kernel(times_power_of_two(FIVE_POINT_SZEGO, k))
+        assert verdict("partition", kernel, workdir) == (0, {"classes": [[0, 1, 2, 3, 4]]})
+        want = (0, {"classification": HARDY_EQUIVALENT, "rank": 1})
+        assert verdict("reconstruct", kernel, workdir) == want
+
+    @pytest.mark.parametrize(
+        "coeffs, code, fields",
+        [
+            # a_1^2 = 1e400 and a_3^2 = 1e600 are beyond the float range
+            ([1, 1e200, 1e250, 1e300], 0, (True, False, False, 1)),
+            # a_3^2 = 1e-480 < a_2 a_4 = 2e-480, both below the float range, refutes at 3
+            ([1, 1e-80, 1e-160, 1e-240, 2e-320], 1, (False, True, False, 3)),
+        ],
+    )
+    def test_ratio_scan_beyond_the_float_range(self, coeffs, code, fields, workdir):
+        got = verdict("ratio-check", {"type": "power_series", "coeffs": coeffs}, workdir)
+        assert got == (code, dict(zip(VERDICT_FIELDS["ratio-check"], fields)))
+
+    def test_ratio_scan_under_geometric_weights(self, workdir):
+        # a_n -> c^n a_n keeps both ratio monotonicities; at c = 1e70 the
+        # squares of a_n = (n + 1) c^n are beyond the float range
+        want = (0, dict(zip(VERDICT_FIELDS["ratio-check"], (True, False, False, 1))))
+        for c in (1.0, 1e50, 1e70):
+            kernel = {"type": "power_series", "coeffs": [(n + 1) * c**n for n in range(5)]}
+            assert verdict("ratio-check", kernel, workdir) == want, c
