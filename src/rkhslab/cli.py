@@ -159,26 +159,28 @@ def _parse_family_obj(obj, what: str) -> BlaschkeFamily:
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError(f'{what}: expected an object with a "type" field')
     kind = obj["type"]
+    if kind == "finite_list":
+        if "prefix" in obj:
+            raise InputError(f"{what}: a finite_list takes no prefix; list every radius in radii")
+        radii = _parse_list(obj.get("radii"), f"{what}.radii")
+        return FiniteRadii(tuple(float(_parse_number(r, f"{what}.radii")) for r in radii))
+    if kind not in ("geometric_tail", "polynomial_tail"):
+        raise InputError(f"{what}: unknown family type {kind!r}")
     prefix = tuple(
         float(_parse_number(r, f"{what}.prefix"))
         for r in _parse_list(obj.get("prefix", []), f"{what}.prefix")
     )
-    if kind == "finite_list":
-        radii = _parse_list(obj.get("radii"), f"{what}.radii")
-        return FiniteRadii(tuple(float(_parse_number(r, f"{what}.radii")) for r in radii))
     if kind == "geometric_tail":
         return GeometricTail(
             c=float(_parse_number(obj.get("c"), f"{what}.c")),
             q=float(_parse_number(obj.get("q"), f"{what}.q")),
             prefix=prefix,
         )
-    if kind == "polynomial_tail":
-        return PolynomialTail(
-            c=float(_parse_number(obj.get("c"), f"{what}.c")),
-            p=float(_parse_number(obj.get("p"), f"{what}.p")),
-            prefix=prefix,
-        )
-    raise InputError(f"{what}: unknown family type {kind!r}")
+    return PolynomialTail(
+        c=float(_parse_number(obj.get("c"), f"{what}.c")),
+        p=float(_parse_number(obj.get("p"), f"{what}.p")),
+        prefix=prefix,
+    )
 
 
 def _parse_poly_obj(obj, what: str) -> fock.Polynomial:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -577,16 +578,19 @@ def span_of_polynomials(space: TruncatedSpace, polys: Iterable[Polynomial]) -> F
 
 
 def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubspace:
-    """Orthonormalized span of 1, phi, ..., phi^count, each power the
-    shift-table product of phi with the one before. All must fit the window."""
+    """Orthonormalized span of 1, phi, ..., phi^count, built as that of 1, psi,
+    ..., psi^count for psi = (phi - phi(0)) 2^-e (see _normalized), each power the
+    shift-table product of psi with the one before, so the rank rule sees no
+    scale of phi. All must fit the window."""
     if count * phi.degree > space.degree:
         raise WindowOverflowError(
             f"phi^{count} of degree {count * phi.degree} does not fit degree {space.degree}"
         )
+    psi = _normalized(phi)[0]
     cols = np.zeros((len(space), count + 1), dtype=np.complex128)
     cols[0, 0] = 1.0  # the constant 1, of norm 1
     for k in range(1, count + 1):
-        cols[:, k] = space.multiply(phi, cols[:, k - 1])
+        cols[:, k] = space.multiply(psi, cols[:, k - 1])
     return FockSubspace.span(space, cols)
 
 
@@ -644,14 +648,16 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     Components of the products beyond the window are orthogonal to the
     window and drop out of the compression exactly, so no degree headroom
     is needed. The constant term (c I, which commutes) is dropped with its
-    rounding. A defect below -tol * defect_scale(phi) refutes hyponormality
-    of the compression at every size of phi; a non-negative defect
-    certifies this model only.
+    rounding. The matrices are formed for (phi - phi(0)) 2^-e (see _normalized)
+    and the defect is multiplied back by 4^e, both exactly, so no scale of phi
+    that defect_scale accepts overflows or underflows. A defect below
+    -tol * defect_scale(phi) refutes hyponormality of the compression at
+    every size of phi; a non-negative defect certifies this model only.
     """
     space = subspace if isinstance(subspace, TruncatedSpace) else subspace.space
     if phi.dim != space.dim:
         raise InputError("dimension mismatch")
-    phi = Polynomial(phi.dim, {g: c for g, c in phi.coeffs.items() if any(g)})
+    phi, e = _normalized(phi)
     if space is subspace:
         t = space.multiply(phi, np.eye(len(space)))
     elif subspace.dim == 0:
@@ -659,12 +665,31 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     else:
         t = subspace.basis.conj().T @ space.multiply(phi, subspace.basis)
     s = t.conj().T @ t - t @ t.conj().T
-    return min_eigenvalue(HermitianMatrix(s))
+    return math.ldexp(min_eigenvalue(HermitianMatrix(s)), 2 * e)
+
+
+def _size(phi: Polynomial) -> float:
+    return sum(abs(complex(c)) for g, c in phi.coeffs.items() if any(g))
+
+
+def _normalized(phi: Polynomial) -> tuple:
+    """(psi, e) with psi = (phi - phi(0)) 2^-e, where _size(phi) = sum_{gamma != 0} |c_gamma|
+    = m 2^e, m in [0.5, 1) (math.frexp; e = 0 for a constant phi). Dividing by 2^e is exact:
+    defect_scale refuses the sizes that would make it round, overflow or underflow."""
+    defect_scale(phi)
+    e = math.frexp(_size(phi))[1]
+    unit = 2.0**-e
+    return Polynomial(phi.dim, {g: complex(c) * unit for g, c in phi.coeffs.items() if any(g)}), e
 
 
 def defect_scale(phi: Polynomial) -> float:
-    """(sum_{gamma != 0} |c_gamma|)^2 bounds -compression_defect: shift weights are <= 1."""
-    return sum(abs(complex(c)) for g, c in phi.coeffs.items() if any(g)) ** 2
+    """(sum_{gamma != 0} |c_gamma|)^2 bounds -compression_defect: shift weights are <= 1.
+    Raises InputError unless it is 0 (a constant phi) or a finite normal float."""
+    size = _size(phi)
+    scale = size * size  # not size ** 2, which raises OverflowError
+    if size and not sys.float_info.min <= scale < math.inf:
+        raise InputError(f"multiplier size {size:.3e} squared is outside the normal float range")
+    return scale
 
 
 class ArvesonWitness(NamedTuple):

@@ -56,10 +56,15 @@ class PickProblem:
         return self.kernel.gram(self.nodes)
 
 
-def _pick_from_gram(g: np.ndarray, targets: np.ndarray, t: float) -> HermitianMatrix:
+def _norm_level(t) -> float:
     t = float(t)  # a numpy scalar would warn on overflow in t * t
     if not (t > 0 and 0 < t * t < math.inf):
         raise InputError("norm level t must be positive with t^2 finite")
+    return t
+
+
+def _pick_from_gram(g: np.ndarray, targets: np.ndarray, t: float) -> HermitianMatrix:
+    t = _norm_level(t)
     w = targets
     return HermitianMatrix((t * t - np.outer(w, w.conj())) * g)
 
@@ -75,13 +80,22 @@ def pick_feasible(problem: PickProblem, t: float, tol: float = DEFAULT_TOL) -> P
     For Nevanlinna-Pick kernels this decides existence of an interpolant of
     multiplier norm at most t; for other kernels it is necessary only. The
     verdict is taken on the Gram matrix divided by its gram_scale (largest
-    diagonal entry), so rescaling the kernel does not change it; min_eig is
-    reported in the kernel's own units.
+    diagonal entry), and on t and the targets divided by 2^e, the power of two
+    with max(t, max |w_i|) = m 2^e, m in [0.5, 1) (math.frexp). That division
+    is exact, so neither rescaling the kernel nor rescaling t and the targets
+    together changes the verdict; min_eig is reported in the units of the data.
+    Raises InputError when the square of t or of a target is not finite.
     """
     g = problem.gram().entries
     scale = gram_scale(g)
-    verdict = psd_check(_pick_from_gram(g / scale, problem.targets, t), tol)
-    return replace(verdict, min_eig=verdict.min_eig * scale)
+    t, w = _norm_level(t), problem.targets
+    top = max(t, float(np.max(np.abs(w))))
+    if not top * top < math.inf:
+        raise InputError("a target's squared modulus is beyond the float range")
+    e = math.frexp(top)[1]
+    verdict = psd_check(_pick_from_gram(g / scale, w * 2.0**-e, math.ldexp(t, -e)), tol)
+    # times 4^e in two exact steps: 4.0 ** e itself overflows from e = 512
+    return replace(verdict, min_eig=verdict.min_eig * scale * 2.0**e * 2.0**e)
 
 
 def minimal_interpolation_norm(problem: PickProblem, tol: float = DEFAULT_TOL) -> float:

@@ -371,6 +371,7 @@ def phi_with_exponent(e) -> str:
 
 
 GEOMETRIC = {"type": "geometric_tail", "c": 0.5, "q": 0.5}
+FINITE = {"type": "finite_list", "radii": [0.5]}
 SZEGO = {"type": "power_series", "coeffs": SZEGO_COEFFS}
 SAMPLED = {"type": "sampled", "labels": ["a", "b"]}
 SZEGO_AT_CASE = ["cnp-check", "szego.json", "--points", "case.json"]
@@ -385,6 +386,8 @@ MALFORMED = {
     "gram-row-not-a-list": (["cnp-check", "case.json"], {**SAMPLED, "gram": [[[1, 0], [0, 0]], 5]}),
     "gram-row-ragged": (["cnp-check", "case.json"], {**SAMPLED, "gram": [[[1, 0], [0, 0]], [[1]]]}),
     "prefix-not-a-list": (["blaschke", "case.json"], {**GEOMETRIC, "prefix": 3}),
+    "finite-list-with-prefix": (["blaschke", "case.json"], {**FINITE, "prefix": [0.9]}),
+    "finite-list-with-bad-prefix": (["blaschke", "case.json"], {**FINITE, "prefix": [1.5]}),
     "rational-num-a-list": (["blaschke", "case.json"], {**GEOMETRIC, "c": {"num": [1], "den": 2}}),
     "rational-num-a-float": (["blaschke", "case.json"], {**GEOMETRIC, "c": {"num": 1.5, "den": 2}}),
     "terms-not-a-list": (["fock", "defect", "--phi", '{"dim": 1, "terms": 5}'], None),

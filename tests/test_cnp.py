@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,30 @@ class TestBlaschke:
         zeta_3_2 = 2.6123753486854883
         v = blaschke_classify(PolynomialTail(c=1.0, p=1.5))
         assert v.total == pytest.approx(zeta_3_2 - 1.0, abs=1e-9)
+
+    # zeta(p) - 1 at the double p, rounded to the nearest double from a 200-bit
+    # evaluation (mpmath.zeta, computed once and written out here)
+    ZETA_MINUS_ONE = {
+        1.1: 9.584448464950801,
+        1.5: 1.6123753486854884,
+        2.0: 0.6449340668482264,
+        3.0: 0.2020569031595943,
+        4.0: 0.08232323371113819,
+    }
+
+    @pytest.mark.parametrize("p", ZETA_MINUS_ONE)
+    def test_polynomial_tail_against_zeta(self, p):
+        # a 200,000-term partial sum with an integral bracket was off by 1.8e-14 at p = 1.1
+        want = self.ZETA_MINUS_ONE[p]
+        assert abs(blaschke_classify(PolynomialTail(c=1.0, p=p)).total - want) <= 4e-16 * want
+
+    @pytest.mark.parametrize("p", [1100.0, 1e300])
+    def test_underflowing_tail_leaves_the_prefix(self, p):
+        # every k^-p and every Euler-Maclaurin correction underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = blaschke_classify(PolynomialTail(c=1.0, p=p, prefix=(0.5, 0.75)))
+        assert not v.divergent and v.total == 0.75
 
     def test_prefix_added(self):
         v = blaschke_classify(GeometricTail(c=0.5, q=0.5, prefix=(0.5,)))

@@ -211,6 +211,20 @@ class TestNormLevel:
         p = szego_problem([0.0, 0.5], [0.0, 0.25])
         assert pick_feasible(p, 1e150, 1e-9).is_psd
 
+    def test_target_with_an_infinite_square_refused(self):
+        # the verdict is taken at the power of two of max(t, max |w_i|), which must square finitely
+        p = szego_problem([0.0, 0.5], [0.0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="squared modulus is beyond the float range"):
+                pick_feasible(p, 1.0, 1e-9)
+
+    def test_far_larger_target_is_infeasible(self):
+        # |w| / t = 1e160: the division by 2^e starts from |w|, so w 2^-e stays below 1
+        p = szego_problem([0.0, 0.5], [0.0, 1e10])
+        verdict = pick_feasible(p, 1e-150, 1e-9)
+        assert not verdict.is_psd and verdict.min_eig == pytest.approx(-1e20 / 0.75, rel=1e-12)
+
 
 class TestProblemValidation:
     def test_length_mismatch(self):

@@ -11,7 +11,8 @@ at every scale. The Fock defect verdict is checked under rescaling of the
 multiplier and under a unitary change of variables, in_closure under a
 unitary rotation of the set and the point together, and the closure-step
 verdicts under rescaling of the operator and of the vector. Sampled Grams
-and power-series coefficients are also scaled by 2^k over the whole float
+(Pick included), power-series coefficients, Pick targets with the norm
+level, and Fock multipliers are also scaled by 2^k over the whole float
 range: that scaling is exact, so no verdict may change at all. Random cases
 are drawn by hypothesis when it is installed and from fixed seeds
 otherwise.
@@ -20,6 +21,7 @@ otherwise.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -434,6 +436,8 @@ VERDICT_FIELDS = {
     "cnp-check": ("status",),
     "embed": ("status", "rank"),
     "ratio-check": ("hyponormal_ok", "np_sufficient_ok", "geometric", "first_violation"),
+    "pick": ("mode", "feasible"),
+    "fock defect": ("hyponormal_on_this_model", "span_dim"),
 }
 
 
@@ -442,22 +446,30 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("power_of_two")
 
 
-def verdict(command, kernel, workdir):
-    """Exit code and verdict fields of one run, which must warn nothing."""
+def input_file(data, workdir) -> str:
     fd, path = tempfile.mkstemp(suffix=".json", dir=workdir)  # a new file: rewriting one can be slow
     with os.fdopen(fd, "w") as fh:
-        json.dump(kernel, fh)
+        json.dump(data, fh)
+    return path
+
+
+def run_verdict(command, argv):
+    """Exit code and verdict fields of one run, which must warn nothing."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main([command, path])
+        code = main(command.split() + argv)
     assert not caught, (command, [str(w.message) for w in caught])
     assert err.getvalue() == "", (command, err.getvalue())
     results = json.loads(out.getvalue())["results"]
     if code == 2:
         return code, results["error"]["type"]
     return code, {field: results.get(field) for field in VERDICT_FIELDS[command]}
+
+
+def verdict(command, kernel, workdir):
+    return run_verdict(command, [input_file(kernel, workdir)])
 
 
 def sampled_kernel(g):
@@ -492,6 +504,28 @@ def random_coeffs(rng, name):
         return 1.0 / (n + 1.0)
     steps = np.exp(rng.normal(0.0, 1.0, len(n) - 1))  # random successive ratios
     return np.concatenate([[1.0], np.cumprod(steps)])
+
+
+def complex_lists(values):
+    """Rows of [re, im] pairs, as the input files spell complex numbers."""
+    return [[[v.real, v.imag] for v in row] for row in np.atleast_2d(values)]
+
+
+def pick_verdict(kernel, targets, options, workdir, points=None):
+    """pick on a problem file; nodes are the kernel's labels unless points are given."""
+    nodes = kernel["labels"] if points is None else complex_lists(points)
+    problem = {"kernel": kernel, "nodes": nodes, "targets": complex_lists(targets)[0]}
+    return run_verdict("pick", [input_file(problem, workdir)] + options)
+
+
+def defect_verdict(coeffs, dim, options):
+    terms = [{"exp": list(a), "coeff": [c.real, c.imag]} for a, c in coeffs.items()]
+    return run_verdict("fock defect", ["--phi", json.dumps({"dim": dim, "terms": terms})] + options)
+
+
+def repro_multiplier(c):
+    """c z1 z2 + (c/2) z1^2: defect -0.6686 c^2 on the degree-6 window, 28 monomials."""
+    return {(1, 1): complex(c), (2, 0): complex(c / 2)}
 
 
 class TestPowerOfTwoScaling:
@@ -555,3 +589,92 @@ class TestPowerOfTwoScaling:
         for c in (1.0, 1e50, 1e70):
             kernel = {"type": "power_series", "coeffs": [(n + 1) * c**n for n in range(5)]}
             assert verdict("ratio-check", kernel, workdir) == want, c
+
+    @pytest.mark.parametrize("name", ["szego", "bergman", "ball"])
+    @seeded
+    def test_pick_on_sampled_grams(self, name, seed, workdir):
+        rng = np.random.default_rng(seed)
+        g = random_gram(rng, name)
+        w = 0.8 * disk_points(rng, len(g), 1.0)
+        norm = ["--norm", repr(float(rng.uniform(0.5, 1.5)))]
+        parts = np.concatenate([g.real.ravel(), g.imag.ravel()])
+        lo, hi = exponent_range(parts, np.ones(parts.size))
+        for options in ([], norm):
+            want = pick_verdict(sampled_kernel(g), w, options, workdir)
+            for k in (lo, int(rng.integers(lo, hi + 1)), hi):
+                got = pick_verdict(sampled_kernel(times_power_of_two(g, k)), w, options, workdir)
+                assert got == want, (options, k)
+
+    @seeded
+    def test_pick_targets_and_norm_together(self, seed, workdir):
+        # feasibility depends on w / t only
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+        kernel = {"type": "drury_arveson", "dim": d}
+        points = random_ball_points(rng, n, d)
+        w = 0.8 * disk_points(rng, n, 1.0)
+        t = float(rng.uniform(0.5, 1.5))
+        parts = np.concatenate([w.real, w.imag, [t]])
+        lo, hi = exponent_range(np.square(parts), np.full(parts.size, 2))
+        want = pick_verdict(kernel, w, ["--norm", repr(t)], workdir, points)
+        for k in (lo, int(rng.integers(lo, hi + 1)), hi):
+            options = ["--norm", repr(math.ldexp(t, k))]
+            got = pick_verdict(kernel, times_power_of_two(w, k), options, workdir, points)
+            assert got == want, k
+
+    @pytest.mark.parametrize("span", ["full", "kernel", "powers"])
+    @seeded
+    def test_fock_defect_multipliers(self, span, seed, workdir):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 4))
+        degree = {1: 8, 2: 5, 3: 3}[d]
+        monomials = TruncatedSpace(d, 2).basis
+        picked = rng.choice(len(monomials), size=int(rng.integers(1, 4)), replace=False)
+        coeffs = {monomials[i]: complex(*rng.standard_normal(2)) for i in picked}
+        phi = Polynomial(d, coeffs)
+        options = ["--span", span, "--degree", str(degree)]
+        if span == "kernel":
+            points = {"dim": d, "points": complex_lists(random_ball_points(rng, 3, d))}
+            options += ["--points", input_file(points, workdir)]
+        c = np.array(list(coeffs.values()))
+        parts = np.concatenate([c.real, c.imag])
+        lo, hi = exponent_range(parts, np.ones(parts.size))
+        if defect_scale(phi):
+            squared = exponent_range([defect_scale(phi)], [2])
+            lo, hi = max(lo, squared[0]), min(hi, squared[1])
+        want = defect_verdict(coeffs, d, options)
+        for k in (lo, int(rng.integers(lo, hi + 1)), hi):
+            scaled = {a: complex(*times_power_of_two([v.real, v.imag], k)) for a, v in coeffs.items()}
+            assert defect_verdict(scaled, d, options) == want, k
+
+    # the Drury-Arveson problem of the Pick repro: at norm 1.2 it is
+    # infeasible with min_eig -2.0e-3; scaled by 1e-4 and below, an absolute
+    # floor on t^2 accepted it
+    @pytest.mark.parametrize("s", [1.0, 1e-4, 1e-5, 1e-6])
+    def test_pick_targets_and_norm_scaled_by_decimals(self, s, workdir):
+        kernel = {"type": "drury_arveson", "dim": 1}
+        points = np.array([[0], [0.3], [0.5j], [-0.4]])
+        w = s * np.array([0, 0.1, 0.2, 0.1j])
+        got = pick_verdict(kernel, w, ["--norm", repr(1.2 * s)], workdir, points)
+        assert got == (1, {"mode": "feasibility", "feasible": False})
+
+    def test_defect_over_the_range_of_squares(self):
+        for k in range(-511, 512):
+            got = defect_verdict(repro_multiplier(2.0**k), 2, ["--span", "full", "--degree", "6"])
+            assert got == (1, {"hyponormal_on_this_model": False, "span_dim": 28}), k
+
+    @pytest.mark.parametrize("c", [2.0**512, 2.0**600, 2.0**-512, 2.0**-560])
+    def test_defect_scale_beyond_the_range_refused(self, c):
+        got = defect_verdict(repro_multiplier(c), 2, ["--span", "full", "--degree", "6"])
+        assert got == (2, "InputError")
+
+    # the powers of phi grow like s^k, and the rank rule cut them relative to
+    # the largest, so the span shrank as the scale of phi moved away from 1
+    @pytest.mark.parametrize(
+        "s, degree, span_dim",
+        [(1e3, 12, 7), (1e-3, 12, 7), (2.0**200, 6, 4), (2.0**-200, 6, 4), (2.0**400, 6, 4)],
+    )
+    def test_powers_span_at_every_scale(self, s, degree, span_dim):
+        got = defect_verdict(repro_multiplier(s), 2, ["--span", "powers", "--degree", str(degree)])
+        assert got == (1, {"hyponormal_on_this_model": False, "span_dim": span_dim})
+
