@@ -127,72 +127,75 @@ def _parse_point(x, dim: int, what: str) -> list:
     return [_parse_complex(c, what) for c in _parse_list(x, what, dim, shape)]
 
 
+def _object(x, what: str, required: tuple, optional=()) -> dict:
+    """x itself when it is a JSON object with every required key and no other
+    key than the optional ones. Passing x itself as optional checks the required
+    keys only, as when "type" is read before the branch for that type runs."""
+    if not isinstance(x, dict):
+        raise InputError(f"{what}: expected an object with {', '.join(required)}, got {x!r:.60}")
+    for key in (*required, *x):
+        if key not in x:
+            raise InputError(f'{what}: missing key "{key}"')
+        if key not in required and key not in optional:
+            raise InputError(f"{what}: unknown key {key!r:.60}")
+    return x
+
+
 def _parse_points_obj(obj, what: str) -> PointSet:
-    if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
-        raise InputError(f'{what}: expected {{"dim": d, "points": [...]}}')
+    _object(obj, what, ("dim", "points"))
     dim = _parse_int(obj["dim"], f"{what}.dim", 1)
     pts = [_parse_point(p, dim, what) for p in _parse_list(obj["points"], f"{what}.points")]
     return PointSet(dim, np.array(pts, dtype=np.complex128))
 
 
-def _parse_kernel_obj(obj, what: str, tol: float) -> KernelSpec:
+def _parse_kernel_obj(obj, what: str, tol: float | None) -> KernelSpec:
     """A kernel spec; a sampled Gram matrix is checked PSD at the command's tol."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise InputError(f'{what}: expected an object with a "type" field')
-    kind = obj["type"]
+    kind = _object(obj, what, ("type",), obj)["type"]
     if kind == "power_series":
-        coeffs = _parse_list(obj.get("coeffs"), f"{what}.coeffs")
+        coeffs = _parse_list(_object(obj, what, ("type", "coeffs"))["coeffs"], f"{what}.coeffs")
         return PowerSeriesKernel([_parse_number(c, f"{what}.coeffs") for c in coeffs])
     if kind == "drury_arveson":
-        return DruryArvesonKernel(_parse_int(obj.get("dim"), f"{what}.dim", 1))
+        _object(obj, what, ("type", "dim"))
+        return DruryArvesonKernel(_parse_int(obj["dim"], f"{what}.dim", 1))
     if kind == "sampled":
-        labels = _parse_list(obj.get("labels"), f"{what}.labels")
-        gram = _parse_list(obj.get("gram"), f"{what}.gram")
+        _object(obj, what, ("type", "labels", "gram"))
+        labels = _parse_list(obj["labels"], f"{what}.labels")
+        gram = _parse_list(obj["gram"], f"{what}.gram")
         n = len(gram)
         rows = [_parse_list(r, f"{what}.gram", n, f"a row of {n} entries") for r in gram]
         entries = [[_parse_complex(v, f"{what}.gram") for v in row] for row in rows]
         return SampledGramKernel([str(x) for x in labels], np.array(entries, dtype=complex), tol)
-    raise InputError(f"{what}: unknown kernel type {kind!r}")
+    raise InputError(f"{what}: unknown kernel type {kind!r:.60}")
 
 
 def _parse_family_obj(obj, what: str) -> BlaschkeFamily:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise InputError(f'{what}: expected an object with a "type" field')
-    kind = obj["type"]
+    kind = _object(obj, what, ("type",), obj)["type"]
+
+    def real(key: str) -> float:
+        return float(_parse_number(obj[key], f"{what}.{key}"))
+
+    def radii(key: str) -> tuple:
+        rs = _parse_list(obj.get(key, []), f"{what}.{key}")  # a prefix may be left out
+        return tuple(float(_parse_number(r, f"{what}.{key}")) for r in rs)
+
     if kind == "finite_list":
-        if "prefix" in obj:
-            raise InputError(f"{what}: a finite_list takes no prefix; list every radius in radii")
-        radii = _parse_list(obj.get("radii"), f"{what}.radii")
-        return FiniteRadii(tuple(float(_parse_number(r, f"{what}.radii")) for r in radii))
-    if kind not in ("geometric_tail", "polynomial_tail"):
-        raise InputError(f"{what}: unknown family type {kind!r}")
-    prefix = tuple(
-        float(_parse_number(r, f"{what}.prefix"))
-        for r in _parse_list(obj.get("prefix", []), f"{what}.prefix")
-    )
+        _object(obj, what, ("type", "radii"))
+        return FiniteRadii(radii("radii"))
     if kind == "geometric_tail":
-        return GeometricTail(
-            c=float(_parse_number(obj.get("c"), f"{what}.c")),
-            q=float(_parse_number(obj.get("q"), f"{what}.q")),
-            prefix=prefix,
-        )
-    return PolynomialTail(
-        c=float(_parse_number(obj.get("c"), f"{what}.c")),
-        p=float(_parse_number(obj.get("p"), f"{what}.p")),
-        prefix=prefix,
-    )
+        _object(obj, what, ("type", "c", "q"), ("prefix",))
+        return GeometricTail(c=real("c"), q=real("q"), prefix=radii("prefix"))
+    if kind == "polynomial_tail":
+        _object(obj, what, ("type", "c", "p"), ("prefix",))
+        return PolynomialTail(c=real("c"), p=real("p"), prefix=radii("prefix"))
+    raise InputError(f"{what}: unknown family type {kind!r:.60}")
 
 
 def _parse_poly_obj(obj, what: str) -> fock.Polynomial:
-    if not isinstance(obj, dict) or "dim" not in obj or "terms" not in obj:
-        raise InputError(
-            f'{what}: expected {{"dim": d, "terms": [{{"exp": [...], "coeff": ...}}]}}'
-        )
+    _object(obj, what, ("dim", "terms"))
     dim = _parse_int(obj["dim"], f"{what}.dim", 1)
     coeffs = {}
     for t in _parse_list(obj["terms"], f"{what}.terms"):
-        if not isinstance(t, dict) or "exp" not in t or "coeff" not in t:
-            raise InputError(f'{what}: each term needs "exp" and "coeff"')
+        _object(t, f"{what}.terms", ("exp", "coeff"))
         exp = _parse_list(t["exp"], f"{what}.exp", dim, f"{dim} exponents")
         key = tuple(_parse_int(e, f"{what}.exp", 0) for e in exp)
         c = _parse_coeff(t["coeff"], f"{what}.coeff")
@@ -235,8 +238,8 @@ def _encode(x):
     """json's default hook: the file form of each value json does not know."""
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, np.ndarray):
-        return x.tolist()
+    if isinstance(x, np.ndarray):  # a complex array as [re, im] pairs, in one pass
+        return np.stack((x.real, x.imag), -1).tolist() if np.iscomplexobj(x) else x.tolist()
     if isinstance(x, np.generic):
         return x.item()
     if isinstance(x, Fraction):
@@ -373,7 +376,7 @@ TOL = _arg(
 )
 FORMAT = _arg("--format", choices=("json", "text"), default="json")
 GROUPS = {"fock": "exact truncated ball-kernel computations"}
-COMMANDS: dict = {}  # name -> (handler, help, arguments besides TOL and FORMAT)
+COMMANDS: dict = {}  # name -> (handler, help, arguments besides FORMAT)
 
 
 def _command(name: str, help_text: str, *arguments):
@@ -387,7 +390,7 @@ def _command(name: str, help_text: str, *arguments):
     return enter
 
 
-@_command("cnp-check", "sample-level complete Nevanlinna-Pick test", KERNEL, POINTS, BASE)
+@_command("cnp-check", "sample-level complete Nevanlinna-Pick test", KERNEL, POINTS, BASE, TOL)
 def _cmd_cnp_check(args, loader):
     g, labels = _load_gram(args, loader)
     verdict = cnp_sample_check(g, _check_base(args.base, g.n), args.tol)
@@ -402,10 +405,10 @@ def _cmd_cnp_check(args, loader):
 
 @_command("ratio-check", "coefficient ratio tests for disk kernels", SERIES)
 def _cmd_ratio_check(args, loader):
-    spec = _parse_kernel_obj(loader.load_json(args.kernel, "kernel"), "kernel", args.tol)
-    if not isinstance(spec, PowerSeriesKernel):
+    obj = loader.load_json(args.kernel, "kernel")
+    if _object(obj, "kernel", ("type",), obj)["type"] != "power_series":  # so no tol is read
         raise InputError("ratio-check applies to power_series kernels only")
-    report = ratio_report(spec.coeffs)
+    report = ratio_report(_parse_kernel_obj(obj, "kernel", None).coeffs)
     results = {
         "hyponormal_ok": report.hyponormal_ok,
         "np_sufficient_ok": report.np_ok,
@@ -419,22 +422,14 @@ def _cmd_ratio_check(args, loader):
     return results, (0 if report.hyponormal_ok else 1)
 
 
-@_command("pick", "Pick feasibility or minimal interpolation norm", PROBLEM, NORM)
+@_command("pick", "Pick feasibility or minimal interpolation norm", PROBLEM, NORM, TOL)
 def _cmd_pick(args, loader):
     obj = loader.load_json(args.problem, "problem")
-    if not isinstance(obj, dict) or not {"kernel", "nodes", "targets"} <= obj.keys():
-        raise InputError('problem: expected {"kernel": ..., "nodes": [...], "targets": [...]}')
+    _object(obj, "problem", ("kernel", "nodes", "targets"))
     spec = _parse_kernel_obj(obj["kernel"], "problem.kernel", args.tol)
     targets_raw = _parse_list(obj["targets"], "problem.targets")
+    targets = [_parse_complex(t, "problem.targets") for t in targets_raw]
     nodes_raw = _parse_list(obj["nodes"], "problem.nodes")
-    if not targets_raw or not nodes_raw:
-        raise InputError("problem.nodes and problem.targets must be non-empty")
-    for t in targets_raw:
-        if isinstance(t, list) and t and isinstance(t[0], list):
-            raise InputError("matrix-valued targets are not supported")
-    targets = np.array(
-        [_parse_complex(t, "problem.targets") for t in targets_raw], dtype=np.complex128
-    )
     if isinstance(spec, SampledGramKernel):
         nodes = [str(x) for x in nodes_raw]
     else:
@@ -455,7 +450,7 @@ def _cmd_pick(args, loader):
     return {"mode": "minimal_norm", "minimal_norm": t_star}, 0
 
 
-@_command("embed", "realize a sample inside the unit ball", KERNEL, POINTS, BASE)
+@_command("embed", "realize a sample inside the unit ball", KERNEL, POINTS, BASE, TOL)
 def _cmd_embed(args, loader):
     g, labels = _load_gram(args, loader)
     base = _check_base(args.base, g.n)
@@ -477,7 +472,9 @@ def _cmd_embed(args, loader):
     }, 0
 
 
-@_command("reconstruct", "classify a sample and factor through the disk", KERNEL, POINTS, BASE)
+@_command(
+    "reconstruct", "classify a sample and factor through the disk", KERNEL, POINTS, BASE, TOL
+)
 def _cmd_reconstruct(args, loader):
     g, labels = _load_gram(args, loader)
     base = _check_base(args.base, g.n)
@@ -498,7 +495,7 @@ def _cmd_reconstruct(args, loader):
     return out, 0
 
 
-@_command("partition", "split a sample into irreducible blocks", KERNEL, POINTS)
+@_command("partition", "split a sample into irreducible blocks", KERNEL, POINTS, TOL)
 def _cmd_partition(args, loader):
     g, labels = _load_gram(args, loader)
     classes = irreducible_partition(unit_diagonal(g), args.tol)
@@ -516,7 +513,7 @@ def _cmd_blaschke(args, loader):
     }, 0
 
 
-@_command("closure", "kernel-span membership for a point", SET_Y, Z, DEGREE)
+@_command("closure", "kernel-span membership for a point", SET_Y, Z, DEGREE, TOL)
 def _cmd_closure(args, loader):
     pts = _parse_points_obj(loader.load_json(args.points, "points"), "points")
     z = _parse_point(_parse_json_arg(args.z, "--z"), pts.dim, "--z")
@@ -561,13 +558,15 @@ def _cmd_fock_balance(args, loader):
 @_command(
     "fock defect",
     "self-commutator defect of a compressed multiplier",
-    PHI, SPAN, COUNT, POINTS, DEGREE,
+    PHI, SPAN, COUNT, POINTS, DEGREE, TOL,
 )
 def _cmd_fock_defect(args, loader):
+    if args.count is not None and args.span != "powers":
+        raise InputError("--count applies to --span powers only")
+    if (args.points is None) == (args.span == "kernel"):
+        raise InputError("--points goes with --span kernel, and --span kernel needs --points")
     phi = _parse_poly_obj(_parse_json_arg(args.phi, "--phi"), "--phi")
     if args.span == "kernel":  # vanishing_subspace builds its own window
-        if args.points is None:
-            raise InputError("--span kernel needs --points")
         pts = _parse_points_obj(loader.load_json(args.points, "points"), "points")
         if pts.dim != phi.dim:
             raise InputError("points dimension does not match the multiplier")
@@ -612,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
             group_parser = sub.add_parser(group, help=GROUPS[group])
             groups[group] = group_parser.add_subparsers(dest=f"{group}_command", required=True)
         p = (groups[group] if group else sub).add_parser(leaf, help=help_text)
-        for names, options in arguments + (TOL, FORMAT):
+        for names, options in arguments + (FORMAT,):
             p.add_argument(*names, **options)
         p.set_defaults(handler=handler)
     return parser

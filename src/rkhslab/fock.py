@@ -483,7 +483,7 @@ class TruncatedSpace:
         pts = zv if zv.ndim == 2 else np.atleast_1d(zv)[None, :]
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InputError(f"point must have {self.dim} coordinates")
-        if np.any(np.linalg.norm(pts, axis=1) >= 1.0):
+        if not np.all(np.linalg.norm(pts, axis=1) < 1.0):  # a NaN coordinate fails too
             raise DomainError("point must lie inside the open unit ball")
         zc = np.conjugate(pts)
         u = np.empty((len(pts), len(self)), dtype=np.complex128)
@@ -581,11 +581,9 @@ def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubsp
     """Orthonormalized span of 1, phi, ..., phi^count, built as that of 1, psi,
     ..., psi^count for psi = (phi - phi(0)) 2^-e (see _normalized), each power the
     shift-table product of psi with the one before, so the rank rule sees no
-    scale of phi. All must fit the window."""
-    if count * phi.degree > space.degree:
-        raise WindowOverflowError(
-            f"phi^{count} of degree {count * phi.degree} does not fit degree {space.degree}"
-        )
+    scale of phi. All must fit the window, and count <= degree // max(deg phi, 1)."""
+    if count * max(phi.degree, 1) > space.degree:
+        raise WindowOverflowError(f"count {count}: more powers than degree {space.degree} holds")
     psi = _normalized(phi)[0]
     cols = np.zeros((len(space), count + 1), dtype=np.complex128)
     cols[0, 0] = 1.0  # the constant 1, of norm 1

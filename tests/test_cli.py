@@ -318,6 +318,12 @@ class TestErrorPaths:
         assert code == 2
         assert "not valid JSON" in report["results"]["error"]["message"]
 
+    @pytest.mark.parametrize("z", ["[[NaN,0],[0,0]]", "[[0,NaN],[0,0]]"])
+    def test_closure_refuses_a_nan_point(self, z, corpus, capsys):
+        argv = ["closure", "--points", corpus / "pts2.json", "--z", z]
+        code, report, _ = run(capsys, argv)
+        assert code == 2 and report["results"]["error"]["type"] == "DomainError"
+
     def test_integer_beyond_float_range_refused(self, corpus, capsys):
         huge = 10**400
         family = corpus / "huge.json"
@@ -375,6 +381,9 @@ FINITE = {"type": "finite_list", "radii": [0.5]}
 SZEGO = {"type": "power_series", "coeffs": SZEGO_COEFFS}
 SAMPLED = {"type": "sampled", "labels": ["a", "b"]}
 SZEGO_AT_CASE = ["cnp-check", "szego.json", "--points", "case.json"]
+KERNEL_AT_CASE = ["cnp-check", "case.json", "--points", "pts.json"]
+PROBLEM = {"kernel": SZEGO, "nodes": [[[0.0, 0.0]], [[0.5, 0.0]]], "targets": [[0, 0], [0.25, 0]]}
+TERM = {"exp": [1], "coeff": 1}
 
 # (argv, content of case.json, written as JSON, or as it is when a string):
 # malformed shapes, most of which used to crash with a traceback or be
@@ -434,6 +443,66 @@ MALFORMED = {
         ["ratio-check", "case.json"],
         '{"type": "power_series", "coeffs": [1, 1e400, 1]}',
     ),
+    # one key outside each kind of object, which the parser used to drop
+    "points-unknown-key": (SZEGO_AT_CASE, {"dim": 1, "points": [[[0.5, 0.0]]], "weights": [1]}),
+    "problem-with-norm": (["pick", "case.json"], {**PROBLEM, "norm": 0.1}),
+    "phi-unknown-key": (
+        ["fock", "defect", "--phi", json.dumps({"dim": 1, "terms": [TERM], "degree": 3})],
+        None,
+    ),
+    "term-unknown-key": (
+        ["fock", "defect", "--phi", json.dumps({"dim": 1, "terms": [{**TERM, "scale": 2}]})],
+        None,
+    ),
+    "power-series-unknown-key": (KERNEL_AT_CASE, {**SZEGO, "dim": 1}),
+    "drury-arveson-unknown-key": (KERNEL_AT_CASE, {"type": "drury_arveson", "dim": 1, "coeffs": [1]}),
+    "sampled-unknown-key": (
+        ["cnp-check", "case.json"],
+        {**SAMPLED, "gram": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "points": []},
+    ),
+    "finite-list-unknown-key": (["blaschke", "case.json"], {**FINITE, "q": 0.5}),
+    "geometric-tail-unknown-key": (["blaschke", "case.json"], {**GEOMETRIC, "p": 2}),
+    "polynomial-tail-unknown-key": (
+        ["blaschke", "case.json"],
+        {"type": "polynomial_tail", "c": 0.5, "p": 2, "q": 0.9, "radii": [0.1]},
+    ),
+    "prefix-misspelled": (["blaschke", "case.json"], {**GEOMETRIC, "prefx": [0.5]}),
+    "problem-not-an-object": (["pick", "case.json"], [SZEGO, [], []]),
+    "kernel-type-not-a-string": (KERNEL_AT_CASE, {"type": ["power_series"], "coeffs": [1]}),
+    "power-series-without-coeffs": (KERNEL_AT_CASE, {"type": "power_series"}),
+    "geometric-tail-without-q": (["blaschke", "case.json"], {"type": "geometric_tail", "c": 0.5}),
+    "count-without-powers-span": (
+        ["fock", "defect", "--phi", phi_with_exponent(1), "--span", "full", "--count", "3"],
+        None,
+    ),
+    "points-without-kernel-span": (
+        ["fock", "defect", "--phi", phi_with_exponent(1), "--span", "powers", "--points", "pts.json"],
+        None,
+    ),
+}
+
+# the key or option each refusal names
+NAMED = {
+    "points-unknown-key": "points: unknown key 'weights'",
+    "problem-with-norm": "problem: unknown key 'norm'",
+    "phi-unknown-key": "--phi: unknown key 'degree'",
+    "term-unknown-key": "--phi.terms: unknown key 'scale'",
+    "power-series-unknown-key": "kernel: unknown key 'dim'",
+    "drury-arveson-unknown-key": "kernel: unknown key 'coeffs'",
+    "sampled-unknown-key": "kernel: unknown key 'points'",
+    "finite-list-unknown-key": "family: unknown key 'q'",
+    "geometric-tail-unknown-key": "family: unknown key 'p'",
+    "polynomial-tail-unknown-key": "family: unknown key 'q'",
+    "prefix-misspelled": "family: unknown key 'prefx'",
+    "finite-list-with-prefix": "family: unknown key 'prefix'",
+    "kernel-without-type": 'kernel: missing key "type"',
+    "power-series-without-coeffs": 'kernel: missing key "coeffs"',
+    "geometric-tail-without-q": 'family: missing key "q"',
+    "problem-without-targets": 'problem: missing key "targets"',
+    "term-without-coeff": 'missing key "coeff"',
+    "count-without-powers-span": "--count",
+    "points-without-kernel-span": "--points",
+    "kernel-span-without-points": "--points",
 }
 
 # [re, im] pairs that are not two plain floats take the generic number path,
@@ -458,6 +527,14 @@ class TestMalformedShapes:
         assert code == 2 and report["exit_code"] == 2
         assert list(report["results"]) == ["error"]
         assert report["results"]["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("case", NAMED)
+    def test_refusal_names_the_key_or_option(self, case, corpus, capsys):
+        argv, content = MALFORMED[case]
+        if content is not None:
+            (corpus / "case.json").write_text(json.dumps(content))
+        _, report, _ = run(capsys, in_corpus(corpus, argv))
+        assert NAMED[case] in report["results"]["error"]["message"]
 
     @pytest.mark.parametrize("case", COMPLEX_REFUSALS)
     def test_complex_refusals_keep_their_messages(self, case, corpus, capsys):
@@ -486,8 +563,25 @@ class TestArgumentRules:
     COMMANDS = [
         ["cnp-check", "bergman.json", "--points", "pts.json"],
         ["partition", "szego.json", "--points", "pts.json"],
-        ["fock", "arveson"],
+        ["fock", "defect", "--phi", phi_with_exponent(1)],
     ]
+    # commands whose verdicts read no tolerance
+    NO_TOL = [
+        ["ratio-check", "szego.json"],
+        ["blaschke", "geo.json"],
+        ["fock", "arveson"],
+        ["fock", "balance", "--z", "[[0.5,0],[0.5,0]]"],
+    ]
+
+    @pytest.mark.parametrize("command", NO_TOL, ids=lambda c: " ".join(c[:2]))
+    def test_tol_is_a_usage_error_where_no_verdict_reads_it(self, command, corpus, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(in_corpus(corpus, command) + ["--tol", "1e-9"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol" in captured.err
+        code, report, _ = run(capsys, in_corpus(corpus, command))
+        assert code == 0 and "tol" not in report["parameters"]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9", "abc"])
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
@@ -520,6 +614,15 @@ class TestArgumentRules:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--count" in captured.err
+
+    @pytest.mark.parametrize("phi", [phi_with_exponent(0), '{"dim": 1, "terms": []}'])
+    def test_count_of_a_constant_is_bounded_by_the_degree(self, phi, capsys):
+        argv = ["fock", "defect", "--phi", phi, "--span", "powers", "--degree", "12", "--count"]
+        code, report, _ = run(capsys, argv + ["13"])
+        assert code == 2 and report["results"]["error"]["type"] == "WindowOverflowError"
+        assert "count 13" in report["results"]["error"]["message"]
+        code, report, _ = run(capsys, argv + ["12"])
+        assert code == 0 and report["results"]["span_dim"] == 1
 
     def test_count_zero_spans_the_constants(self, capsys):
         argv = ["fock", "defect", "--phi", phi_with_exponent(1), "--span", "powers", "--count", "0"]

@@ -379,6 +379,14 @@ class TestFockSubspaceSpan:
         assert json.loads(capsys.readouterr().out)["results"]["span_dim"] == m
         assert shapes == [(120, m), (120, m)]
 
+    @pytest.mark.parametrize("phi", [Polynomial.constant(1, 2), Polynomial(1, {})])
+    def test_powers_of_a_constant_get_the_window_degree(self, phi):
+        # count * deg(phi) is 0 or negative here, so only the degree bounds count
+        space = TruncatedSpace(1, 12)
+        assert powers_span(space, phi, 12).dim == 1
+        with pytest.raises(WindowOverflowError, match="count 13: more powers than degree 12"):
+            powers_span(space, phi, 13)
+
 
 class TestInClosure:
     def test_members_of_y(self, rng):
@@ -391,6 +399,12 @@ class TestInClosure:
         pts = PointSet(2, [[0.0, 0.0], [0.5, 0.0]])
         member, residual = in_closure(np.array([0.3, 0.0]), pts, 8, tol=1e-8)
         assert not member and residual > 0.01
+
+    @pytest.mark.parametrize("coordinate", [float("nan"), complex(0.0, float("nan"))])
+    def test_rejects_a_nan_point(self, coordinate):
+        # a NaN norm fails every comparison, so a test for norm >= 1 lets it by
+        with pytest.raises(DomainError):
+            in_closure(np.array([coordinate, 0.0]), PointSet(2, [[0.0, 0.0]]), 4)
 
     @pytest.mark.parametrize("tol", [0.0, float("nan")])
     def test_rejects_nonpositive_or_nan_tol(self, tol):
