@@ -25,7 +25,6 @@ raises instead of truncating when the input itself does not fit.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections.abc import Mapping
@@ -395,22 +394,6 @@ def mult_adjoint_apply(phi: Polynomial, f: Polynomial, degree: int) -> Polynomia
     return Polynomial(f.dim, acc)
 
 
-def _graded_basis(dim: int, degree: int) -> tuple:
-    out = []
-    for total in range(degree + 1):
-        stars = []
-        for cuts in itertools.combinations(range(total + dim - 1), dim - 1):
-            prev = -1
-            alpha = []
-            for c in cuts:
-                alpha.append(c - prev - 1)
-                prev = c
-            alpha.append(total + dim - 1 - prev - 1)
-            stars.append(tuple(alpha))
-        out.extend(sorted(stars))
-    return tuple(out)
-
-
 class TruncatedSpace:
     """Ordered monomial basis of the degree-bounded polynomial space.
 
@@ -419,11 +402,15 @@ class TruncatedSpace:
     reproducible. Coordinates are isometric: the coefficient of z^alpha is
     scaled by ||z^alpha||, making the standard inner product of coordinate
     vectors equal to the space's weighted inner product. Multiplication
-    acts through per-monomial shift tables kept on the instance; no operator
-    matrix is ever formed.
+    acts through per-monomial shift tables kept on the instance; only
+    matrix, for the full-window compression, forms an operator matrix.
+    A window is built by array arithmetic, with no Python work per monomial:
+    exponent rows in order, one coordinate at a time; weights sqrt(1/M),
+    M = |alpha|!/alpha! and 1/M correctly rounded, in floats where M < 2^53
+    and by Python ints past it; positions by one ranking formula (index).
     """
 
-    __slots__ = ("dim", "degree", "basis", "norms_sq", "exponents", "_pos", "_sqrt_norms", "_shifts")
+    __slots__ = ("dim", "degree", "exponents", "_choose", "_sqrt_norms", "_shifts")
 
     def __init__(self, dim: int, degree: int):
         if not isinstance(dim, int) or dim < 1:
@@ -432,20 +419,52 @@ class TruncatedSpace:
             raise InputError("degree must be a non-negative integer")
         self.dim = dim
         self.degree = degree
-        self.basis = _graded_basis(dim, degree)
-        self.norms_sq = tuple(monomial_norm_sq(a) for a in self.basis)
-        self.exponents = np.array(self.basis, dtype=np.int64)
-        self._pos = {a: i for i, a in enumerate(self.basis)}
-        self._sqrt_norms = np.sqrt(np.array([float(w) for w in self.norms_sq]))
+        s = np.arange(degree + 1)[:, None]  # suffix sums s_j = alpha_j + ... + alpha_{d-1}
+        for _ in range(dim - 1):  # each row spawns s_{j+1} = s_j, s_j - 1, ..., 0
+            counts = s[:, -1] + 1
+            ends = np.cumsum(counts)
+            nxt = np.repeat(ends - 1, counts) - np.arange(ends[-1])
+            s = np.column_stack((np.repeat(s, counts, axis=0), nxt))
+        self.exponents = s.copy()
+        self.exponents[:, :-1] -= s[:, 1:]  # alpha_j = s_j - s_{j+1}
+        # b[k, r] = C(r - 1 + k, k), each row the running sum of the one before: sums of
+        # integers round monotonically, so b is exact below 2^53 and >= 2^53 (or inf) above.
+        # index reads k <= d; M = prod_{j < d-1} C(s_j, alpha_j) reads k = alpha_j <= degree.
+        b = self._choose = np.zeros((max(dim, degree if dim > 1 else 0) + 1, degree + 2))
+        b[0, 1:] = 1.0
+        m = np.ones(len(s))
+        with np.errstate(over="ignore"):
+            for k in range(1, len(b)):
+                np.add.accumulate(b[k - 1], out=b[k])
+            for j in range(dim - 1):  # C(s_j, alpha_j) = C(s_{j+1} + alpha_j, alpha_j)
+                m *= b[self.exponents[:, j], s[:, j + 1] + 1]
+        norms_sq = 1.0 / m
+        big = np.flatnonzero(m >= 2.0**53)
+        if big.size:  # there 1 / M in Python ints, also correctly rounded
+            rows = zip(s[big, :-1].tolist(), self.exponents[big, :-1].tolist())
+            norms_sq[big] = [1 / math.prod(map(math.comb, *row)) for row in rows]
+        self._sqrt_norms = np.sqrt(norms_sq)
         self._shifts: dict = {}
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return len(self.exponents)
 
     def size_at_most(self, degree: int) -> int:
         """Number of basis monomials of total degree <= degree; the graded
         order puts them first."""
         return math.comb(degree + self.dim, self.dim) if degree >= 0 else 0
+
+    def index(self, exps) -> np.ndarray:
+        """Basis positions of exponent rows of degree <= self.degree: C(n + d, d) - 1 for
+        alpha of degree n, less the degree-n monomials after it, which for each j >= 1 are
+        the C(s_j - 1 + d - j, d - j) equal to alpha before j - 1 and larger there."""
+        s = np.array(np.reshape(exps, (-1, self.dim)), dtype=np.int64)
+        for j in range(self.dim - 2, -1, -1):
+            s[:, j] += s[:, j + 1]  # suffix sums s_j = alpha_j + ... + alpha_{d-1}
+        pos = self._choose[self.dim, s[:, 0] + 1] - 1
+        for j in range(1, self.dim):
+            pos -= self._choose[self.dim - j, s[:, j]]
+        return pos.astype(np.intp)
 
     def iso_vector(self, p: Polynomial) -> np.ndarray:
         """Isometric coordinates of a polynomial of fitting degree."""
@@ -455,21 +474,18 @@ class TruncatedSpace:
             raise WindowOverflowError(
                 f"polynomial of degree {p.degree} does not fit degree {self.degree}"
             )
-        u = np.zeros(len(self.basis), dtype=np.complex128)
-        for alpha, c in p.coeffs.items():
-            i = self._pos[alpha]
+        u = np.zeros(len(self), dtype=np.complex128)
+        for c, i in zip(p.coeffs.values(), self.index(list(p.coeffs))):
             u[i] = complex(c) * self._sqrt_norms[i]
         return u
 
     def polynomial(self, u: np.ndarray) -> Polynomial:
         """Polynomial (numeric path) with the given isometric coordinates."""
         u = np.asarray(u, dtype=np.complex128)
-        if u.shape != (len(self.basis),):
-            raise InputError(f"coordinate vector must have length {len(self.basis)}")
-        return Polynomial(
-            self.dim,
-            {a: u[i] / self._sqrt_norms[i] for i, a in enumerate(self.basis) if u[i] != 0},
-        )
+        if u.shape != (len(self),):
+            raise InputError(f"coordinate vector must have length {len(self)}")
+        nz = np.flatnonzero(u)
+        return Polynomial(self.dim, zip(self.exponents[nz].tolist(), u[nz] / self._sqrt_norms[nz]))
 
     def kernel_vector(self, z) -> np.ndarray:
         """Isometric coordinates of the truncated kernel function at z.
@@ -505,9 +521,10 @@ class TruncatedSpace:
         gamma = tuple(gamma)
         table = self._shifts.get(gamma)
         if table is None:
+            if len(gamma) != self.dim:
+                raise InputError("dimension mismatch")
             count = self.size_at_most(self.degree - sum(gamma))
-            targets = (self.exponents[:count] + np.array(gamma, dtype=np.int64)).tolist()
-            dst = np.array([self._pos[tuple(a)] for a in targets], dtype=np.intp)
+            dst = self.index(self.exponents[:count] + np.array(gamma, dtype=np.int64))
             table = (slice(0, count), dst, self._sqrt_norms[dst] / self._sqrt_norms[:count])
             self._shifts[gamma] = table
         return table
@@ -537,6 +554,15 @@ class TruncatedSpace:
         if adjoint:
             out[self.size_at_most(self.degree - phi.degree) :] = 0
         return out
+
+    def matrix(self, phi: Polynomial) -> np.ndarray:
+        """multiply(phi, identity), entry for entry: entry (dst, src) of the table of
+        gamma gets its one term c_gamma * weight, added to zero as multiply adds it."""
+        t = np.zeros((len(self), len(self)), dtype=np.complex128)
+        for gamma, c in phi.coeffs.items():
+            _, dst, weight = self.shift(gamma)
+            t[dst, np.arange(len(dst))] += complex(c) * weight
+        return t
 
     def __repr__(self):
         return f"TruncatedSpace(dim={self.dim}, degree={self.degree}, size={len(self)})"
@@ -610,6 +636,8 @@ def vanishing_subspace(points: PointSet, degree: int) -> VanishingSubspaces:
     evaluation nullspace and the kernel span are exact orthocomplements.
     Only the complement is built, by FockSubspace.span; the ideal on read.
     """
+    if degree < 1:  # every kernel function of the degree-0 window is the constant 1
+        raise InputError("degree must be at least 1")
     space = TruncatedSpace(points.dim, degree)
     if len(points) > len(space):
         m = len(space)
@@ -642,7 +670,7 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
 
     The compressed matrix is B* (M_phi B) for the orthonormal basis B of F,
     with M_phi B applied through the shift tables. A TruncatedSpace stands
-    for its whole window, whose compression is the table operator itself.
+    for its whole window, whose compression is its matrix(phi) itself.
     Components of the products beyond the window are orthogonal to the
     window and drop out of the compression exactly, so no degree headroom
     is needed. The constant term (c I, which commutes) is dropped with its
@@ -657,7 +685,7 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
         raise InputError("dimension mismatch")
     phi, e = _normalized(phi)
     if space is subspace:
-        t = space.multiply(phi, np.eye(len(space)))
+        t = space.matrix(phi)
     elif subspace.dim == 0:
         return 0.0
     else:

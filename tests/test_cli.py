@@ -324,6 +324,17 @@ class TestErrorPaths:
         code, report, _ = run(capsys, argv)
         assert code == 2 and report["results"]["error"]["type"] == "DomainError"
 
+    def test_closure_refuses_the_degree_zero_window(self, corpus, capsys):
+        # there every kernel function is the constant 1, so any z would be a member
+        points = corpus / "origin2.json"
+        points.write_text('{"dim": 2, "points": [[[0, 0], [0, 0]]]}')
+        argv = ["closure", "--points", points, "--z", "[[0.9,0],[0,0.3]]", "--degree"]
+        code, report, _ = run(capsys, argv + ["0"])
+        assert code == 2 and report["results"]["error"]["type"] == "InputError"
+        assert "degree must be at least 1" in report["results"]["error"]["message"]
+        code, report, _ = run(capsys, argv + ["1"])
+        assert code == 1 and report["results"]["member"] is False
+
     def test_integer_beyond_float_range_refused(self, corpus, capsys):
         huge = 10**400
         family = corpus / "huge.json"

@@ -24,6 +24,19 @@ def written(tree) -> str:
     return buf.getvalue()
 
 
+def random_complex_array(rng):
+    """0 to 3 axes, some of length 0; each part a normal draw, NaN, +-inf or -0.0."""
+    x = np.empty(tuple(rng.integers(0, 3, size=rng.integers(0, 4))), dtype=np.complex128)
+    pool = np.array(SPECIAL_FLOATS + list(rng.standard_normal(4)))
+    x.real, x.imag = rng.choice(pool, size=(2, *x.shape))
+    return x
+
+
+def pairs(x):
+    """A complex array as nested lists of [re, im], element by element."""
+    return [pairs(v) for v in x] if np.ndim(x) else [float(np.real(x)), float(np.imag(x))]
+
+
 def random_leaf(rng):
     kinds = [
         lambda: SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))],
@@ -40,6 +53,7 @@ def random_leaf(rng):
         lambda: Fraction(int(rng.integers(-(10**12), 10**12)), int(rng.integers(1, 10**12))),
         lambda: fock.QQi(Fraction(1, int(rng.integers(1, 9))), int(rng.integers(-5, 5))),
         lambda: rng.standard_normal(tuple(rng.integers(0, 3, size=rng.integers(1, 3)))),
+        lambda: random_complex_array(rng),
     ]
     return kinds[rng.integers(len(kinds))]()
 
@@ -66,3 +80,11 @@ def test_writer_matches_json_dumps(seed):
 def test_empty_containers_at_every_depth():
     tree = {"a": {}, "b": [], "c": (), "d": [{}, [], (), {"e": [[], {"f": {}}]}]}
     assert written(tree) == reference(tree)
+
+
+@seeded_by(200)
+def test_complex_array_encodes_as_pairs(seed):
+    x = random_complex_array(np.random.default_rng(seed))
+    # json.dumps tells NaN, -0.0 and the infinities apart, where == would not
+    assert json.dumps(cli._encode(x)) == json.dumps(pairs(x))
+    assert written({"x": x}) == reference({"x": pairs(x)})

@@ -237,7 +237,7 @@ class TestMultAdjoint:
 class TestTruncatedSpace:
     def test_graded_lex_order(self):
         space = TruncatedSpace(2, 2)
-        assert space.basis == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+        assert space.exponents.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
 
     def test_iso_round_trip(self, rng):
         space = TruncatedSpace(2, 4)
@@ -294,11 +294,12 @@ class TestVanishingSubspace:
         space = spaces.complement.space
         rows = [
             np.array(
-                [np.prod(y ** np.array(alpha)) for alpha in space.basis], dtype=complex
+                [np.prod(y**alpha) for alpha in space.exponents], dtype=complex
             )
             for y in pts.points
         ]
-        sqrt_w = np.array([math.sqrt(float(w)) for w in space.norms_sq])
+        norms_sq = [monomial_norm_sq(tuple(a)) for a in space.exponents.tolist()]
+        sqrt_w = np.array([math.sqrt(float(w)) for w in norms_sq])
         e = np.vstack(rows) / sqrt_w
         _, s, vh = np.linalg.svd(e, full_matrices=True)
         rank = int(np.sum(s > s[0] * max(e.shape) * np.finfo(float).eps))
@@ -405,6 +406,16 @@ class TestInClosure:
         # a NaN norm fails every comparison, so a test for norm >= 1 lets it by
         with pytest.raises(DomainError):
             in_closure(np.array([coordinate, 0.0]), PointSet(2, [[0.0, 0.0]]), 4)
+
+    def test_rejects_the_degree_zero_window(self):
+        # its only kernel function is the constant 1, so every z would be a member
+        pts = PointSet(2, [[0.0, 0.0]])
+        for degree in (0, -1):
+            with pytest.raises(InputError, match="degree must be at least 1"):
+                in_closure(np.array([0.9, 0.3j]), pts, degree)
+            with pytest.raises(InputError, match="degree must be at least 1"):
+                vanishing_subspace(pts, degree)
+        assert not in_closure(np.array([0.9, 0.3j]), pts, 1).member
 
     @pytest.mark.parametrize("tol", [0.0, float("nan")])
     def test_rejects_nonpositive_or_nan_tol(self, tol):

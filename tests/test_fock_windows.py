@@ -1,12 +1,15 @@
 """The shift-table Fock engine against the dict-path code it replaces.
 
 Each reference below is the dict-based computation written out: the
-compressed matrix assembled from k^2 inner products of Polynomial products,
-the kernel vector built monomial by monomial, and the tail balance through
+window's basis enumerated with itertools, its weights from the exact
+monomial norms and its positions from a dict, the compressed matrix
+assembled from k^2 inner products of Polynomial products, the kernel vector
+built monomial by monomial, and the tail balance through
 truncated_kernel_fn, mult_adjoint_apply and norm_sq. Random cases are drawn
 by hypothesis when it is installed and from fixed seeds otherwise.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,6 +26,7 @@ from rkhslab.fock import (
     compression_defect,
     defect_scale,
     inner_product,
+    monomial_norm_sq,
     mult_adjoint_apply,
     norm_sq,
     pairing,
@@ -44,6 +48,22 @@ FAULT_Z = [0.5 + 0.1j, 0.3 - 0.2j]
 FAULT_DEGREE = 60
 
 
+def graded_basis(dim: int, degree: int) -> tuple:
+    """Exponent tuples by total degree, each degree in tuple order (stars and bars)."""
+    out = []
+    for total in range(degree + 1):
+        stars = []
+        for cuts in itertools.combinations(range(total + dim - 1), dim - 1):
+            bounds = (-1, *cuts, total + dim - 1)
+            stars.append(tuple(b - a - 1 for a, b in zip(bounds, bounds[1:])))
+        out.extend(sorted(stars))
+    return tuple(out)
+
+
+def monomials(space: TruncatedSpace) -> list:
+    return [tuple(a) for a in space.exponents.tolist()]
+
+
 def dict_defect(phi: Polynomial, subspace: FockSubspace) -> float:
     cols = subspace.polynomials()
     products = [phi * c for c in cols]
@@ -57,9 +77,9 @@ def dict_defect(phi: Polynomial, subspace: FockSubspace) -> float:
 
 def dict_kernel_vector(space: TruncatedSpace, z) -> np.ndarray:
     zc = np.conjugate(np.asarray(z, dtype=np.complex128))
-    sqrt_w = np.sqrt([float(w) for w in space.norms_sq])
+    sqrt_w = np.sqrt([float(monomial_norm_sq(a)) for a in monomials(space)])
     u = np.empty(len(space), dtype=np.complex128)
-    for i, alpha in enumerate(space.basis):
+    for i, alpha in enumerate(monomials(space)):
         val = 1.0 + 0j
         for x, e in zip(zc, alpha):
             if e:
@@ -101,6 +121,64 @@ WINDOWS = {1: 9, 2: 6, 3: 4}
 def assert_defect_matches(phi: Polynomial, subspace: FockSubspace) -> None:
     scale = max(1.0, defect_scale(phi))
     assert abs(compression_defect(phi, subspace) - dict_defect(phi, subspace)) <= 1e-12 * scale
+
+
+# (2, 61) and (2, 70) hold multinomials |alpha|!/alpha! past 2^53, (2, 70) past 2^63 too
+BUILT_WINDOWS = [(1, 0), (1, 40), (2, 0), (2, 12), (3, 8), (4, 6), (5, 5), (6, 4)]
+BUILT_WINDOWS += [(2, 61), (2, 70), (3, 30)]
+
+
+class TestWindowConstruction:
+    """The array-built window against the enumeration, the exact weights and
+    the position dict it replaces."""
+
+    @pytest.mark.parametrize("dim, degree", BUILT_WINDOWS)
+    def test_exponents_in_graded_lex_order(self, dim, degree):
+        space = TruncatedSpace(dim, degree)
+        want = graded_basis(dim, degree)
+        assert monomials(space) == list(want) and len(space) == space.size_at_most(degree)
+        assert space.exponents.dtype == np.int64
+        assert np.array_equal(space.exponents, np.array(want, dtype=np.int64))
+
+    @pytest.mark.parametrize("dim, degree", BUILT_WINDOWS)
+    def test_weights_are_the_rounded_exact_norms(self, dim, degree):
+        space = TruncatedSpace(dim, degree)
+        want = np.sqrt([float(monomial_norm_sq(a)) for a in monomials(space)])
+        assert np.array_equal(space._sqrt_norms, want)
+
+    @pytest.mark.parametrize("dim, degree", BUILT_WINDOWS)
+    def test_every_position_is_the_dict_lookup(self, dim, degree):
+        space = TruncatedSpace(dim, degree)
+        pos = {a: i for i, a in enumerate(graded_basis(dim, degree))}
+        assert np.array_equal(space.index(space.exponents), np.arange(len(space)))
+        rng = np.random.default_rng([dim, degree])
+        picked = rng.choice(len(space), size=min(len(space), 6), replace=False)
+        basis = monomials(space)
+        gammas = graded_basis(dim, 2)[1:] + tuple(basis[i] for i in picked)
+        for gamma in gammas:
+            src, dst, _ = space.shift(gamma)
+            targets = [tuple(a + g for a, g in zip(alpha, gamma)) for alpha in basis[src]]
+            assert dst.tolist() == [pos[t] for t in targets]
+
+
+class TestFullWindowMatrix:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @seeded
+    def test_is_the_product_with_the_identity(self, dim, seed):
+        # exponents of degree <= 3: the constant, several of one degree, and
+        # in three variables some beyond the degree-2 window; parts of +-0.0
+        # check that each entry is added to zero, as multiply adds it
+        rng = np.random.default_rng(seed)
+        space = TruncatedSpace(dim, {1: 9, 2: 6, 3: 2}[dim])
+        exps = graded_basis(dim, 3)
+        picked = rng.choice(len(exps), size=int(rng.integers(1, 5)), replace=False)
+        shape = (len(picked), 2)
+        zeros = rng.choice([0.0, -0.0], size=shape)
+        parts = np.where(rng.random(shape) < 0.3, zeros, rng.standard_normal(shape))
+        phi = Polynomial(dim, {exps[i]: complex(*p) for i, p in zip(picked, parts)})
+        got = space.matrix(phi)
+        want = space.multiply(phi, np.eye(len(space)))
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 class TestCompressionDefect:
@@ -151,7 +229,7 @@ class TestDefectScale:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_every_shift_weight_in_zero_one(self, dim):
         space = TruncatedSpace(dim, WINDOWS[dim])
-        for gamma in space.basis:
+        for gamma in monomials(space):
             weight = space.shift(gamma)[2]
             assert np.all(weight > 0) and np.all(weight <= 1)
 
@@ -255,13 +333,24 @@ class TestShiftTables:
         with pytest.raises(InputError, match="rows"):
             TruncatedSpace(2, 4).multiply(pairing((0.5, 0.5)), np.zeros(21), adjoint=True)
 
+    def test_exponent_of_another_dimension_is_refused(self):
+        # (1,) would broadcast over both coordinates of the window's rows
+        space = TruncatedSpace(2, 4)
+        for gamma in ((1,), (1, 0, 0)):
+            with pytest.raises(InputError, match="dimension mismatch"):
+                space.shift(gamma)
+        with pytest.raises(InputError, match="dimension mismatch"):
+            space.matrix(Polynomial.monomial(3, (1, 0, 0)))
+
     def test_table_covers_exactly_the_fitting_monomials(self):
         space = TruncatedSpace(3, 5)
         src, dst, weight = space.shift((1, 0, 1))
-        alphas = space.basis[src]
+        basis = monomials(space)
+        alphas = basis[src]
         assert all(sum(a) <= 3 for a in alphas) and len(alphas) == space.size_at_most(3)
-        assert [space.basis[j] for j in dst] == [(a[0] + 1, a[1], a[2] + 1) for a in alphas]
-        want = [math.sqrt(space.norms_sq[j] / space.norms_sq[i]) for i, j in enumerate(dst)]
+        assert [basis[j] for j in dst] == [(a[0] + 1, a[1], a[2] + 1) for a in alphas]
+        norm_sq_of = [monomial_norm_sq(a) for a in basis]
+        want = [math.sqrt(norm_sq_of[j] / norm_sq_of[i]) for i, j in enumerate(dst)]
         assert np.allclose(weight, want, rtol=1e-15, atol=0.0)
 
 

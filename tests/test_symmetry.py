@@ -365,7 +365,7 @@ class TestUnitaryInvariance:
     def test_full_window_defect(self, seed):
         rng = np.random.default_rng(seed)
         d, degree = int(rng.integers(2, 4)), int(rng.integers(1, 3))
-        monomials = TruncatedSpace(d, degree).basis
+        monomials = [tuple(a) for a in TruncatedSpace(d, degree).exponents.tolist()]
         phi = Polynomial(d, {a: complex(*rng.standard_normal(2)) for a in monomials})
         window = TruncatedSpace(d, 5)
         want = compression_defect(phi, window)
@@ -628,7 +628,7 @@ class TestPowerOfTwoScaling:
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 4))
         degree = {1: 8, 2: 5, 3: 3}[d]
-        monomials = TruncatedSpace(d, 2).basis
+        monomials = [tuple(a) for a in TruncatedSpace(d, 2).exponents.tolist()]
         picked = rng.choice(len(monomials), size=int(rng.integers(1, 4)), replace=False)
         coeffs = {monomials[i]: complex(*rng.standard_normal(2)) for i in picked}
         phi = Polynomial(d, coeffs)
