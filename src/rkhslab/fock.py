@@ -408,6 +408,9 @@ class TruncatedSpace:
     exponent rows in order, one coordinate at a time; weights sqrt(1/M),
     M = |alpha|!/alpha! and 1/M correctly rounded, in floats where M < 2^53
     and by Python ints past it; positions by one ranking formula (index).
+    A window with some M > 2^1022, whose 1/M falls below the normal float
+    range (in two variables from degree 1028), is refused with InputError
+    before any of this runs.
     """
 
     __slots__ = ("dim", "degree", "exponents", "_choose", "_sqrt_norms", "_shifts")
@@ -417,6 +420,16 @@ class TruncatedSpace:
             raise InputError("dim must be a positive integer")
         if not isinstance(degree, int) or degree < 0:
             raise InputError("degree must be a non-negative integer")
+        q, rem = divmod(degree, dim)  # M = |alpha|!/alpha! is largest for the most even alpha
+        biggest, rest = 1, degree
+        for part in [q + 1] * rem + [q] * (dim - rem - 1):
+            biggest *= math.comb(rest, part)
+            rest -= part
+        if biggest > 2**1022:  # 1/M < sys.float_info.min
+            raise InputError(
+                f"the degree-{degree} window in {dim} variables has monomial norms below the "
+                f"normal float range: |alpha|!/alpha! exceeds 2^1022"
+            )
         self.dim = dim
         self.degree = degree
         s = np.arange(degree + 1)[:, None]  # suffix sums s_j = alpha_j + ... + alpha_{d-1}
@@ -501,11 +514,14 @@ class TruncatedSpace:
             raise InputError(f"point must have {self.dim} coordinates")
         if not np.all(np.linalg.norm(pts, axis=1) < 1.0):  # a NaN coordinate fails too
             raise DomainError("point must lie inside the open unit ball")
-        zc = np.conjugate(pts)
+        # conj(z_j)^e for each coordinate j and e <= degree, each power once; at picks alpha_j
+        powers = (np.conjugate(pts)[:, :, None] ** np.arange(self.degree + 1)).reshape(len(pts), -1)
+        at = self.exponents + np.arange(self.dim) * (self.degree + 1)
         u = np.empty((len(pts), len(self)), dtype=np.complex128)
         block = max(1, len(pts) // self.dim)  # its (block, k, dim) powers fit in the size of u
+        # take is C-ordered: np.prod over a strided gather can round differently
         for i in range(0, len(pts), block):
-            u[i : i + block] = np.prod(zc[i : i + block, None, :] ** self.exponents, axis=2)
+            u[i : i + block] = np.prod(np.take(powers[i : i + block], at, axis=1), axis=2)
         u /= self._sqrt_norms
         return u.T if zv.ndim == 2 else u[0]
 
@@ -679,6 +695,14 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     that defect_scale accepts overflows or underflows. A defect below
     -tol * defect_scale(phi) refutes hyponormality of the compression at
     every size of phi; a non-negative defect certifies this model only.
+
+    The self-commutator S = t* t - t t* is solved block by block where its
+    zero pattern splits it (_self_commutator_blocks). On the whole window it
+    often does: the torus z -> (e^{i theta_j} z_j) acts unitarily and turns M_{z^g}
+    into e^{i <theta, g>} M_{z^g}, so S sends z^alpha into the span of the
+    z^(alpha + h - g), g and h terms of phi. Every entry of S between two
+    blocks is an exact 0.0, so the least eigenvalue over the blocks is that
+    of S, up to the order in which the entries are summed.
     """
     space = subspace if isinstance(subspace, TruncatedSpace) else subspace.space
     if phi.dim != space.dim:
@@ -690,8 +714,111 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
         return 0.0
     else:
         t = subspace.basis.conj().T @ space.multiply(phi, subspace.basis)
-    s = t.conj().T @ t - t @ t.conj().T
-    return math.ldexp(min_eigenvalue(HermitianMatrix(s)), 2 * e)
+    return math.ldexp(min(map(min_eigenvalue, _self_commutator_blocks(t))), 2 * e)
+
+
+_WHOLE = 64  # the split costs about as much as it saves at 56 to 84 indices
+
+
+def _self_commutator_blocks(t: np.ndarray):
+    """S = t* t - t t* as HermitianMatrix stacks of its diagonal blocks, one per block size.
+
+    Index i stands for column i and for row i of t. Two columns are joined when they have
+    a nonzero in a common row, two rows when they have one in a common column. An entry
+    of S between two classes of this relation is a sum of products that each hold an
+    exact 0.0, so it is exactly 0.0: S is the block-diagonal sum of its blocks on the
+    classes. S is left whole for a t of at most _WHOLE indices, where finding the blocks
+    costs more than it saves, and when a class holds more than half the indices (a dense
+    t is one class), as solving it apart saves little and its gathers would be as large
+    as t.
+    """
+    k = len(t)
+    found = _classes(t) if k > _WHOLE else None
+    if found is not None and 2 * np.bincount(found[0]).max() <= k:
+        yield from _blocks(t, *found)
+    else:
+        yield HermitianMatrix(t.conj().T @ t - t @ t.conj().T)
+
+
+def _classes(t: np.ndarray):
+    """(comp, rows, row_of, cols, col_of): the class number of each index, the rows of t
+    with a nonzero and the class of each (that of its columns), and the same for the
+    columns. Classes are found by hooking the larger root of each joined pair under a
+    smaller one, then jumping pointers to the roots, until no pair crosses; as every
+    pointer goes to a smaller index there is no cycle, and each round hooks a root."""
+    k = len(t)
+    r, c = np.divmod(np.flatnonzero(t), k)  # by row, then by column
+    by_col = np.argsort(c, kind="stable")
+    rc, cc = r[by_col], c[by_col]  # by column, then by row
+    row_first, col_first = _firsts(r), _firsts(cc)
+    in_row, in_col = ~row_first[1:], ~col_first[1:]  # the next nonzero is in the same row/column
+    a = np.concatenate((c[:-1][in_row], rc[:-1][in_col]))  # columns sharing a row,
+    b = np.concatenate((c[1:][in_row], rc[1:][in_col]))  # rows sharing a column
+    root = np.arange(k)
+    while True:
+        ra, rb = root[a], root[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        root[np.maximum(ra, rb)[cross]] = np.minimum(ra, rb)[cross]  # any smaller root will do
+        while ((jumped := root[root]) != root).any():
+            root = jumped
+    comp = (np.cumsum(root == np.arange(k)) - 1)[root]
+    return comp, r[row_first], comp[c[row_first]], cc[col_first], comp[rc[col_first]]
+
+
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """Where a sorted array starts a run of equal entries."""
+    first = np.ones(len(a), bool)
+    first[1:] = a[1:] != a[:-1]
+    return first
+
+
+def _blocks(t: np.ndarray, comp: np.ndarray, rows, row_of, cols, col_of):
+    """The stacks of _self_commutator_blocks for the class numbers comp, given the rows
+    of t with a nonzero and the class of each, and the same for the columns. The block
+    on B is G* G - H H*, G the columns B of t cut to the rows they touch and H the rows
+    B cut to the columns they touch; blocks of one size are gathered side by side."""
+    size = np.bincount(comp)
+    order = np.argsort(size, kind="stable")  # blocks by size, then by class
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    index = np.argsort(rank[comp], kind="stable")  # block by block, each in index order
+    sizes = size[order]
+    offset = np.concatenate(([0], np.cumsum(sizes)))
+    cuts = np.flatnonzero(_firsts(sizes)).tolist() + [len(sizes)]  # runs of one size
+    rows = _grouped(rank[row_of], rows, cuts)
+    cols = _grouped(rank[col_of], cols, cuts)
+    for lo, hi, row, col in zip(cuts, cuts[1:], rows, cols):
+        b = index[offset[lo] : offset[hi]].reshape(hi - lo, sizes[lo])
+        s = _gram(t, b, *row)
+        s -= _gram(t.T, b, *col).conj()  # H H* is the conjugate of the Gram of t^T's columns B
+        yield HermitianMatrix._stack(s)
+
+
+def _gram(a: np.ndarray, b: np.ndarray, row: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """The stack of G* G, one per block q: G holds the columns b[q] of a, cut to the rows
+    row[q], of which those marked in pad[q] are padding and set to zero."""
+    g = a[row[:, :, None], b[:, None, :]]
+    g[pad] = 0.0
+    return g.conj().swapaxes(1, 2) @ g
+
+
+def _grouped(block: np.ndarray, item: np.ndarray, cuts: list) -> list:
+    """For each run cuts[j]..cuts[j+1]-1 of blocks, a table whose rows hold the items of
+    each block, padded with item 0, and the mask of the padding; all tables lie end to
+    end in one array."""
+    by_block = np.argsort(block, kind="stable")
+    block, item = block[by_block], item[by_block]
+    count = np.bincount(block, minlength=cuts[-1])
+    width = np.maximum.reduceat(count, cuts[:-1])
+    start = np.concatenate(([0], np.cumsum(np.repeat(width, np.subtract(cuts[1:], cuts[:-1])))))
+    at = start[block] + np.arange(len(block)) - (np.cumsum(count) - count)[block]
+    flat, pad = np.zeros(start[-1], np.intp), np.ones(start[-1], bool)
+    flat[at] = item
+    pad[at] = False
+    spans = [(start[lo], start[hi], (hi - lo, w)) for lo, hi, w in zip(cuts, cuts[1:], width)]
+    return [(flat[i:j].reshape(shape), pad[i:j].reshape(shape)) for i, j, shape in spans]
 
 
 def _size(phi: Polynomial) -> float:

@@ -23,15 +23,23 @@ DEFAULT_TOL = 1e-9
 _ORTHONORMAL_TOL = 1e-12
 
 
-def _square_complex(entries, name: str = "matrix") -> np.ndarray:
+def _square_complex(entries, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """entries as a complex square matrix, or with stack=True as a (b, n, n) stack."""
     a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != (3 if stack else 2) or a.shape[-2] != a.shape[-1]:
         raise InputError(f"{name} must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
+    if a.size == 0:
         raise InputError(f"{name} must be non-empty")
     if not np.all(np.isfinite(a)):
         raise InputError(f"{name} contains non-finite entries")
     return a
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    h = a / 2.0  # halved first: a + a* overflows above half the float range
+    h = h + h.conj().swapaxes(-1, -2)
+    h.setflags(write=False)
+    return h
 
 
 class HermitianMatrix:
@@ -45,19 +53,26 @@ class HermitianMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        a = _square_complex(entries)
-        h = a / 2.0  # halved first: a + a* overflows above half the float range
-        h = h + h.conj().T
-        h.setflags(write=False)
-        self._entries = h
+        self._entries = _hermitian(_square_complex(entries))
+
+    @classmethod
+    def _stack(cls, blocks) -> HermitianMatrix:
+        """b equal-size blocks as one (b, n, n) value, each made Hermitian the same way.
+
+        It stands for their block-diagonal sum. Only min_eigenvalue reads a stack; the
+        public constructor and every other function here take one (n, n) matrix.
+        """
+        m = cls.__new__(cls)
+        m._entries = _hermitian(_square_complex(blocks, stack=True))
+        return m
 
     @property
     def n(self) -> int:
-        return self._entries.shape[0]
+        return self._entries.shape[-1]
 
     @property
     def entries(self) -> np.ndarray:
-        """Read-only (n, n) complex array."""
+        """Read-only (n, n) complex array, or (b, n, n) for a stack."""
         return self._entries
 
     def __getitem__(self, key):
@@ -176,8 +191,8 @@ def gram_scale(g: np.ndarray) -> float:
 
 
 def min_eigenvalue(a: HermitianMatrix) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(a.entries)[0])
+    """Smallest eigenvalue of a Hermitian matrix; of every block of a stack."""
+    return float(np.linalg.eigvalsh(a.entries)[..., 0].min())
 
 
 class PsdFactor(NamedTuple):

@@ -335,6 +335,12 @@ class TestErrorPaths:
         code, report, _ = run(capsys, argv + ["1"])
         assert code == 1 and report["results"]["member"] is False
 
+    def test_window_with_subnormal_weights_refused(self, corpus, capsys):
+        argv = ["fock", "balance", "--z", "[[0.5,0],[0.3,0]]", "--degree", "1100"]
+        code, report, _ = run(capsys, argv)
+        assert code == 2 and report["results"]["error"]["type"] == "InputError"
+        assert "below the normal float range" in report["results"]["error"]["message"]
+
     def test_integer_beyond_float_range_refused(self, corpus, capsys):
         huge = 10**400
         family = corpus / "huge.json"

@@ -37,6 +37,7 @@ from rkhslab.fock import (
     truncated_kernel_fn,
     vanishing_subspace,
 )
+from rkhslab.fock import _WHOLE, _classes, _normalized, _self_commutator_blocks
 from rkhslab.kernels import PointSet
 from rkhslab.linalg import HermitianMatrix, Subspace, min_eigenvalue
 
@@ -160,6 +161,13 @@ class TestWindowConstruction:
             targets = [tuple(a + g for a, g in zip(alpha, gamma)) for alpha in basis[src]]
             assert dst.tolist() == [pos[t] for t in targets]
 
+    @pytest.mark.parametrize("dim, degree", [(2, 1028), (3, 651), (2, 1100)])
+    def test_weights_below_the_normal_range_are_refused(self, dim, degree):
+        # (2, 1028) is the first 2-variable window with a multinomial past 2^1022
+        assert math.comb(1027, 513) <= 2**1022 < math.comb(1028, 514)
+        with pytest.raises(InputError, match="below the normal float range"):
+            TruncatedSpace(dim, degree)
+
 
 class TestFullWindowMatrix:
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -221,6 +229,90 @@ class TestCompressionDefect:
         space = TruncatedSpace(2, 3)
         full = FockSubspace(space, np.eye(len(space)))
         assert compression_defect(Polynomial.monomial(2, (2, 2), 0.5j), full) == 0.0
+
+
+def block_poly(rng, dim: int, kind: str) -> Polynomial:
+    """1-4 terms of degree 1-3: of one degree, of several (a constant among them at
+    times), or z_1, ..., z_d and z_1^2, whose differences span the whole lattice."""
+    if kind == "spanning":
+        exps = [tuple(np.eye(dim, dtype=int)[i]) for i in range(dim)] + [(2,) + (0,) * (dim - 1)]
+    else:
+        degree = int(rng.integers(1, 4))
+        exps = []
+        for _ in range(int(rng.integers(1, 5))):
+            n = degree if kind == "homogeneous" else int(rng.integers(0, 4))
+            exps.append(tuple(int(e) for e in rng.multinomial(n, [1 / dim] * dim)))
+    return Polynomial(dim, {a: complex(*rng.standard_normal(2)) for a in exps})
+
+
+# each window has more than _WHOLE monomials, so its defect is split when it can be
+BLOCK_WINDOWS = {1: 80, 2: 11, 3: 6}
+KINDS = ["homogeneous", "mixed", "spanning"]
+
+
+def dense_commutator(phi: Polynomial, space: TruncatedSpace) -> tuple:
+    """S = t* t - t t* for the full window as compression_defect forms t, the class
+    number of each index and the exponent e of the normalization."""
+    psi, e = _normalized(phi)
+    t = space.matrix(psi)
+    return t.conj().T @ t - t @ t.conj().T, _classes(t)[0], e
+
+
+class TestSelfCommutatorBlocks:
+    """The full-window self-commutator split along the zero pattern of t."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @seeded
+    def test_entries_between_classes_are_zero(self, kind, dim, seed):
+        phi = block_poly(np.random.default_rng(seed), dim, kind)
+        s, comp, _ = dense_commutator(phi, TruncatedSpace(dim, BLOCK_WINDOWS[dim]))
+        assert np.all(s[comp[:, None] != comp[None, :]] == 0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @seeded
+    def test_defect_is_the_dense_least_eigenvalue(self, kind, dim, seed):
+        # Weyl: both S are the same matrix summed in another order
+        phi = block_poly(np.random.default_rng(seed), dim, kind)
+        space = TruncatedSpace(dim, BLOCK_WINDOWS[dim])
+        s, _, e = dense_commutator(phi, space)
+        want = math.ldexp(np.linalg.eigvalsh(s)[0], 2 * e)
+        bound = 4 * len(space) * np.finfo(float).eps * defect_scale(phi)
+        assert abs(compression_defect(phi, space) - want) <= bound
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @seeded
+    def test_homogeneous_classes_lie_in_degree_slices(self, dim, seed):
+        phi = block_poly(np.random.default_rng(seed), dim, "homogeneous")
+        space = TruncatedSpace(dim, BLOCK_WINDOWS[dim])
+        _, comp, _ = dense_commutator(phi, space)
+        degree = space.exponents.sum(axis=1)
+        for n in np.unique(comp):
+            assert len(set(degree[comp == n].tolist())) == 1
+        # so the defect is solved by blocks
+        assert len(space) > _WHOLE and 2 * np.bincount(comp).max() <= len(space)
+
+    @seeded
+    def test_stacks_hold_the_spectrum_of_any_sparse_matrix(self, seed):
+        # any zero pattern, not only a window's: rows and columns of every count per
+        # block, and a dense t, which is one class and leaves S whole
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(_WHOLE + 1, 2 * _WHOLE))
+        t = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        t *= rng.random((k, k)) < rng.choice([0.004, 0.008, 0.015, 1.0])
+        s = t.conj().T @ t - t @ t.conj().T
+        stacks = [h.entries for h in _self_commutator_blocks(t)]
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(h).ravel() for h in stacks]))
+        assert np.allclose(got, np.linalg.eigvalsh(s), rtol=0, atol=1e-12 * np.abs(s).max())
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @seeded
+    def test_split_window_is_the_identity_basis(self, dim, seed):
+        phi = block_poly(np.random.default_rng(seed), dim, "homogeneous")
+        space = TruncatedSpace(dim, BLOCK_WINDOWS[dim])
+        full = FockSubspace(space, np.eye(len(space), dtype=complex))
+        assert compression_defect(phi, space) == compression_defect(phi, full)
 
 
 class TestDefectScale:

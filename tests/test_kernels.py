@@ -108,6 +108,11 @@ class TestSampledGram:
         with pytest.raises(InputError):
             SampledGramKernel(["a", "b"], [[1.0, 2.0], [2.0, 1.0]])
 
+    def test_rejects_a_stack_of_blocks(self):
+        # the blocks [1] and [-1] are not a 1x1 Gram matrix, nor a PSD one
+        with pytest.raises(InputError, match=r"must be square, got shape \(2, 1, 1\)"):
+            SampledGramKernel(["a"], [[[1.0]], [[-1.0]]])
+
 
 class TestNormalize:
     def test_szego_already_normalized_at_origin(self):

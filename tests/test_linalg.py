@@ -31,6 +31,42 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError):
             a.entries[0, 0] = 5.0
 
+    def test_refusal_texts(self):
+        cases = [
+            ([[1.0, 2.0]], r"matrix must be square, got shape \(1, 2\)"),
+            ([1.0, 2.0], r"matrix must be square, got shape \(2,\)"),
+            (np.zeros((0, 0)), "matrix must be non-empty"),
+            ([[np.inf]], "matrix contains non-finite entries"),
+            (np.zeros((2, 2, 2)), r"matrix must be square, got shape \(2, 2, 2\)"),
+            ([[[1.0]], [[-1.0]]], r"matrix must be square, got shape \(2, 1, 1\)"),
+        ]
+        for entries, text in cases:
+            with pytest.raises(InputError, match=text):
+                HermitianMatrix(entries)
+
+    def test_stack_refusal_texts(self):
+        cases = [
+            (np.zeros((2, 2)), r"matrix must be square, got shape \(2, 2\)"),
+            (np.zeros((2, 2, 3)), r"matrix must be square, got shape \(2, 2, 3\)"),
+            (np.zeros((1, 1, 2, 2)), "matrix must be square"),
+            (np.zeros((0, 2, 2)), "matrix must be non-empty"),
+            ([[[np.nan]]], "matrix contains non-finite entries"),
+        ]
+        for entries, text in cases:
+            with pytest.raises(InputError, match=text):
+                HermitianMatrix._stack(entries)
+
+    def test_stack_stands_for_its_block_diagonal_sum(self, rng):
+        blocks = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        stack = HermitianMatrix._stack(blocks)
+        whole = np.zeros((12, 12), dtype=complex)
+        for i, b in enumerate(blocks):
+            assert np.array_equal(stack[i], HermitianMatrix(b).entries)
+            whole[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = stack[i]
+        assert stack.n == 4
+        assert min_eigenvalue(stack) == min(min_eigenvalue(HermitianMatrix(b)) for b in blocks)
+        assert min_eigenvalue(stack) == pytest.approx(np.linalg.eigvalsh(whole)[0], abs=1e-12)
+
 
 class TestPsdCheck:
     def test_identity(self):
