@@ -127,6 +127,39 @@ def _parse_point(x, dim: int, what: str) -> list:
     return [_parse_complex(c, what) for c in _parse_list(x, what, dim, shape)]
 
 
+def _float_pairs(x, shape: tuple):
+    """x as a complex array of the given shape when it is nested lists of exactly
+    that shape of [re, im] pairs of plain floats, read as one array; else None.
+
+    The parts keep their bits: re + 1j*im would turn -0.0 into 0.0, and an
+    infinite imaginary part into a NaN real part.
+    """
+    a = np.array(x, dtype=object)  # ragged nesting leaves lists as entries
+    if a.shape != (*shape, 2) or set(map(type, a.ravel().tolist())) != {float}:
+        return None
+    return a.astype(np.float64).view(np.complex128).reshape(shape)
+
+
+def _parse_points(pts: list, dim: int, what: str) -> np.ndarray:
+    """A list of points in dim variables as an (n, dim) complex array: one array
+    when every part is a plain float, else point by point, naming the first bad one."""
+    fast = _float_pairs(pts, (len(pts), dim))
+    if fast is not None:
+        return fast
+    return np.array([_parse_point(p, dim, what) for p in pts], dtype=np.complex128)
+
+
+def _parse_gram(gram: list, what: str) -> np.ndarray:
+    """n rows of n [re, im] entries as an (n, n) complex array: one array when every
+    part is a plain float, else row by row and entry by entry, naming the first bad one."""
+    n = len(gram)
+    fast = _float_pairs(gram, (n, n))
+    if fast is not None:
+        return fast
+    rows = [_parse_list(r, what, n, f"a row of {n} entries") for r in gram]
+    return np.array([[_parse_complex(v, what) for v in row] for row in rows], dtype=complex)
+
+
 def _object(x, what: str, required: tuple, optional=()) -> dict:
     """x itself when it is a JSON object with every required key and no other
     key than the optional ones. Passing x itself as optional checks the required
@@ -144,8 +177,8 @@ def _object(x, what: str, required: tuple, optional=()) -> dict:
 def _parse_points_obj(obj, what: str) -> PointSet:
     _object(obj, what, ("dim", "points"))
     dim = _parse_int(obj["dim"], f"{what}.dim", 1)
-    pts = [_parse_point(p, dim, what) for p in _parse_list(obj["points"], f"{what}.points")]
-    return PointSet(dim, np.array(pts, dtype=np.complex128))
+    pts = _parse_list(obj["points"], f"{what}.points")
+    return PointSet(dim, _parse_points(pts, dim, what))
 
 
 def _parse_kernel_obj(obj, what: str, tol: float | None) -> KernelSpec:
@@ -161,10 +194,7 @@ def _parse_kernel_obj(obj, what: str, tol: float | None) -> KernelSpec:
         _object(obj, what, ("type", "labels", "gram"))
         labels = _parse_list(obj["labels"], f"{what}.labels")
         gram = _parse_list(obj["gram"], f"{what}.gram")
-        n = len(gram)
-        rows = [_parse_list(r, f"{what}.gram", n, f"a row of {n} entries") for r in gram]
-        entries = [[_parse_complex(v, f"{what}.gram") for v in row] for row in rows]
-        return SampledGramKernel([str(x) for x in labels], np.array(entries, dtype=complex), tol)
+        return SampledGramKernel([str(x) for x in labels], _parse_gram(gram, f"{what}.gram"), tol)
     raise InputError(f"{what}: unknown kernel type {kind!r:.60}")
 
 
@@ -252,9 +282,20 @@ def _encode(x):
 _FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
 
 
+def _layout(shape: tuple, indent: str) -> str:
+    """The canonical text of nested lists of this shape, each number a {} field."""
+    if not shape:
+        return "{}"
+    if not shape[0]:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join([_layout(shape[1:], inner)] * shape[0]) + indent + "]"
+
+
 def _canonical(x, indent: str = "\n") -> str:
     """json.dumps(x, indent=2, sort_keys=True, default=_encode) byte for byte,
-    written out: json runs its pure-Python encoder whenever indent is set."""
+    written out: json runs its pure-Python encoder whenever indent is set. A float
+    or complex array is written in one pass, its numbers formatted into _layout."""
     if isinstance(x, float):  # the most common leaf first
         text = float.__repr__(x)
         return _FLOAT_SPELLING.get(text, text)
@@ -278,6 +319,12 @@ def _canonical(x, indent: str = "\n") -> str:
         if not x:
             return "[]"
         return "[" + inner + ("," + inner).join([_canonical(v, inner) for v in x]) + indent + "]"
+    if isinstance(x, np.ndarray) and x.dtype in (np.float64, np.complex128):
+        parts = np.stack((x.real, x.imag), -1) if x.dtype == np.complex128 else x
+        texts = map(float.__repr__, parts.ravel().tolist())
+        if not np.isfinite(parts).all():
+            texts = [_FLOAT_SPELLING.get(t, t) for t in texts]
+        return _layout(parts.shape, indent).format(*texts)
     return _canonical(_encode(x), indent)
 
 
@@ -433,8 +480,7 @@ def _cmd_pick(args, loader):
     if isinstance(spec, SampledGramKernel):
         nodes = [str(x) for x in nodes_raw]
     else:
-        pts = [_parse_point(p, spec.dim, "problem.nodes") for p in nodes_raw]
-        nodes = PointSet(spec.dim, np.array(pts, dtype=np.complex128))
+        nodes = PointSet(spec.dim, _parse_points(nodes_raw, spec.dim, "problem.nodes"))
     problem = PickProblem(kernel=spec, nodes=nodes, targets=targets)
     if args.norm is not None:
         verdict = pick_feasible(problem, args.norm, args.tol)

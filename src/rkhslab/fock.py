@@ -37,7 +37,14 @@ import numpy as np
 
 from .errors import DomainError, InputError, WindowOverflowError
 from .kernels import PointSet
-from .linalg import DEFAULT_TOL, HermitianMatrix, Subspace, min_eigenvalue, threshold
+from .linalg import (
+    DEFAULT_TOL,
+    HermitianMatrix,
+    Subspace,
+    connected_components,
+    min_eigenvalue,
+    threshold,
+)
 
 
 class QQi:
@@ -312,9 +319,13 @@ def _coerce_vector(w) -> list:
 
 
 def _vector_norm_sq(entries: list) -> Union[Fraction, float]:
+    """||z||^2, exact for Gaussian rationals; inf when it passes the float range."""
     if all(isinstance(e, QQi) for e in entries):
         return sum((e.abs_sq() for e in entries), Fraction(0))
-    return float(sum(abs(complex(e)) ** 2 for e in entries))
+    try:
+        return float(sum(abs(complex(e)) ** 2 for e in entries))
+    except OverflowError:  # such a z lies far outside the ball, which the callers refuse
+        return math.inf
 
 
 def pairing(w) -> Polynomial:
@@ -394,6 +405,18 @@ def mult_adjoint_apply(phi: Polynomial, f: Polynomial, degree: int) -> Polynomia
     return Polynomial(f.dim, acc)
 
 
+_ARRAY_BYTES = 2**28  # the most one array of a window may take: 256 MiB
+
+
+def _check_array_size(entries: int, item_bytes: int, what: str) -> None:
+    """Refuse an array of this many entries past _ARRAY_BYTES before it is allocated."""
+    if entries * item_bytes > _ARRAY_BYTES:
+        raise WindowOverflowError(
+            f"{what} would take {entries * item_bytes >> 20} MiB, past the "
+            f"{_ARRAY_BYTES >> 20} MiB one array of a window may take"
+        )
+
+
 class TruncatedSpace:
     """Ordered monomial basis of the degree-bounded polynomial space.
 
@@ -410,7 +433,8 @@ class TruncatedSpace:
     and by Python ints past it; positions by one ranking formula (index).
     A window with some M > 2^1022, whose 1/M falls below the normal float
     range (in two variables from degree 1028), is refused with InputError
-    before any of this runs.
+    before any of this runs, and so, with WindowOverflowError, is one whose
+    k = C(degree + dim, dim) exponent rows of dim int64s pass _ARRAY_BYTES.
     """
 
     __slots__ = ("dim", "degree", "exponents", "_choose", "_sqrt_norms", "_shifts")
@@ -430,6 +454,8 @@ class TruncatedSpace:
                 f"the degree-{degree} window in {dim} variables has monomial norms below the "
                 f"normal float range: |alpha|!/alpha! exceeds 2^1022"
             )
+        window = f"the degree-{degree} window in {dim} variables"
+        _check_array_size(math.comb(degree + dim, dim) * dim, 8, window)
         self.dim = dim
         self.degree = degree
         s = np.arange(degree + 1)[:, None]  # suffix sums s_j = alpha_j + ... + alpha_{d-1}
@@ -573,7 +599,9 @@ class TruncatedSpace:
 
     def matrix(self, phi: Polynomial) -> np.ndarray:
         """multiply(phi, identity), entry for entry: entry (dst, src) of the table of
-        gamma gets its one term c_gamma * weight, added to zero as multiply adds it."""
+        gamma gets its one term c_gamma * weight, added to zero as multiply adds it.
+        A k x k matrix past _ARRAY_BYTES is refused with WindowOverflowError."""
+        _check_array_size(len(self) ** 2, 16, f"the {len(self)} x {len(self)} window matrix")
         t = np.zeros((len(self), len(self)), dtype=np.complex128)
         for gamma, c in phi.coeffs.items():
             _, dst, weight = self.shift(gamma)
@@ -743,9 +771,7 @@ def _self_commutator_blocks(t: np.ndarray):
 def _classes(t: np.ndarray):
     """(comp, rows, row_of, cols, col_of): the class number of each index, the rows of t
     with a nonzero and the class of each (that of its columns), and the same for the
-    columns. Classes are found by hooking the larger root of each joined pair under a
-    smaller one, then jumping pointers to the roots, until no pair crosses; as every
-    pointer goes to a smaller index there is no cycle, and each round hooks a root."""
+    columns."""
     k = len(t)
     r, c = np.divmod(np.flatnonzero(t), k)  # by row, then by column
     by_col = np.argsort(c, kind="stable")
@@ -754,16 +780,7 @@ def _classes(t: np.ndarray):
     in_row, in_col = ~row_first[1:], ~col_first[1:]  # the next nonzero is in the same row/column
     a = np.concatenate((c[:-1][in_row], rc[:-1][in_col]))  # columns sharing a row,
     b = np.concatenate((c[1:][in_row], rc[1:][in_col]))  # rows sharing a column
-    root = np.arange(k)
-    while True:
-        ra, rb = root[a], root[b]
-        cross = ra != rb
-        if not cross.any():
-            break
-        root[np.maximum(ra, rb)[cross]] = np.minimum(ra, rb)[cross]  # any smaller root will do
-        while ((jumped := root[root]) != root).any():
-            root = jumped
-    comp = (np.cumsum(root == np.arange(k)) - 1)[root]
+    comp = connected_components(k, a, b)
     return comp, r[row_first], comp[c[row_first]], cc[col_first], comp[rc[col_first]]
 
 

@@ -17,7 +17,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InputError, IrreducibilityError
-from .linalg import DEFAULT_TOL, HermitianMatrix, gram_scale, psd_check, threshold
+from .linalg import (
+    DEFAULT_TOL,
+    HermitianMatrix,
+    connected_components,
+    gram_scale,
+    psd_check,
+    threshold,
+)
 
 
 def _as_point(p, dim: int) -> np.ndarray:
@@ -321,26 +328,9 @@ def irreducible_partition(g: HermitianMatrix, tol: float = DEFAULT_TOL) -> list[
     at most tol: the absolute threshold(tol, 1), as that bound is the
     guarantee. For scale-free classes pass unit_diagonal(g), as partition does.
     """
-    n = g.n
-    adj = np.abs(g.entries) > threshold(tol, 1.0)
-    seen = [False] * n
-    classes: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        component = []
-        while stack:
-            i = stack.pop()
-            component.append(i)
-            for j in np.flatnonzero(adj[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        classes.append(sorted(component))
-    classes.sort(key=lambda c: c[0])
-    return classes
+    comp = connected_components(g.n, *np.nonzero(np.abs(g.entries) > threshold(tol, 1.0)))
+    by_class = np.argsort(comp, kind="stable")  # each class in index order
+    return [c.tolist() for c in np.split(by_class, np.cumsum(np.bincount(comp))[:-1])]
 
 
 _EPS = float(np.finfo(np.float64).eps)

@@ -195,6 +195,24 @@ def min_eigenvalue(a: HermitianMatrix) -> float:
     return float(np.linalg.eigvalsh(a.entries)[..., 0].min())
 
 
+def connected_components(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The class number of each of k indices, a[i] and b[i] joined for each i; classes
+    are numbered in the order of their least index. Each round hooks the larger root of
+    every joined pair that crosses under the smaller, then jumps pointers to the roots,
+    until no pair crosses: as every pointer goes to a smaller index there is no cycle,
+    each round hooks a root, and the root of a class is its least index."""
+    root = np.arange(k)
+    while True:
+        ra, rb = root[a], root[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        root[np.maximum(ra, rb)[cross]] = np.minimum(ra, rb)[cross]  # any smaller root will do
+        while ((jumped := root[root]) != root).any():
+            root = jumped
+    return (np.cumsum(root == np.arange(k)) - 1)[root]
+
+
 class PsdFactor(NamedTuple):
     rows: np.ndarray  # (n, rank); row i is the feature vector of index i
     rank: int

@@ -110,10 +110,16 @@ def minimal_interpolation_norm(problem: PickProblem, tol: float = DEFAULT_TOL) -
     answer 1 within 1e-11 (tests/test_pick.py); the error grows with the
     condition number of G.
 
+    t* is homogeneous in the targets, so it is computed for w 2^-e, 2^e the
+    power of two of the largest part of any target (math.frexp), and
+    multiplied back by 2^e. Both steps are exact while the parts stay normal
+    floats, and no product of the targets' scale passes the float range.
+
     Raises PreconditionError unless min eig(G) > tol * gram_scale(G), the
     largest diagonal entry. Nearly coincident nodes are refused on purpose:
     at a ratio of 1e-12 (12 equispaced real Szego nodes in [-0.6, 0.6]) t*
-    is off by about 5e-6.
+    is off by about 5e-6. Raises InputError when t* itself is beyond the
+    float range.
     """
     g = problem.gram()
     gram_min = min_eigenvalue(g)
@@ -123,8 +129,14 @@ def minimal_interpolation_norm(problem: PickProblem, tol: float = DEFAULT_TOL) -
             f"Gram matrix is not positive definite relative to its scale "
             f"{scale:.3e} (min eigenvalue {gram_min:.3e})"
         )
-    w = problem.targets
-    if not np.any(w):
+    parts = problem.targets.view(np.float64)
+    if not np.any(parts):
         return 0.0
+    e = math.frexp(float(np.max(np.abs(parts))))[1]
+    w = np.ldexp(parts, -e).view(np.complex128)  # 2.0 ** -e would overflow for e < -1023
     lower = np.linalg.cholesky(g.entries)
-    return float(np.linalg.norm(np.linalg.solve(lower, w[:, None] * lower), 2))
+    t = float(np.linalg.norm(np.linalg.solve(lower, w[:, None] * lower), 2))
+    try:
+        return math.ldexp(t, e)
+    except OverflowError:
+        raise InputError(f"the minimal norm {t!r} * 2^{e} is beyond the float range") from None

@@ -324,6 +324,28 @@ class TestErrorPaths:
         code, report, _ = run(capsys, argv)
         assert code == 2 and report["results"]["error"]["type"] == "DomainError"
 
+    # abs(z_i) ** 2, or abs(z_i) itself, passes the float range
+    @pytest.mark.parametrize(
+        "z",
+        [
+            "[[-0.25341853557512867, 1e+308], [0.34060317350739183, -0.04985395938973676]]",
+            "[[1e308, 1e308]]",
+        ],
+    )
+    def test_fock_balance_refuses_a_point_past_the_float_range(self, z, corpus, capsys):
+        code, report, _ = run(capsys, ["fock", "balance", "--z", z, "--degree", "10"])
+        assert code == 2 and report["results"]["error"]["type"] == "DomainError"
+
+    def test_fock_defect_refuses_a_window_past_the_array_budget(self, monkeypatch, capsys):
+        # the budget just below the 36 x 36 matrix of the degree-7 window in 2 variables
+        monkeypatch.setattr(fock, "_ARRAY_BYTES", 36 * 36 * 16 - 1)
+        phi = json.dumps({"dim": 2, "terms": [{"exp": [1, 1], "coeff": 1}]})
+        argv = ["fock", "defect", "--phi", phi, "--degree", "7", "--span"]
+        code, report, _ = run(capsys, argv + ["full"])
+        assert code == 2 and report["results"]["error"]["type"] == "WindowOverflowError"
+        code, report, _ = run(capsys, argv + ["powers"])  # no k x k matrix: z1 z2 is refuted
+        assert code == 1 and report["results"]["span_dim"] == 4
+
     def test_closure_refuses_the_degree_zero_window(self, corpus, capsys):
         # there every kernel function is the constant 1, so any z would be a member
         points = corpus / "origin2.json"

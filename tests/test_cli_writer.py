@@ -1,4 +1,6 @@
-"""The canonical writer against json.dumps itself, on random report trees."""
+"""The report shell against its references: the canonical writer against
+json.dumps itself, on random report trees and on arrays, and the one-array
+readers of points and Gram matrices against the entry-by-entry ones."""
 
 import io
 import json
@@ -6,9 +8,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from conftest import seeded_by
 
 from rkhslab import cli, fock
+from rkhslab.errors import InputError
 
 KEYS = ["", "a", "a.b", "é", "∑ x", "\U0001f600", "\ud800", "\udfff", 'q"b\\s', "\x00\n\t"]
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
@@ -88,3 +92,89 @@ def test_complex_array_encodes_as_pairs(seed):
     # json.dumps tells NaN, -0.0 and the infinities apart, where == would not
     assert json.dumps(cli._encode(x)) == json.dumps(pairs(x))
     assert written({"x": x}) == reference({"x": pairs(x)})
+
+
+def array_shape(rng):
+    """(), (0,), (1,), (n, 1) or (n, d), n and d from 1 to 5."""
+    n, d = (int(v) for v in rng.integers(1, 6, size=2))
+    return [(), (0,), (1,), (n, 1), (n, d)][rng.integers(5)]
+
+
+@seeded_by(300)
+def test_arrays_match_json_dumps(seed):
+    # float and complex arrays take the one-pass writer, int arrays the recursion
+    rng = np.random.default_rng(seed)
+    shape = array_shape(rng)
+    pool = np.array(SPECIAL_FLOATS + [1e308] + list(rng.standard_normal(3)))
+    kind = rng.integers(3)
+    if kind == 0:
+        x = np.asarray(rng.choice(pool, size=shape), dtype=np.float64)
+    elif kind == 1:
+        x = np.empty(shape, dtype=np.complex128)
+        x.real, x.imag = rng.choice(pool, size=(2, *shape))
+    else:
+        x = np.asarray(rng.integers(-(2**62), 2**62, size=shape), dtype=np.int64)
+    for tree in (x, {"a": [x, {"b": x}]}):
+        assert cli._canonical(tree) + "\n" == reference(tree)
+
+
+def per_entry_points(pts, dim, what):
+    return np.array([cli._parse_point(p, dim, what) for p in pts], dtype=np.complex128)
+
+
+def per_entry_gram(gram, what):
+    n = len(gram)
+    rows = [cli._parse_list(r, what, n, f"a row of {n} entries") for r in gram]
+    return np.array([[cli._parse_complex(v, what) for v in row] for row in rows], dtype=complex)
+
+
+def outcome(read, *args):
+    """The shape and bytes of the array read, or the text of the InputError."""
+    try:
+        a = read(*args)
+    except InputError as e:
+        return str(e)
+    return a.shape, a.tobytes()
+
+
+POINTS = """[[[-0.0, 0.5], [0.25, -0.0]], [[1.0, Infinity], [-Infinity, NaN]],
+             [[0.0, 0.0], [1e308, 5e-324]]]"""
+GRAM = '[[[2.0, -0.0], [0.5, 0.25]], [[0.5, -0.25], [1.0, Infinity]]]'
+
+
+def test_float_pairs_keep_their_bits():
+    pts, gram = json.loads(POINTS), json.loads(GRAM)
+    assert outcome(cli._float_pairs, pts, (3, 2)) == outcome(per_entry_points, pts, 2, "points")
+    assert outcome(cli._float_pairs, gram, (2, 2)) == outcome(per_entry_gram, gram, "kernel.gram")
+    parts = cli._parse_points(pts, 2, "points").view(np.float64)
+    assert np.signbit(parts[0]).tolist() == [True, False, False, True]
+    assert parts[1, :2].tolist() == [1.0, math.inf]
+    assert cli._parse_gram(gram, "kernel.gram").view(np.float64)[1, 2:].tolist() == [1.0, math.inf]
+
+
+# each replaces the last part of the middle point or of the second row
+FALLBACKS = {
+    "boolean": lambda pair: [pair[0], True],
+    "int": lambda pair: [pair[0], 3],
+    "rational": lambda pair: [pair[0], {"num": "1", "den": "3"}],
+    "string": lambda pair: [pair[0], "1.0"],
+    "null": lambda pair: [pair[0], None],
+    "three parts": lambda pair: pair + [0.0],
+}
+
+
+@pytest.mark.parametrize("kind", [*FALLBACKS, "ragged row"])
+def test_other_inputs_read_entry_by_entry(kind):
+    pts, gram = json.loads(POINTS), json.loads(GRAM)
+    if kind == "ragged row":
+        del pts[1][-1], gram[1][-1]
+    else:
+        pts[1][-1] = FALLBACKS[kind](pts[1][-1])
+        gram[1][-1] = FALLBACKS[kind](gram[1][-1])
+    assert cli._float_pairs(pts, (3, 2)) is None and cli._float_pairs(gram, (2, 2)) is None
+    for got, want in [
+        (outcome(cli._parse_points, pts, 2, "pts"), outcome(per_entry_points, pts, 2, "pts")),
+        (outcome(cli._parse_gram, gram, "gram"), outcome(per_entry_gram, gram, "gram")),
+    ]:
+        assert got == want
+        assert isinstance(got, str) == (kind not in ("int", "rational"))  # those two are read

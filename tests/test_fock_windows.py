@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from conftest import random_ball_points, seeded_by
 
+from rkhslab import fock
 from rkhslab.errors import InputError, WindowOverflowError
 from rkhslab.fock import (
     FockSubspace,
@@ -167,6 +168,25 @@ class TestWindowConstruction:
         assert math.comb(1027, 513) <= 2**1022 < math.comb(1028, 514)
         with pytest.raises(InputError, match="below the normal float range"):
             TruncatedSpace(dim, degree)
+
+    # Sizes are computed, never allocated: each test sets the budget just at or
+    # just below a small window's array, so a missing check builds nothing large.
+    def test_a_window_past_the_array_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(fock, "_ARRAY_BYTES", math.comb(10 + 3, 3) * 3 * 8)
+        assert len(TruncatedSpace(3, 10)) == math.comb(10 + 3, 3)  # its exponent table fits
+        with pytest.raises(WindowOverflowError, match="degree-11 window in 3 variables"):
+            TruncatedSpace(3, 11)
+
+    def test_a_full_window_matrix_past_the_array_budget_is_refused(self, monkeypatch):
+        space = TruncatedSpace(2, 7)  # 36 monomials
+        monkeypatch.setattr(fock, "_ARRAY_BYTES", 36 * 36 * 16 - 1)
+        with pytest.raises(WindowOverflowError, match="36 x 36 window matrix"):
+            space.matrix(Polynomial.monomial(2, (1, 0)))
+
+    def test_the_window_that_ran_out_of_memory_is_past_the_budget(self):
+        # fock defect --span full --degree 500 in 4 variables: C(504, 4) exponent rows
+        # of 4 int64s, 81 GB, which numpy failed to allocate
+        assert math.comb(500 + 4, 4) * 4 * 8 > 300 * fock._ARRAY_BYTES
 
 
 class TestFullWindowMatrix:

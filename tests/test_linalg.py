@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from conftest import cholesky_bisect_min_eig, random_psd_entries, random_unitary
+from conftest import cholesky_bisect_min_eig, random_psd_entries, random_unitary, seeded_by
 
 from rkhslab.errors import InputError, NotPsdError, PreconditionError
 from rkhslab.linalg import (
     HermitianMatrix,
+    connected_components,
     Subspace,
     min_eigenvalue,
     psd_check,
@@ -241,3 +242,32 @@ class TestHyponormalClosure:
             f = u[:, :k] @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
             check = verify_hyponormal_closure(t, sub, f, 1e-9)
             assert not (check.norms_equal and not check.image_in_subspace)
+
+
+def search_components(k, a, b):
+    """Class numbers by depth-first search from each unseen index in turn."""
+    joined = [set() for _ in range(k)]
+    for i, j in zip(a.tolist(), b.tolist()):
+        joined[i].add(j)
+        joined[j].add(i)
+    comp = [-1] * k
+    count = 0
+    for start in range(k):
+        if comp[start] < 0:
+            comp[start], stack = count, [start]
+            while stack:
+                for j in joined[stack.pop()]:
+                    if comp[j] < 0:
+                        comp[j] = count
+                        stack.append(j)
+            count += 1
+    return comp
+
+
+@seeded_by(200)
+def test_connected_components_match_a_search(seed):
+    # from no pairs to more pairs than indices, self-pairs and repeats included
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 40))
+    a, b = rng.integers(0, k, size=(2, int(rng.integers(0, 2 * k))))
+    assert connected_components(k, a, b).tolist() == search_components(k, a, b)

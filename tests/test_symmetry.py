@@ -453,8 +453,9 @@ def input_file(data, workdir) -> str:
     return path
 
 
-def run_verdict(command, argv):
-    """Exit code and verdict fields of one run, which must warn nothing."""
+def run_verdict(command, argv, fields=None):
+    """Exit code and verdict fields (by default VERDICT_FIELDS[command]) of one
+    run, which must warn nothing."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -465,7 +466,7 @@ def run_verdict(command, argv):
     results = json.loads(out.getvalue())["results"]
     if code == 2:
         return code, results["error"]["type"]
-    return code, {field: results.get(field) for field in VERDICT_FIELDS[command]}
+    return code, {field: results.get(field) for field in fields or VERDICT_FIELDS[command]}
 
 
 def verdict(command, kernel, workdir):
@@ -511,11 +512,11 @@ def complex_lists(values):
     return [[[v.real, v.imag] for v in row] for row in np.atleast_2d(values)]
 
 
-def pick_verdict(kernel, targets, options, workdir, points=None):
+def pick_verdict(kernel, targets, options, workdir, points=None, fields=None):
     """pick on a problem file; nodes are the kernel's labels unless points are given."""
     nodes = kernel["labels"] if points is None else complex_lists(points)
     problem = {"kernel": kernel, "nodes": nodes, "targets": complex_lists(targets)[0]}
-    return run_verdict("pick", [input_file(problem, workdir)] + options)
+    return run_verdict("pick", [input_file(problem, workdir)] + options, fields)
 
 
 def defect_verdict(coeffs, dim, options):
@@ -604,6 +605,32 @@ class TestPowerOfTwoScaling:
             for k in (lo, int(rng.integers(lo, hi + 1)), hi):
                 got = pick_verdict(sampled_kernel(times_power_of_two(g, k)), w, options, workdir)
                 assert got == want, (options, k)
+
+    @pytest.mark.parametrize("name", ["szego", "bergman", "ball"])
+    @seeded
+    def test_pick_minimal_norm_scales_with_the_targets(self, name, seed, workdir):
+        # t* is homogeneous in the targets and computed for w 2^-e, so t*(2^k w)
+        # is 2^k t*(w) bit for bit while the parts of 2^k w and 2^k t* are normal
+        rng = np.random.default_rng(seed)
+        g = random_gram(rng, name)
+        w = 0.8 * disk_points(rng, len(g), 1.0)
+        code, got = pick_verdict(sampled_kernel(g), w, [], workdir, fields=["minimal_norm"])
+        assert code == 0
+        t = got["minimal_norm"]
+        parts = np.concatenate([w.real, w.imag, [t]])
+        lo, hi = exponent_range(parts, np.ones(parts.size))
+        for k in (lo, int(rng.integers(lo, hi + 1)), hi):
+            scaled = pick_verdict(
+                sampled_kernel(g), times_power_of_two(w, k), [], workdir, fields=["minimal_norm"]
+            )
+            assert scaled == (0, {"minimal_norm": math.ldexp(t, k)}), k
+
+    # the pick-scale problem, a Szego Gram times 1e-6, with target 1 at 1e308:
+    # t* = 5.14 * 2^1024, and the product w_i L, unscaled, would overflow
+    def test_pick_minimal_norm_beyond_the_float_range_refused(self, workdir):
+        g = 1e-6 * szego_gram(np.array([0, 0.3, 0.5j, -0.4]))
+        w = np.array([0, 1e308, 0.2, 0.1j])
+        assert pick_verdict(sampled_kernel(g), w, [], workdir) == (2, "InputError")
 
     @seeded
     def test_pick_targets_and_norm_together(self, seed, workdir):
