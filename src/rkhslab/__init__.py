@@ -45,22 +45,17 @@ from .fock import (
     Polynomial,
     QQi,
     TailBalance,
-    TruncatedKernel,
     TruncatedSpace,
     VanishingSubspaces,
     arveson_example,
     compression_defect,
     in_closure,
     inner_product,
-    monomial_norm_sq,
     mult_adjoint_apply,
-    norm_sq,
-    pairing,
     pairing_power_norms,
     powers_span,
     span_of_polynomials,
     tail_balance,
-    truncated_kernel_fn,
     vanishing_subspace,
 )
 from .kernels import (

@@ -14,7 +14,9 @@ arrays [re, im]; a point is a list of complex numbers, one per coordinate;
 exact rationals appear as {"num": "...", "den": "..."} with integer strings.
 
 Exit codes: 0 pass/feasible/consistent/member, 1 fail/infeasible/refuted,
-2 malformed input or failed hypothesis.
+2 malformed input or failed hypothesis, 3 internal error: any other exception,
+reported as {"error": {"type": "InternalError", ...}} with its traceback on
+stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import hashlib
 import json
 import math
 import sys
+import traceback
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -111,15 +114,20 @@ def _parse_complex(x, what: str) -> complex:
     return complex(float(_parse_number(re, what)), float(_parse_number(im, what)))
 
 
-def _parse_coeff(x, what: str):
-    """Complex coefficient, exactness-preserving: integer or rational parts
-    stay exact."""
+def _parse_parts(x, what: str) -> tuple:
+    """(re, im) of a complex number given as a number or [re, im]; integer and
+    rational parts stay exact."""
     if not isinstance(x, list):
-        return _parse_number(x, what)
+        return _parse_number(x, what), 0
     re, im = (_parse_number(v, what) for v in _parse_list(x, what, 2, "a number or [re, im]"))
-    if not isinstance(re, float) and not isinstance(im, float):
-        return fock.QQi(re, im)
-    return complex(float(re), float(im))
+    return re, im
+
+
+def _complex_value(re, im):
+    """A fock.QQi when both parts are exact, else a complex."""
+    if isinstance(re, float) or isinstance(im, float):
+        return complex(float(re), float(im))
+    return fock.QQi(re, im)
 
 
 def _parse_point(x, dim: int, what: str) -> list:
@@ -223,14 +231,14 @@ def _parse_family_obj(obj, what: str) -> BlaschkeFamily:
 def _parse_poly_obj(obj, what: str) -> fock.Polynomial:
     _object(obj, what, ("dim", "terms"))
     dim = _parse_int(obj["dim"], f"{what}.dim", 1)
-    coeffs = {}
+    parts: dict = {}  # exponent -> (re, im), the parts of repeated terms summed
     for t in _parse_list(obj["terms"], f"{what}.terms"):
         _object(t, f"{what}.terms", ("exp", "coeff"))
         exp = _parse_list(t["exp"], f"{what}.exp", dim, f"{dim} exponents")
         key = tuple(_parse_int(e, f"{what}.exp", 0) for e in exp)
-        c = _parse_coeff(t["coeff"], f"{what}.coeff")
-        coeffs[key] = coeffs[key] + c if key in coeffs else c
-    return fock.Polynomial(dim, coeffs)
+        re, im = _parse_parts(t["coeff"], f"{what}.coeff")
+        parts[key] = (parts[key][0] + re, parts[key][1] + im) if key in parts else (re, im)
+    return fock.Polynomial(dim, {key: _complex_value(*c) for key, c in parts.items()})
 
 
 class _Loader:
@@ -589,7 +597,7 @@ def _cmd_fock_arveson(args, loader):
 @_command("fock balance", "adjoint/forward norm balance on the kernel tail", Z, DEGREE)
 def _cmd_fock_balance(args, loader):
     raw = _parse_list(_parse_json_arg(args.z, "--z"), "--z", shape="a list of [re, im] pairs")
-    balance = fock.tail_balance([_parse_coeff(c, "--z") for c in raw], args.degree)
+    balance = fock.tail_balance([_complex_value(*_parse_parts(c, "--z")) for c in raw], args.degree)
     ok = balance.within_bound
     return {
         "adjoint_norm_sq": balance.adjoint_norm_sq,
@@ -689,6 +697,10 @@ def main(argv=None) -> int:
         }, 2
     except InputError as e:
         results, code = {"error": {"type": type(e).__name__, "message": str(e)}}, 2
+    except Exception as e:  # a fault of the program, not of its input
+        traceback.print_exc()
+        message = f"{type(e).__name__}: {e}"
+        results, code = {"error": {"type": "InternalError", "message": message}}, 3
 
     report = {
         "command": command,

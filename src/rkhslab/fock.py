@@ -2,20 +2,24 @@
 
 The ambient space is the d-variable reproducing kernel Hilbert space on the
 unit ball with kernel 1/(1 - <z, w>), cut off at a chosen total degree.
-Monomials z^alpha are orthogonal with norm squared alpha!/|alpha|!, kept
-here as exact rationals.
+Monomials z^alpha are orthogonal with norm squared 1/M_alpha, where
+M_alpha = |alpha|!/alpha! is the multinomial coefficient.
 
-Two roles. Polynomial arithmetic is the exact path: with int or Fraction
-inputs its coefficients are Gaussian rationals and inner products come out
-as Fractions (a float coefficient makes it complex). It serves the results
-whose exactness is the point, Arveson's witness 1/6 < 1/4
-(arveson_example) and tail_balance at exact z, and is the reference the
-tests compare the tables against. All numeric work, powers of a multiplier
-included, runs in the isometric coordinates of a TruncatedSpace instead,
-where multiplication by c z^gamma is a scatter-add over a shift table and
-its adjoint is the gather over the same table; there a Polynomial only
-lists the coefficients. Every orthonormal subspace of a window comes from
+One representation. Every computation runs on the shift tables of a
+TruncatedSpace: in its isometric coordinates multiplication by c z^gamma is
+a scatter-add over the table of gamma, and its adjoint is the gather over
+the same table. A Polynomial is the value type of a multiplier, with complex
+coefficients; its products, powers and inner products are short calls onto
+the tables. Every orthonormal subspace of a window comes from
 FockSubspace.span: one thin SVD, cut at one numerical-rank rule.
+
+One exact routine. Where exactness is the result (Arveson's witness
+1/6 < 1/4 in arveson_example, and tail_balance at a point with exact
+coordinates, QQi), TruncatedSpace.exact_norms_sq runs on the same tables
+with Python integers over one common denominator. Multiplication runs in
+monomial coordinates and its adjoint in dual coordinates <f, z^alpha>, both
+unweighted; the integer multinomials convert between the two and weight
+the norms, which come out as Fractions.
 
 Degree windows. Operations that consume a truncation of an infinite series
 take an explicit window so nothing is dropped silently: the adjoint of
@@ -29,7 +33,6 @@ import math
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 from typing import Iterable, NamedTuple, Union
 
@@ -48,7 +51,11 @@ from .linalg import (
 
 
 class QQi:
-    """Gaussian rational: complex number with exact Fraction parts."""
+    """Gaussian rational: an exact complex coordinate with Fraction parts.
+
+    A value type only: it converts to complex, and exact arithmetic on it
+    happens in TruncatedSpace.exact_norms_sq.
+    """
 
     __slots__ = ("re", "im")
 
@@ -56,102 +63,32 @@ class QQi:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
-
-    def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def _coerce(self, other):
-        if isinstance(other, QQi):
-            return other
-        if isinstance(other, Rational):
-            return QQi(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) + other
-        return QQi(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QQi(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) * other
-        return QQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    def __eq__(self, other):
-        if isinstance(other, QQi):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, Rational):
-            return self.im == 0 and self.re == other
-        if isinstance(other, (float, complex)):
-            return complex(self) == complex(other)
-        return NotImplemented
-
-    def __bool__(self):
-        return not self.is_zero
 
     def __repr__(self):
         return f"QQi({self.re!r}, {self.im!r})"
 
 
-Coefficient = Union[QQi, complex]
+def _gaussian(x) -> tuple:
+    """(re, im) Fractions of an exact complex number, a Rational or a QQi."""
+    return (Fraction(x), Fraction(0)) if isinstance(x, Rational) else (x.re, x.im)
 
 
-def _coerce_coeff(x) -> Coefficient:
-    """Exact types (QQi, any Rational: int, bool, Fraction, numpy integers)
-    stay exact; everything else is complex."""
-    if isinstance(x, QQi):
-        return x
-    if isinstance(x, Rational):
-        return QQi(x)
+def _coerce_coeff(x) -> complex:
+    """A finite complex number from any number, a QQi included."""
     c = complex(x)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise InputError("coefficients must be finite")
     return c
 
 
-@lru_cache(maxsize=None)
-def monomial_norm_sq(alpha: tuple) -> Fraction:
-    """Exact ||z^alpha||^2 = alpha! / |alpha|!.
-
-    Follows from expanding 1/(1 - <z, w>) as a geometric series: the
-    degree-n part <z, w>^n spreads the multinomial weight n!/alpha! over
-    the monomials, and the reproducing property inverts that weight.
-    """
-    total = 0
-    num = 1
-    for e in alpha:
-        if e < 0:
-            raise InputError("multi-index entries must be non-negative")
-        num *= math.factorial(e)
-        total += e
-    return Fraction(num, math.factorial(total))
-
-
 class Polynomial:
-    """Multivariate polynomial over multi-indexed monomials.
+    """A multiplier: complex coefficients on multi-indices, zeros not stored.
 
-    Coefficients are Gaussian rationals (exact path) or complex floats
-    (numeric path), never mixed within one polynomial. Zero coefficients
-    are not stored. QQi turns complex when it meets a float, so exact and
-    numeric polynomials combine by plain operators into numeric ones.
+    Any number (a QQi too) is accepted as a coefficient and kept as a finite
+    complex. Products, powers and inner products run on the shift tables of
+    the smallest window that holds their result.
     """
 
     __slots__ = ("dim", "coeffs")
@@ -167,12 +104,8 @@ class Polynomial:
                 raise InputError(f"bad multi-index {alpha} for dim {dim}")
             cc = _coerce_coeff(c)
             clean[key] = clean[key] + cc if key in clean else cc
-        if not all(isinstance(v, QQi) for v in clean.values()):
-            clean = {k: complex(v) for k, v in clean.items()}
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(
-            self, "coeffs", {k: v for k, v in clean.items() if v}
-        )
+        object.__setattr__(self, "coeffs", {k: v for k, v in clean.items() if v})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -194,22 +127,15 @@ class Polynomial:
         return not self.coeffs
 
     @property
-    def is_exact(self) -> bool:
-        return all(isinstance(c, QQi) for c in self.coeffs.values())
-
-    @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.coeffs:
             return -1
         return max(sum(a) for a in self.coeffs)
 
-    def _wrap_scalar(self, other) -> "Polynomial":
-        return Polynomial.constant(self.dim, other)
-
     def __add__(self, other):
         if not isinstance(other, Polynomial):
-            other = self._wrap_scalar(other)
+            other = Polynomial.constant(self.dim, other)
         if other.dim != self.dim:
             raise InputError("dimension mismatch")
         merged = dict(self.coeffs)
@@ -219,190 +145,78 @@ class Polynomial:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Polynomial(self.dim, {a: -c for a, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self._wrap_scalar(other)
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            other = self._wrap_scalar(other)
+            other = Polynomial.constant(self.dim, other)
         if other.dim != self.dim:
             raise InputError("dimension mismatch")
-        out: dict = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                term = ca * cb
-                out[key] = out[key] + term if key in out else term
-        return Polynomial(self.dim, out)
+        if self.is_zero or other.is_zero:
+            return Polynomial.zero(self.dim)
+        space = TruncatedSpace(self.dim, self.degree + other.degree)
+        return space.polynomial(space.multiply(self, space.iso_vector(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise InputError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        space = TruncatedSpace(self.dim, n * max(self.degree, 0))
+        u = np.zeros(len(space), dtype=np.complex128)
+        u[0] = 1.0  # the constant 1, of norm 1
+        for _ in range(n):
+            u = space.multiply(self, u)
+        return space.polynomial(u)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.dim == other.dim and self.coeffs == other.coeffs
 
-    def evaluate(self, point) -> complex:
-        z = np.atleast_1d(np.asarray(point, dtype=np.complex128))
-        if z.shape != (self.dim,):
-            raise InputError(f"point must have {self.dim} coordinates")
-        total = 0j
-        for alpha, c in self.coeffs.items():
-            term = complex(c)
-            for zi, e in zip(z, alpha):
-                if e:
-                    term *= zi**e
-            total += term
-        return total
-
     def __repr__(self):
         return f"Polynomial(dim={self.dim}, terms={len(self.coeffs)})"
 
 
-def inner_product(p: Polynomial, q: Polynomial) -> Coefficient:
-    """Weighted pairing sum_alpha p_alpha conj(q_alpha) ||z^alpha||^2.
-
-    Linear in the first argument, conjugate-linear in the second. Exact when
-    both polynomials are on the exact path.
-    """
+def inner_product(p: Polynomial, q: Polynomial) -> complex:
+    """Weighted pairing sum_alpha p_alpha conj(q_alpha) ||z^alpha||^2, linear in the
+    first argument and conjugate-linear in the second: the standard pairing of the
+    isometric coordinates of p and q."""
     if p.dim != q.dim:
         raise InputError("dimension mismatch")
-    small, big, conj_small = (p, q, False) if len(p.coeffs) <= len(q.coeffs) else (q, p, True)
-    exact = p.is_exact and q.is_exact
-    total: Coefficient = QQi() if exact else 0j
-    for alpha, c in small.coeffs.items():
-        d = big.coeffs.get(alpha)
-        if d is None:
-            continue
-        pc, qc = (d, c) if conj_small else (c, d)
-        total = total + pc * qc.conjugate() * monomial_norm_sq(alpha)
-    return total
-
-
-def norm_sq(p: Polynomial) -> Union[Fraction, float]:
-    """||p||^2; a Fraction on the exact path, a float otherwise."""
-    ip = inner_product(p, p)
-    if isinstance(ip, QQi):
-        return ip.re
-    return ip.real
-
-
-def _coerce_vector(w) -> list:
-    if isinstance(w, PointSet):
-        raise InputError("expected a single point, not a point set")
-    if isinstance(w, np.ndarray):
-        arr = list(np.atleast_1d(w))
-    elif isinstance(w, (list, tuple)):
-        arr = list(w)
-    else:
-        arr = [w]
-    if not arr:
-        raise InputError("point must have at least one coordinate")
-    return [_coerce_coeff(x) for x in arr]
-
-
-def _vector_norm_sq(entries: list) -> Union[Fraction, float]:
-    """||z||^2, exact for Gaussian rationals; inf when it passes the float range."""
-    if all(isinstance(e, QQi) for e in entries):
-        return sum((e.abs_sq() for e in entries), Fraction(0))
-    try:
-        return float(sum(abs(complex(e)) ** 2 for e in entries))
-    except OverflowError:  # such a z lies far outside the ball, which the callers refuse
-        return math.inf
-
-
-def pairing(w) -> Polynomial:
-    """Degree-one polynomial z -> <z, w>, i.e. sum_i conj(w_i) z_i.
-
-    These are the coordinate-function analogues among multipliers of the
-    ball kernel; w is any finite vector, not necessarily inside the ball.
-    """
-    entries = _coerce_vector(w)
-    d = len(entries)
-    coeffs = {}
-    for i, wi in enumerate(entries):
-        alpha = tuple(1 if k == i else 0 for k in range(d))
-        coeffs[alpha] = wi.conjugate()
-    return Polynomial(d, coeffs)
-
-
-class TruncatedKernel(NamedTuple):
-    poly: Polynomial
-    tail_norm_sq: float  # ||z||^(2(N+1)) / (1 - ||z||^2), the dropped mass
-
-
-def truncated_kernel_fn(z, degree: int) -> TruncatedKernel:
-    """Partial sum sum_{n <= degree} <., z>^n of the kernel function at z.
-
-    Requires ||z|| < 1 and attaches the exact geometric bound on the squared
-    norm of the dropped tail.
-    """
-    if degree < 0:
-        raise InputError("degree must be non-negative")
-    entries = _coerce_vector(z)
-    nz = _vector_norm_sq(entries)
-    if not float(nz) < 1.0:
-        raise DomainError(f"||z||^2 = {float(nz):.6f} is not below 1")
-    d = len(entries)
-    result = Polynomial.constant(d, 1)
-    step = pairing(entries)
-    term = Polynomial.constant(d, 1)
-    for _ in range(degree):
-        term = term * step
-        result = result + term
-    t = float(nz)
-    tail = t ** (degree + 1) / (1.0 - t)
-    return TruncatedKernel(poly=result, tail_norm_sq=tail)
+    space = TruncatedSpace(p.dim, max(p.degree, q.degree, 0))
+    return complex(np.vdot(space.iso_vector(q), space.iso_vector(p)))
 
 
 def mult_adjoint_apply(phi: Polynomial, f: Polynomial, degree: int) -> Polynomial:
     """Adjoint of multiplication by phi applied to f, on a degree window.
 
     Returns the polynomial g supported in degrees <= degree - deg(phi) with
-    <g, h> = <f, phi h> for every h of degree <= degree - deg(phi). When f
-    is an honest polynomial (not the truncation of a series) and phi is
-    homogeneous, g is the complete adjoint image. f must fit the window;
-    the engine raises rather than truncate.
+    <g, h> = <f, phi h> for every h of degree <= degree - deg(phi): the
+    gather of TruncatedSpace.multiply on the window. When f is an honest
+    polynomial (not the truncation of a series) and phi is homogeneous, g is
+    the complete adjoint image. f must fit the window; the engine raises
+    rather than truncate.
     """
-    if phi.dim != f.dim:
-        raise InputError("dimension mismatch")
     if degree < 0:
         raise InputError("degree must be non-negative")
     if f.degree > degree:
         raise WindowOverflowError(
             f"input of degree {f.degree} does not fit the degree-{degree} window"
         )
-    if phi.is_zero or f.is_zero:
-        return Polynomial.zero(f.dim)
-    out_cap = degree - phi.degree
-    acc: dict = {}
-    for gamma, pc in phi.coeffs.items():
-        pcc = pc.conjugate()
-        for mu, fc in f.coeffs.items():
-            beta = tuple(m - g for m, g in zip(mu, gamma))
-            if any(b < 0 for b in beta) or sum(beta) > out_cap:
-                continue
-            ratio = monomial_norm_sq(mu) / monomial_norm_sq(beta)
-            term = pcc * fc * ratio
-            acc[beta] = acc[beta] + term if beta in acc else term
-    return Polynomial(f.dim, acc)
+    space = TruncatedSpace(f.dim, degree)
+    return space.polynomial(space.multiply(phi, space.iso_vector(f), adjoint=True))
+
+
+def _coordinates(z) -> tuple:
+    """z as a complex array, and as (re, im) Fraction pairs when every coordinate
+    is exact (a Rational or a QQi), else None."""
+    if isinstance(z, PointSet):
+        raise InputError("expected a single point, not a point set")
+    entries = list(z) if isinstance(z, (list, tuple)) else list(np.atleast_1d(z))
+    if not entries:
+        raise InputError("point must have at least one coordinate")
+    zv = np.array([_coerce_coeff(x) for x in entries], dtype=np.complex128)
+    exact = all(isinstance(x, (Rational, QQi)) for x in entries)
+    return zv, ([_gaussian(x) for x in entries] if exact else None)
 
 
 _ARRAY_BYTES = 2**28  # the most one array of a window may take: 256 MiB
@@ -514,8 +328,8 @@ class TruncatedSpace:
                 f"polynomial of degree {p.degree} does not fit degree {self.degree}"
             )
         u = np.zeros(len(self), dtype=np.complex128)
-        for c, i in zip(p.coeffs.values(), self.index(list(p.coeffs))):
-            u[i] = complex(c) * self._sqrt_norms[i]
+        at = self.index(list(p.coeffs))
+        u[at] = np.fromiter(p.coeffs.values(), np.complex128, len(at)) * self._sqrt_norms[at]
         return u
 
     def polynomial(self, u: np.ndarray) -> Polynomial:
@@ -538,7 +352,9 @@ class TruncatedSpace:
         pts = zv if zv.ndim == 2 else np.atleast_1d(zv)[None, :]
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InputError(f"point must have {self.dim} coordinates")
-        if not np.all(np.linalg.norm(pts, axis=1) < 1.0):  # a NaN coordinate fails too
+        with np.errstate(over="ignore"):  # a norm past the float range is inf, and refused
+            inside = np.all(np.linalg.norm(pts, axis=1) < 1.0)  # a NaN coordinate fails too
+        if not inside:
             raise DomainError("point must lie inside the open unit ball")
         # conj(z_j)^e for each coordinate j and e <= degree, each power once; at picks alpha_j
         powers = (np.conjugate(pts)[:, :, None] ** np.arange(self.degree + 1)).reshape(len(pts), -1)
@@ -607,6 +423,47 @@ class TruncatedSpace:
             _, dst, weight = self.shift(gamma)
             t[dst, np.arange(len(dst))] += complex(c) * weight
         return t
+
+    def multinomials(self) -> np.ndarray:
+        """The integers M_alpha = |alpha|!/alpha! = 1 / ||z^alpha||^2, exactly, as Python
+        ints in an object array."""
+        factorial = np.array([math.factorial(n) for n in range(self.degree + 1)], dtype=object)
+        return factorial[self.exponents.sum(axis=1)] // np.prod(factorial[self.exponents], axis=1)
+
+    def exact_norms_sq(self, terms, y_re, y_im, den) -> tuple:
+        """(||M_phi* f||^2, ||M_phi f||^2) as Fractions, computed exactly on the tables.
+
+        phi = sum c_gamma z^gamma over the (gamma, c_gamma) pairs of terms, each
+        c_gamma a Rational or a QQi. f is given by its dual coordinates
+        y_alpha = <f, z^alpha> = (y_re + i y_im)_alpha / den, y_re and y_im object
+        arrays of Python ints. As in multiply, M_phi* f is cut to degrees
+        <= degree - deg(phi) and M_phi f to the window.
+
+        Multiplication runs in monomial coordinates c = M y, where each table
+        weight is 1. The adjoint runs on y, where <M_phi* f, z^beta> =
+        sum_gamma conj(c_gamma) y_(beta + gamma) is an unweighted gather. The
+        norms are sum |y|^2 M and sum |c|^2 / M = sum |c|^2 (L / M) / L, L = degree!.
+        """
+        parts = [(tuple(g), *_gaussian(c)) for g, c in terms]
+        parts = [(g, re, im) for g, re, im in parts if re or im]
+        q = math.lcm(*(x.denominator for _, re, im in parts for x in (re, im)))
+        m = self.multinomials()
+        c_re, c_im = y_re * m, y_im * m
+        fwd_re, fwd_im, adj_re, adj_im = (np.zeros(len(self), dtype=object) for _ in range(4))
+        for gamma, re, im in parts:
+            src, dst, _ = self.shift(gamma)
+            a, b = int(re * q), int(im * q)  # c_gamma = (a + i b) / q
+            fwd_re[dst] += a * c_re[src] - b * c_im[src]
+            fwd_im[dst] += a * c_im[src] + b * c_re[src]
+            adj_re[src] += a * y_re[dst] + b * y_im[dst]
+            adj_im[src] += a * y_im[dst] - b * y_re[dst]
+        cut = self.size_at_most(self.degree - max((sum(g) for g, _, _ in parts), default=-1))
+        adj_re[cut:] = 0
+        adj_im[cut:] = 0
+        scale, whole = q * den, math.factorial(self.degree)
+        adjoint = Fraction(int(np.sum((adj_re**2 + adj_im**2) * m)), scale**2)
+        forward = Fraction(int(np.sum((fwd_re**2 + fwd_im**2) * (whole // m))), whole * scale**2)
+        return adjoint, forward
 
     def __repr__(self):
         return f"TruncatedSpace(dim={self.dim}, degree={self.degree}, size={len(self)})"
@@ -872,14 +729,15 @@ def arveson_example() -> ArvesonWitness:
 
     Multiplication by z1 z2 sends z1 z2 to (z1 z2)^2 of squared norm 1/6,
     while its adjoint sends z1 z2 to a constant of squared norm 1/4. Both
-    numbers are computed from first principles on the exact path, and the
-    strict inequality 1/6 < 1/4 is asserted.
+    numbers are computed from first principles by the exact routine on the
+    shift tables of the degree-4 window, and the strict inequality
+    1/6 < 1/4 is asserted.
     """
-    z1z2 = Polynomial.monomial(2, (1, 1))
-    fwd = norm_sq(z1z2 * z1z2)
-    adj = norm_sq(mult_adjoint_apply(z1z2, z1z2, degree=2))
-    if not (isinstance(fwd, Fraction) and isinstance(adj, Fraction)):
-        raise AssertionError("witness must be exact")
+    space = TruncatedSpace(2, 4)
+    at = int(space.index((1, 1))[0])
+    y = np.zeros(len(space), dtype=object)
+    y[at] = 1  # <z1 z2, z^alpha> is 1 / M_(1,1) at alpha = (1, 1) and 0 elsewhere
+    adj, fwd = space.exact_norms_sq([((1, 1), 1)], y, np.zeros_like(y), space.multinomials()[at])
     if not fwd < adj:
         raise AssertionError(f"expected forward {fwd} < adjoint {adj}")
     return ArvesonWitness(forward_norm_sq=fwd, adjoint_norm_sq=adj)
@@ -899,10 +757,43 @@ class TailBalance(NamedTuple):
 
 
 def _pairing_setup(z):
-    """The multiplier <., z>, z as a complex array, and ||z||^2."""
-    entries = _coerce_vector(z)
-    zv = np.array([complex(e) for e in entries], dtype=np.complex128)
-    return pairing(entries), zv, float(_vector_norm_sq(entries))
+    """The multiplier <., z>, z as a complex array, ||z||^2 (summed exactly and rounded
+    once when z is exact; inf past the float range), and the exact parts of z, or
+    None, as _coordinates gives them."""
+    zv, exact = _coordinates(z)
+    try:
+        if exact is not None:
+            nz = float(sum(re * re + im * im for re, im in exact))
+        else:
+            nz = float(sum(abs(complex(e)) ** 2 for e in zv))
+    except OverflowError:  # such a z lies far outside the ball, which the callers refuse
+        nz = math.inf
+    step = Polynomial(len(zv), zip(np.eye(len(zv), dtype=int).tolist(), zv.conj()))
+    return step, zv, nz, exact
+
+
+def _exact_tail_norms_sq(z: list, degree: int) -> tuple:
+    """||M* f||^2 and ||M f||^2 as Fractions, for M = <., z> and f = sum_{1 <= n <= degree}
+    <., z>^n, z as (re, im) Fraction pairs, by TruncatedSpace.exact_norms_sq on the
+    degree + 1 window, which holds M f whole. The dual coordinates of f are the
+    conj(z)^alpha, 1 <= |alpha| <= degree: with D the common denominator of the parts of
+    z and s_j = D conj(z_j), the numerators prod_j s_j^alpha_j D^(degree - |alpha|) over
+    D^degree."""
+    space = TruncatedSpace(len(z), degree + 1)
+    den = math.lcm(*(x.denominator for part in z for x in part))
+    scale = [0] + [den ** (degree - n) for n in range(1, degree + 1)] + [0]  # by |alpha|
+    y_re = np.array(scale, dtype=object)[space.exponents.sum(axis=1)]
+    y_im = np.zeros(len(space), dtype=object)
+    for j, (re, im) in enumerate(z):
+        sr, si = int(re * den), -int(im * den)
+        powers = [(1, 0)]
+        for _ in range(degree + 1):
+            r, i = powers[-1]
+            powers.append((r * sr - i * si, r * si + i * sr))
+        pr, pi = (np.array(p, dtype=object)[space.exponents[:, j]] for p in zip(*powers))
+        y_re, y_im = y_re * pr - y_im * pi, y_re * pi + y_im * pr
+    step = [(row, QQi(re, -im)) for row, (re, im) in zip(np.eye(len(z), dtype=int).tolist(), z)]
+    return space.exact_norms_sq(step, y_re, y_im, den**degree)
 
 
 def _band_norms_sq(step: Polynomial, zv: np.ndarray, low: int, high: int) -> tuple:
@@ -936,17 +827,15 @@ def tail_balance(z, degree: int) -> TailBalance:
     doubles that and summing len non-negative squares adds len eps / 2.
     Each computed norm is thus within half the bound of the exact value.
     """
-    step, zv, nz = _pairing_setup(z)
+    step, zv, nz, exact = _pairing_setup(z)
     if nz == 0.0:
         raise InputError("z must be nonzero; the tail vanishes at z = 0")
     if degree < 1:
         raise InputError("degree must be at least 1")
     if not nz < 1.0:
         raise DomainError(f"||z||^2 = {nz:.6f} is not below 1")
-    if step.is_exact:
-        f = truncated_kernel_fn(z, degree).poly - 1
-        adj = float(norm_sq(mult_adjoint_apply(step, f, degree)))
-        fwd = float(norm_sq(step * f))
+    if exact is not None:
+        adj, fwd = map(float, _exact_tail_norms_sq(exact, degree))
         rounding = 0.0
     else:
         adj, fwd, size = _band_norms_sq(step, zv, 1, degree)
@@ -968,7 +857,7 @@ def pairing_power_norms(z, n: int, degree: int) -> PairingPowerNorms:
     """
     if not isinstance(n, int) or n < 2:
         raise InputError("n must be an integer >= 2")
-    step, zv, nz = _pairing_setup(z)
+    step, zv, nz, _ = _pairing_setup(z)
     if not 0.0 < nz < 1.0:
         raise DomainError("need 0 < ||z|| < 1")
     if n > degree:

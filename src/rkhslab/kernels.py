@@ -57,7 +57,8 @@ class PointSet:
             raise InputError("point set must be non-empty")
         if not np.all(np.isfinite(pts)):
             raise InputError("points contain non-finite coordinates")
-        norms = np.linalg.norm(pts, axis=1)
+        with np.errstate(over="ignore"):  # a norm past the float range is inf, and refused
+            norms = np.linalg.norm(pts, axis=1)
         if np.any(norms >= 1.0):
             worst = int(np.argmax(norms))
             raise DomainError(

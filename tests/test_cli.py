@@ -389,6 +389,28 @@ class TestErrorPaths:
         error = json.loads(captured.out)["results"]["error"]
         assert error == {"type": "InputError", "message": "coefficient 1 must be finite, got inf"}
 
+    def test_coordinate_past_the_square_root_of_the_float_range_refused_silently(
+        self, tmp_path, capsys
+    ):
+        # |x|^2 overflows past about 1.3e154: the norm is inf and the point is
+        # refused, with no numpy overflow warning on stderr first
+        far, near = tmp_path / "far.json", tmp_path / "near.json"
+        inside, outside = [[0.1, 0], [0, 0]], [[1e308, 0.0], [0, 0]]
+        far.write_text(json.dumps({"dim": 2, "points": [inside, outside]}))
+        near.write_text(json.dumps({"dim": 2, "points": [inside]}))
+        cases = [  # the points file through PointSet, --z through TruncatedSpace.kernel_vector
+            (far, inside, "point 1 has norm inf"),
+            (near, outside, "inside the open unit ball"),
+        ]
+        for points, z, message in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["closure", "--points", str(points), "--z", json.dumps(z)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.err == ""
+            error = json.loads(captured.out)["results"]["error"]
+            assert error["type"] == "DomainError" and message in error["message"]
+
     def test_malformed_json_argument(self, corpus, capsys):
         code, report, _ = run(capsys, ["fock", "balance", "--z", "[[0.5,0]", "--degree", "3"])
         assert code == 2
@@ -555,6 +577,33 @@ COMPLEX_REFUSALS = {
 }
 
 
+class TestInternalError:
+    """Any exception other than InputError and HypothesisError is a fault of the
+    program: exit code 3, an InternalError report, and the traceback on stderr."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_exits_three_with_the_traceback_on_stderr(self, fmt, monkeypatch, capsys):
+        def broken():
+            raise ZeroDivisionError("a fault of the program")
+
+        monkeypatch.setattr(fock, "arveson_example", broken)
+        code = main(["fock", "arveson", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("Traceback")
+        assert captured.err.endswith("ZeroDivisionError: a fault of the program\n")
+        message = "ZeroDivisionError: a fault of the program"
+        if fmt == "json":
+            report = json.loads(captured.out)
+            assert report["results"] == {"error": {"type": "InternalError", "message": message}}
+            assert report["exit_code"] == 3
+        else:
+            lines = captured.out.splitlines()
+            assert 'results.error.type = "InternalError"' in lines
+            assert f"results.error.message = {json.dumps(message)}" in lines
+            assert lines[-1] == "exit_code = 3"
+
+
 class TestMalformedShapes:
     @pytest.mark.parametrize("case", MALFORMED)
     def test_refused_with_exit_two(self, case, corpus, capsys):
@@ -682,8 +731,7 @@ class TestPowersSpan:
             raise AssertionError("fock defect ran Gaussian-rational arithmetic")
 
         monkeypatch.setattr(fock.Polynomial, "__pow__", exact_arithmetic)
-        monkeypatch.setattr(fock.QQi, "__mul__", exact_arithmetic)
-        monkeypatch.setattr(fock.QQi, "__rmul__", exact_arithmetic)
+        monkeypatch.setattr(fock.TruncatedSpace, "exact_norms_sq", exact_arithmetic)
         reports = [
             run(capsys, ["fock", "defect", "--phi", self.coordinate_sum(c), "--span", "powers"])
             for c in (1, 1.0)

@@ -5,27 +5,30 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import random_ball_points
-
-from rkhslab.cli import main
-from rkhslab.errors import DomainError, InputError, WindowOverflowError
-from rkhslab.fock import (
-    FockSubspace,
+from fock_reference import (
     Polynomial,
     QQi,
-    TruncatedSpace,
-    arveson_example,
-    compression_defect,
-    in_closure,
     inner_product,
     monomial_norm_sq,
     mult_adjoint_apply,
     norm_sq,
     pairing,
+    reference,
+    truncated_kernel_fn,
+)
+
+from rkhslab.cli import main
+from rkhslab.errors import DomainError, InputError, WindowOverflowError
+from rkhslab.fock import (
+    FockSubspace,
+    TruncatedSpace,
+    arveson_example,
+    compression_defect,
+    in_closure,
     pairing_power_norms,
     powers_span,
     span_of_polynomials,
     tail_balance,
-    truncated_kernel_fn,
     vanishing_subspace,
 )
 from rkhslab.kernels import PointSet
@@ -248,7 +251,7 @@ class TestTruncatedSpace:
     def test_iso_norm_is_weighted_norm(self, rng):
         space = TruncatedSpace(3, 3)
         u = rng.standard_normal(len(space)) + 1j * rng.standard_normal(len(space))
-        p = space.polynomial(u)
+        p = reference(space.polynomial(u))
         assert float(norm_sq(p)) == pytest.approx(float(np.linalg.norm(u) ** 2), rel=1e-12)
 
     def test_kernel_vector_norm(self):
@@ -312,7 +315,7 @@ class TestVanishingSubspace:
         pts = PointSet(2, random_ball_points(rng, 4, 2))
         spaces = vanishing_subspace(pts, 5)
         for k in range(spaces.ideal.dim):
-            p = spaces.ideal.space.polynomial(spaces.ideal.basis[:, k])
+            p = reference(spaces.ideal.space.polynomial(spaces.ideal.basis[:, k]))
             for y in pts.points:
                 assert abs(p.evaluate(y)) < 1e-10
 
@@ -527,7 +530,7 @@ class TestCompressionDefect:
         f = vanishing_subspace(pts, 6).complement
         phi = Polynomial.constant(2, 1.3 + 0.4j)
         assert compression_defect(phi, f) >= -1e-12
-        cols = f.polynomials()
+        cols = [reference(p) for p in f.polynomials()]
         for _ in range(20):
             c = rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
             vec = sum((Polynomial.constant(2, ci) * p for ci, p in zip(c, cols)),

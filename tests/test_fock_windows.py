@@ -5,7 +5,8 @@ window's basis enumerated with itertools, its weights from the exact
 monomial norms and its positions from a dict, the compressed matrix
 assembled from k^2 inner products of Polynomial products, the kernel vector
 built monomial by monomial, and the tail balance through
-truncated_kernel_fn, mult_adjoint_apply and norm_sq. Random cases are drawn
+truncated_kernel_fn, mult_adjoint_apply and norm_sq, the dict arithmetic of
+fock_reference. Random cases are drawn
 by hypothesis when it is installed and from fixed seeds otherwise.
 """
 
@@ -16,26 +17,30 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import random_ball_points, seeded_by
-
-from rkhslab import fock
-from rkhslab.errors import InputError, WindowOverflowError
-from rkhslab.fock import (
-    FockSubspace,
+from fock_reference import (
+    QQi,
     Polynomial,
-    TruncatedSpace,
-    arveson_example,
-    compression_defect,
-    defect_scale,
     inner_product,
     monomial_norm_sq,
     mult_adjoint_apply,
     norm_sq,
     pairing,
+    reference,
+    truncated_kernel_fn,
+)
+
+from rkhslab import fock
+from rkhslab.errors import InputError, WindowOverflowError
+from rkhslab.fock import (
+    FockSubspace,
+    TruncatedSpace,
+    arveson_example,
+    compression_defect,
+    defect_scale,
     pairing_power_norms,
     powers_span,
     span_of_polynomials,
     tail_balance,
-    truncated_kernel_fn,
     vanishing_subspace,
 )
 from rkhslab.fock import _WHOLE, _classes, _normalized, _self_commutator_blocks
@@ -67,7 +72,7 @@ def monomials(space: TruncatedSpace) -> list:
 
 
 def dict_defect(phi: Polynomial, subspace: FockSubspace) -> float:
-    cols = subspace.polynomials()
+    cols = [reference(c) for c in subspace.polynomials()]
     products = [phi * c for c in cols]
     k = len(cols)
     t = np.empty((k, k), dtype=np.complex128)
@@ -544,3 +549,131 @@ def test_arveson_witness_stays_exact():
     w = arveson_example()
     assert type(w.forward_norm_sq) is Fraction and w.forward_norm_sq == Fraction(1, 6)
     assert type(w.adjoint_norm_sq) is Fraction and w.adjoint_norm_sq == Fraction(1, 4)
+
+
+def gaussian_rational(rng, bound: Fraction, nonzero_im: bool = False) -> QQi:
+    """A Gaussian rational with parts of size at most bound, on small denominators."""
+    q = int(rng.integers(1, 8))
+    re, im = (int(rng.integers(-q, q + 1)) for _ in range(2))
+    if nonzero_im:
+        im = int(rng.integers(1, q + 1)) * int(rng.choice([-1, 1]))
+    return QQi(bound * Fraction(re, q), bound * Fraction(im, q))
+
+
+def dual_numerators(f: Polynomial, space: TruncatedSpace) -> tuple:
+    """The dual coordinates <f, z^alpha> = f_alpha ||z^alpha||^2 of f on the window, as
+    object arrays of integer numerators over one common denominator."""
+    duals = {alpha: c * monomial_norm_sq(alpha) for alpha, c in f.coeffs.items()}
+    den = math.lcm(*(x.denominator for c in duals.values() for x in (c.re, c.im)))
+    y_re, y_im = np.zeros(len(space), dtype=object), np.zeros(len(space), dtype=object)
+    for alpha, c in duals.items():
+        at = int(space.index(alpha)[0])
+        y_re[at], y_im[at] = int(c.re * den), int(c.im * den)
+    return y_re, y_im, den
+
+
+class TestExactNorms:
+    """TruncatedSpace.exact_norms_sq against the dict arithmetic, Fraction for Fraction."""
+
+    @seeded
+    def test_kernel_tails_at_gaussian_rational_points(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, degree = int(rng.integers(1, 4)), int(rng.integers(1, 13))
+        bound = Fraction(1, 2 * dim)  # each part of z at most 1/(2 dim), so ||z||^2 <= 1/(2 dim)
+        z = [gaussian_rational(rng, bound, nonzero_im=True) for _ in range(dim)]
+        coeffs = {}
+        for _ in range(int(rng.integers(1, 4))):
+            gamma = tuple(int(e) for e in rng.multinomial(int(rng.integers(0, 3)), [1 / dim] * dim))
+            coeffs[gamma] = gaussian_rational(rng, Fraction(2))
+        phi = Polynomial(dim, coeffs)
+        f = truncated_kernel_fn(z, degree).poly - 1
+        window = degree + max(phi.degree, 0)  # holds phi f whole
+        space = TruncatedSpace(dim, window)
+        terms = list(phi.coeffs.items())
+        adjoint, forward = space.exact_norms_sq(terms, *dual_numerators(f, space))
+        assert type(adjoint) is Fraction and adjoint == norm_sq(mult_adjoint_apply(phi, f, window))
+        assert type(forward) is Fraction and forward == norm_sq(phi * f)
+
+    @seeded
+    def test_tail_balance_at_gaussian_rational_points(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, degree = int(rng.integers(1, 4)), int(rng.integers(1, 13))
+        z = [gaussian_rational(rng, Fraction(1, 2 * dim), nonzero_im=True) for _ in range(dim)]
+        balance = tail_balance([fock.QQi(x.re, x.im) for x in z], degree)
+        assert balance[:2] == dict_tail_norms(z, degree)
+        assert balance.rounding_bound == 0.0
+
+    def test_arveson_witness_is_exactly_one_sixth_below_one_quarter(self):
+        w = arveson_example()
+        assert type(w.forward_norm_sq) is Fraction and type(w.adjoint_norm_sq) is Fraction
+        assert w.forward_norm_sq == Fraction(1, 6) < Fraction(1, 4) == w.adjoint_norm_sq
+
+    def test_terms_with_a_zero_coefficient_do_not_count(self):
+        # a zero term of high degree would otherwise cut the adjoint to a smaller window
+        space = TruncatedSpace(1, 3)
+        y = np.array([0, 1, 0, 0], dtype=object)  # <z, z^alpha>: f = z
+        zeros = np.zeros_like(y)
+        want = space.exact_norms_sq([((1,), 1)], y, zeros, 1)
+        assert space.exact_norms_sq([((1,), 1), ((3,), QQi(0))], y, zeros, 1) == want
+        assert want == (Fraction(1), Fraction(1))
+        assert space.exact_norms_sq([], y, zeros, 1) == (Fraction(0), Fraction(0))
+
+    @pytest.mark.parametrize("dim, degree", [(1, 0), (1, 30), (2, 12), (3, 8), (2, 61)])
+    def test_multinomials_are_the_exact_inverse_norms(self, dim, degree):
+        space = TruncatedSpace(dim, degree)
+        m = space.multinomials()
+        assert all(type(x) is int for x in m)
+        assert [Fraction(1, x) for x in m] == [monomial_norm_sq(a) for a in monomials(space)]
+
+
+class TestPolynomialOnTheTables:
+    """The library Polynomial's products and powers, inner_product and
+    mult_adjoint_apply, each a short call onto the shift tables, against the
+    dict arithmetic."""
+
+    @staticmethod
+    def assert_close(got: fock.Polynomial, want: Polynomial) -> None:
+        scale = max([1.0] + [abs(complex(c)) for c in want.coeffs.values()])
+        for alpha in set(got.coeffs) | set(want.coeffs):
+            gap = abs(got.coeffs.get(alpha, 0j) - complex(want.coeffs.get(alpha, 0j)))
+            assert gap <= 1e-12 * scale, alpha
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @seeded
+    def test_agree_with_the_dict_arithmetic(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        p, q = random_poly(rng, dim, 2, 3), random_poly(rng, dim, WINDOWS[dim], 6)
+        lib_p, lib_q = fock.Polynomial(dim, p.coeffs), fock.Polynomial(dim, q.coeffs)
+        self.assert_close(lib_p * lib_q, p * q)
+        self.assert_close(2 * lib_p, 2 * p)
+        self.assert_close(lib_p**3, p**3)
+        self.assert_close(lib_p**0, p**0)
+        window = max(q.degree, 0) + int(rng.integers(0, 3))
+        want = mult_adjoint_apply(p, q, window)
+        self.assert_close(fock.mult_adjoint_apply(lib_p, lib_q, window), want)
+        want = complex(inner_product(p, q))
+        assert abs(fock.inner_product(lib_p, lib_q) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_guards(self):
+        z1, w1 = fock.Polynomial.monomial(2, (1, 0)), fock.Polynomial.monomial(1, (1,))
+        with pytest.raises(WindowOverflowError, match="degree 3 does not fit the degree-2 window"):
+            fock.mult_adjoint_apply(z1, fock.Polynomial.monomial(2, (2, 1)), 2)
+        with pytest.raises(InputError, match="degree must be non-negative"):
+            fock.mult_adjoint_apply(z1, z1, -1)
+        for mismatched in (lambda: z1 * w1, lambda: fock.inner_product(z1, w1),
+                           lambda: fock.mult_adjoint_apply(z1, w1, 2)):
+            with pytest.raises(InputError, match="dimension mismatch"):
+                mismatched()
+        with pytest.raises(InputError, match="exponent must be a non-negative integer"):
+            z1 ** -1
+        assert (z1 * 0).is_zero and (fock.Polynomial.zero(2) * z1).is_zero
+        assert fock.Polynomial.zero(2) ** 0 == fock.Polynomial.constant(2, 1)
+        assert (fock.Polynomial.zero(2) ** 2).is_zero
+
+    def test_coefficients_are_finite_complex(self):
+        p = fock.Polynomial(2, {(1, 0): Fraction(1, 3), (0, 1): fock.QQi(1, -2), (0, 0): 0})
+        assert p.coeffs == {(1, 0): complex(1 / 3), (0, 1): complex(1, -2)}
+        with pytest.raises(InputError, match="finite"):
+            fock.Polynomial(1, {(0,): complex(0, math.inf)})
+        with pytest.raises(AttributeError, match="immutable"):
+            p.dim = 3
