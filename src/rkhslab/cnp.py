@@ -280,7 +280,12 @@ class BlaschkeVerdict:
 def _power_tail_sum(c: float, p: float) -> float:
     """c sum_{k >= 2} k^-p, p > 1, by Euler-Maclaurin at n = 16 (Abramowitz & Stegun 23.1.30): the
     math.fsum of k^-p for k < n, n^(1-p) / (p - 1), n^-p / 2 and the B_2..B_10 corrections, each 0
-    once it underflows. Within 4e-16 relative of c (zeta(p) - 1) at p = 1.1, 1.5, 2, 3 and 4."""
+    once it underflows. Within 4e-16 relative of c (zeta(p) - 1) at p = 1.1, 1.5, 2, 3 and 4.
+    Past p = 1022, where 2^-p is subnormal, the sum is c 2^-p sum_k (2/k)^p with 2^-p applied
+    exactly, last: sum_k (2/k)^p = 1 + (2/3)^p + ... rounds to 1, as (2/3)^1022 < 2^-597."""
+    if p > 1022:
+        w = math.floor(p)
+        return math.ldexp(c * 2.0 ** (w - p), -w)
     n = 16.0
     f = n**-p
     parts = [k**-p for k in range(2, 16)] + [n * f / (p - 1.0), 0.5 * f]

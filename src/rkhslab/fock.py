@@ -581,13 +581,13 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     -tol * defect_scale(phi) refutes hyponormality of the compression at
     every size of phi; a non-negative defect certifies this model only.
 
-    The self-commutator S = t* t - t t* is solved block by block where its
-    zero pattern splits it (_self_commutator_blocks). On the whole window it
-    often does: the torus z -> (e^{i theta_j} z_j) acts unitarily and turns M_{z^g}
-    into e^{i <theta, g>} M_{z^g}, so S sends z^alpha into the span of the
-    z^(alpha + h - g), g and h terms of phi. Every entry of S between two
-    blocks is an exact 0.0, so the least eigenvalue over the blocks is that
-    of S, up to the order in which the entries are summed.
+    The self-commutator S = t* t - t t* is summed from the pairs of nonzeros
+    of t, block by block where they split it (_self_commutator_blocks). On the
+    whole window they often do: the torus z -> (e^{i theta_j} z_j) acts
+    unitarily and turns M_{z^g} into e^{i <theta, g>} M_{z^g}, so S sends z^alpha
+    into the span of the z^(alpha + h - g), g and h terms of phi. Every entry
+    of S between two blocks is an exact 0.0, so the least eigenvalue over the
+    blocks is that of S, up to the order in which the entries are summed.
     """
     space = subspace if isinstance(subspace, TruncatedSpace) else subspace.space
     if phi.dim != space.dim:
@@ -602,97 +602,71 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     return math.ldexp(min(map(min_eigenvalue, _self_commutator_blocks(t))), 2 * e)
 
 
-_WHOLE = 64  # the split costs about as much as it saves at 56 to 84 indices
+# S stays whole up to here. Pairs against whole, in ms (Xeon, one BLAS thread), for a window
+# in one block and for z1 + z2^2 (13-25 blocks): 0.38 / 0.16 and 0.29 / 0.12 at 28 indices,
+# 0.59 / 0.37 and 0.35 / 0.29 at 45, 0.98 / 0.74 and 0.44 / 0.61 at 66.
+_WHOLE = 64
 
 
-def _self_commutator_blocks(t: np.ndarray):
+def _self_commutator_blocks(t: np.ndarray) -> list:
     """S = t* t - t t* as HermitianMatrix stacks of its diagonal blocks, one per block size.
 
-    Index i stands for column i and for row i of t. Two columns are joined when they have
-    a nonzero in a common row, two rows when they have one in a common column. An entry
-    of S between two classes of this relation is a sum of products that each hold an
-    exact 0.0, so it is exactly 0.0: S is the block-diagonal sum of its blocks on the
-    classes. S is left whole for a t of at most _WHOLE indices, where finding the blocks
-    costs more than it saves, and when a class holds more than half the indices (a dense
-    t is one class), as solving it apart saves little and its gathers would be as large
-    as t.
+    Index i stands for column i and for row i of t. S[i, j] sums conj(t[r, i]) t[r, j]
+    over the rows r less t[i, c] conj(t[j, c]) over the columns c, so only pairs of
+    nonzeros in a common row or column add to it (_pairs). Joined by those pairs, the
+    indices fall into classes, and every entry of S between two classes is an exact 0.0.
+    S is left whole, by two dense products, for a t of at most _WHOLE indices and for one
+    with more pairs than entries (a dense t), both checked before any class is sought.
     """
     k = len(t)
-    found = _classes(t) if k > _WHOLE else None
-    if found is not None and 2 * np.bincount(found[0]).max() <= k:
-        yield from _blocks(t, *found)
-    else:
-        yield HermitianMatrix(t.conj().T @ t - t @ t.conj().T)
+    if k > _WHOLE and (pairs := _pairs(t)) is not None:
+        return _blocks(k, *pairs)
+    return [HermitianMatrix(t.conj().T @ t - t @ t.conj().T)]
 
 
-def _classes(t: np.ndarray):
-    """(comp, rows, row_of, cols, col_of): the class number of each index, the rows of t
-    with a nonzero and the class of each (that of its columns), and the same for the
-    columns."""
+def _pairs(t: np.ndarray):
+    """(i, j, term): S = t* t - t t* is the sum of term at (i, j) over the ordered pairs
+    of nonzeros of t in a common row and then over those in a common column; None when
+    there are more than k^2 pairs."""
     k = len(t)
     r, c = np.divmod(np.flatnonzero(t), k)  # by row, then by column
+    per_row, per_col = np.bincount(r, minlength=k), np.bincount(c, minlength=k)
+    if per_row @ per_row + per_col @ per_col > k * k:
+        return None
     by_col = np.argsort(c, kind="stable")
-    rc, cc = r[by_col], c[by_col]  # by column, then by row
-    row_first, col_first = _firsts(r), _firsts(cc)
-    in_row, in_col = ~row_first[1:], ~col_first[1:]  # the next nonzero is in the same row/column
-    a = np.concatenate((c[:-1][in_row], rc[:-1][in_col]))  # columns sharing a row,
-    b = np.concatenate((c[1:][in_row], rc[1:][in_col]))  # rows sharing a column
-    comp = connected_components(k, a, b)
-    return comp, r[row_first], comp[c[row_first]], cc[col_first], comp[rc[col_first]]
+    v = t[r, c]
+    rc, vc = r[by_col], v[by_col]
+    (p, q), (pc, qc) = _run_pairs(per_row), _run_pairs(per_col)
+    term = np.concatenate((v[p].conj() * v[q], -(vc[pc] * vc[qc].conj())))
+    return np.concatenate((c[p], rc[pc])), np.concatenate((c[q], rc[qc])), term
 
 
-def _firsts(a: np.ndarray) -> np.ndarray:
-    """Where a sorted array starts a run of equal entries."""
-    first = np.ones(len(a), bool)
-    first[1:] = a[1:] != a[:-1]
-    return first
+def _run_pairs(count: np.ndarray) -> tuple:
+    """(p, q): the ordered pairs of positions in a common run, for runs of count[n]
+    positions laid end to end, by p and then by q."""
+    n = np.repeat(count, count)  # the length of the run of each position
+    start = np.repeat(np.cumsum(count) - count, count)  # and where that run starts
+    p = np.repeat(np.arange(len(n)), n)
+    return p, np.arange(len(p)) - np.repeat(np.cumsum(n) - n - start, n)
 
 
-def _blocks(t: np.ndarray, comp: np.ndarray, rows, row_of, cols, col_of):
-    """The stacks of _self_commutator_blocks for the class numbers comp, given the rows
-    of t with a nonzero and the class of each, and the same for the columns. The block
-    on B is G* G - H H*, G the columns B of t cut to the rows they touch and H the rows
-    B cut to the columns they touch; blocks of one size are gathered side by side."""
+def _blocks(k: int, i: np.ndarray, j: np.ndarray, term: np.ndarray) -> list:
+    """The stacks of _self_commutator_blocks, the terms of _pairs summed in one pass into
+    the blocks laid end to end by size, each block in index order."""
+    comp = connected_components(k, i, j)
     size = np.bincount(comp)
-    order = np.argsort(size, kind="stable")  # blocks by size, then by class
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    index = np.argsort(rank[comp], kind="stable")  # block by block, each in index order
-    sizes = size[order]
-    offset = np.concatenate(([0], np.cumsum(sizes)))
-    cuts = np.flatnonzero(_firsts(sizes)).tolist() + [len(sizes)]  # runs of one size
-    rows = _grouped(rank[row_of], rows, cuts)
-    cols = _grouped(rank[col_of], cols, cuts)
-    for lo, hi, row, col in zip(cuts, cuts[1:], rows, cols):
-        b = index[offset[lo] : offset[hi]].reshape(hi - lo, sizes[lo])
-        s = _gram(t, b, *row)
-        s -= _gram(t.T, b, *col).conj()  # H H* is the conjugate of the Gram of t^T's columns B
-        yield HermitianMatrix._stack(s)
-
-
-def _gram(a: np.ndarray, b: np.ndarray, row: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """The stack of G* G, one per block q: G holds the columns b[q] of a, cut to the rows
-    row[q], of which those marked in pad[q] are padding and set to zero."""
-    g = a[row[:, :, None], b[:, None, :]]
-    g[pad] = 0.0
-    return g.conj().swapaxes(1, 2) @ g
-
-
-def _grouped(block: np.ndarray, item: np.ndarray, cuts: list) -> list:
-    """For each run cuts[j]..cuts[j+1]-1 of blocks, a table whose rows hold the items of
-    each block, padded with item 0, and the mask of the padding; all tables lie end to
-    end in one array."""
-    by_block = np.argsort(block, kind="stable")
-    block, item = block[by_block], item[by_block]
-    count = np.bincount(block, minlength=cuts[-1])
-    width = np.maximum.reduceat(count, cuts[:-1])
-    start = np.concatenate(([0], np.cumsum(np.repeat(width, np.subtract(cuts[1:], cuts[:-1])))))
-    at = start[block] + np.arange(len(block)) - (np.cumsum(count) - count)[block]
-    flat, pad = np.zeros(start[-1], np.intp), np.ones(start[-1], bool)
-    flat[at] = item
-    pad[at] = False
-    spans = [(start[lo], start[hi], (hi - lo, w)) for lo, hi, w in zip(cuts, cuts[1:], width)]
-    return [(flat[i:j].reshape(shape), pad[i:j].reshape(shape)) for i, j, shape in spans]
+    by_size = np.argsort(size, kind="stable")
+    area = size[by_size] ** 2
+    start = np.empty_like(size)
+    start[by_size] = np.cumsum(area) - area
+    by_class = np.argsort(comp, kind="stable")
+    pos = np.empty_like(comp)  # of each index in its block
+    pos[by_class] = np.arange(k) - (np.cumsum(size) - size)[comp[by_class]]
+    flat = np.zeros(area.sum(), complex)
+    np.add.at(flat, start[comp[i]] + pos[i] * size[comp[i]] + pos[j], term)
+    sizes, counts = np.unique(size, return_counts=True)
+    parts = np.split(flat, np.cumsum(sizes * sizes * counts)[:-1])
+    return [HermitianMatrix._stack(a.reshape(m, b, b)) for a, b, m in zip(parts, sizes, counts)]
 
 
 def _size(phi: Polynomial) -> float:

@@ -746,6 +746,34 @@ class TestPowersSpan:
         assert code == 2 and report["results"]["error"]["type"] == "WindowOverflowError"
 
 
+class TestSelfCommutatorExits:
+    """The two compressions past fock._WHOLE indices that form no block from pairs."""
+
+    def test_constant_multiplier_has_no_pairs(self, capsys):
+        # t is all zeros: every index is a block of its own, and each block is 0
+        phi = json.dumps({"dim": 2, "terms": [{"exp": [0, 0], "coeff": [0.5, 0.5]}]})
+        code, report, _ = run(capsys, ["fock", "defect", "--phi", phi, "--span", "full", "--degree", "11"])
+        assert code == 0 and report["results"]["defect"] == 0.0
+        assert report["results"]["span_dim"] > fock._WHOLE
+
+    def test_dense_compression_is_solved_whole(self, tmp_path, monkeypatch, capsys):
+        # a kernel span makes t dense, with more pairs than entries of S: no class is sought
+        def no_classes(*args):
+            raise AssertionError("classes sought for a dense compression")
+
+        monkeypatch.setattr(fock, "connected_components", no_classes)
+        rng = np.random.default_rng(70)
+        z = rng.standard_normal((70, 2)) + 1j * rng.standard_normal((70, 2))
+        z *= 0.8 * np.sqrt(rng.random((70, 1))) / np.linalg.norm(z, axis=1, keepdims=True)
+        points = tmp_path / "pts70.json"
+        points.write_text(json.dumps({"dim": 2, "points": [[[x.real, x.imag] for x in y] for y in z]}))
+        terms = [{"exp": [1, 0], "coeff": [0.6, 0.1]}, {"exp": [1, 1], "coeff": [0.0, 0.5]}]
+        argv = ["fock", "defect", "--phi", json.dumps({"dim": 2, "terms": terms}), "--span", "kernel"]
+        code, report, _ = run(capsys, argv + ["--points", points, "--degree", "12"])
+        assert code == 1 and report["results"]["hyponormal_on_this_model"] is False
+        assert report["results"]["span_dim"] == 70 > fock._WHOLE
+
+
 class TestOneParser:
     """main builds the parser on its first call and reuses it; nothing of one
     request may reach the next."""

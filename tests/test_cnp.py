@@ -232,6 +232,14 @@ class TestBlaschke:
         want = self.ZETA_MINUS_ONE[p]
         assert abs(blaschke_classify(PolynomialTail(c=1.0, p=p)).total - want) <= 4e-16 * want
 
+    @pytest.mark.parametrize("c, p", [(2.0**900, 1060.25), (2.0**1000, 1030.5), (2.0**1022, 1022.5)])
+    def test_tail_with_subnormal_terms(self, c, p):
+        # k^-p is subnormal past p = 1022, and summing it before c multiplies lost
+        # accuracy: 1.8e-5 relative at (2^900, 1060.25); 2^-p = 2^-frac(p) 2^-floor(p)
+        w = math.floor(p)
+        want = math.ldexp(c * 2.0 ** (w - p), -w) * math.fsum((2 / k) ** p for k in range(2, 100))
+        assert abs(blaschke_classify(PolynomialTail(c=c, p=p)).total - want) <= 4e-16 * want
+
     @pytest.mark.parametrize("p", [1100.0, 1e300])
     def test_underflowing_tail_leaves_the_prefix(self, p):
         # every k^-p and every Euler-Maclaurin correction underflows to 0

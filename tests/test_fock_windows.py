@@ -43,9 +43,9 @@ from rkhslab.fock import (
     tail_balance,
     vanishing_subspace,
 )
-from rkhslab.fock import _WHOLE, _classes, _normalized, _self_commutator_blocks
+from rkhslab.fock import _WHOLE, _normalized, _pairs, _self_commutator_blocks
 from rkhslab.kernels import PointSet
-from rkhslab.linalg import HermitianMatrix, Subspace, min_eigenvalue
+from rkhslab.linalg import HermitianMatrix, Subspace, connected_components, min_eigenvalue
 
 seeded = seeded_by(25)
 
@@ -277,10 +277,12 @@ KINDS = ["homogeneous", "mixed", "spanning"]
 
 def dense_commutator(phi: Polynomial, space: TruncatedSpace) -> tuple:
     """S = t* t - t t* for the full window as compression_defect forms t, the class
-    number of each index and the exponent e of the normalization."""
+    number of each index (joined by the pairs of nonzeros of t in a common row or
+    column) and the exponent e of the normalization."""
     psi, e = _normalized(phi)
     t = space.matrix(psi)
-    return t.conj().T @ t - t @ t.conj().T, _classes(t)[0], e
+    i, j, _ = _pairs(t)
+    return t.conj().T @ t - t @ t.conj().T, connected_components(len(t), i, j), e
 
 
 class TestSelfCommutatorBlocks:

@@ -1,6 +1,7 @@
 """Smoke test of tools/report_corpus.py on one workload at one seed."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -48,3 +49,25 @@ def test_dump_and_compare(tmp_path):
     assert out[out.index(f"DIFFERS {edited}") + 1] == f"  line 2: {edited_lines[1]!r} -> 'changed\\n'"
     assert out[out.index(f"DIFFERS {dropped}") + 1] == "  only in the first corpus"
     assert out[-1] == f"{len(keys) - 3} identical, 3 differ"
+
+
+def test_compare_counts_ulps_in_one_float(tmp_path):
+    value = -1.538520420285916
+    moved = value
+    for _ in range(6):
+        moved = math.nextafter(moved, 0.0)
+    report = lambda d, n: f'{{\n  "defect": {d!r},\n  "span_dim": {n}\n}}\n'
+    first = {"one-float": report(value, 190), "two-lines": report(value, 190)}
+    second = {"one-float": report(moved, 190), "two-lines": report(moved, 189)}
+    first.update({"text": "a 0.5\n", "two-floats": "0.5 0.25\n"})
+    second.update({"text": "b 0.5\n", "two-floats": "0.75 0.125\n"})
+    paths = tmp_path / "first.json", tmp_path / "second.json"
+    for path, corpus in zip(paths, (first, second)):
+        path.write_text(json.dumps(corpus))
+    out = corpus_tool("compare", *paths).stdout.splitlines()
+    assert out[out.index("DIFFERS one-float") + 1].endswith(" (6 ulp)")
+    # the first differing line differs in one float, though a later line differs too
+    assert out[out.index("DIFFERS two-lines") + 1].endswith(" (6 ulp)")
+    assert out[out.index("DIFFERS text") + 1] == "  line 1: 'a 0.5\\n' -> 'b 0.5\\n'"
+    assert out[out.index("DIFFERS two-floats") + 1] == "  line 1: '0.5 0.25\\n' -> '0.75 0.125\\n'"
+    assert out[-1] == "0 identical, 4 differ"

@@ -8,7 +8,8 @@ points; the CNP verdict also under change of base point, and classify
 under rescaling of single points. A sampled Gram matrix is refused as
 non-PSD at every scale or at none, and partition gives the same classes
 at every scale. The Fock defect verdict is checked under rescaling of the
-multiplier and under a unitary change of variables, in_closure under a
+multiplier, under a unitary change of variables and, on the full window,
+under a change of the phase of each term, in_closure under a
 unitary rotation of the set and the point together, and the closure-step
 verdicts under rescaling of the operator and of the vector. Sampled Grams
 (Pick included), power-series coefficients, Pick targets with the norm
@@ -705,3 +706,32 @@ class TestPowerOfTwoScaling:
         got = defect_verdict(repro_multiplier(s), 2, ["--span", "powers", "--degree", str(degree)])
         assert got == (1, {"hyponormal_on_this_model": False, "span_dim": span_dim})
 
+
+
+class TestPhaseInvariance:
+    # U z^alpha = e^{i <theta, alpha>} z^alpha is a diagonal unitary on every degree
+    # window, with U M_{z^g} U* = e^{i <theta, g>} M_{z^g}, and S(e^{i psi} T) = S(T):
+    # turning each c_g into c_g e^{i(psi + <theta, g>)} keeps the spectrum of the full
+    # window's self-commutator, for any number of terms
+
+    @pytest.mark.parametrize("dim, degree", [(1, 40), (1, 80), (2, 9), (2, 11), (3, 5), (3, 6)])
+    @seeded
+    def test_full_window_defect(self, dim, degree, seed):
+        rng = np.random.default_rng(seed)
+        exps = [tuple(a) for a in TruncatedSpace(dim, 3).exponents.tolist() if any(a)]
+        picked = rng.choice(len(exps), size=min(int(rng.integers(1, 6)), len(exps)), replace=False)
+        coeffs = {exps[i]: complex(*rng.standard_normal(2)) for i in picked}
+        theta, psi = rng.uniform(0, 2 * np.pi, dim), rng.uniform(0, 2 * np.pi)
+        turned = {g: c * np.exp(1j * (psi + np.dot(theta, g))) for g, c in coeffs.items()}
+        fields = ("hyponormal_on_this_model", "defect")
+        options = ["--span", "full", "--degree", str(degree)]
+        runs = []
+        for c in (coeffs, turned):
+            terms = [{"exp": list(g), "coeff": [v.real, v.imag]} for g, v in c.items()]
+            phi = json.dumps({"dim": dim, "terms": terms})
+            runs.append(run_verdict("fock defect", ["--phi", phi] + options, fields))
+        (code, want), (got_code, got) = runs
+        assert got_code == code and got["hyponormal_on_this_model"] == want["hyponormal_on_this_model"]
+        k = len(TruncatedSpace(dim, degree))  # windows on both sides of _WHOLE
+        bound = 4 * k * np.finfo(float).eps * defect_scale(Polynomial(dim, coeffs))
+        assert abs(got["defect"] - want["defect"]) <= bound

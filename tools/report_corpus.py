@@ -15,7 +15,9 @@ commit can be dumped without copying this tool into it.
 
 `compare` prints each key whose report differs or that only one corpus has,
 each followed by the first line where the two reports part (numbered from 1,
-both sides quoted), and exits 0 when the corpora are identical, 1 otherwise.
+both sides quoted, and the distance in ulps, as "(6 ulp)", when the two lines
+differ only in one float), and exits 0 when the corpora are identical, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -35,6 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECL
 
 MASK = "<inputs>"
 FORMATS = ("json", "text")
+FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)(?![\w.])")
 
 
 def seed_range(text: str) -> list:
@@ -80,7 +85,26 @@ def first_difference(a, b) -> str:
     la, lb = a.splitlines(keepends=True), b.splitlines(keepends=True)
     i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
     side = lambda lines: repr(lines[i]) if i < len(lines) else "<end of report>"
-    return f"line {i + 1}: {side(la)} -> {side(lb)}"
+    ulps = ulp_distance(la[i], lb[i]) if i < min(len(la), len(lb)) else None
+    return f"line {i + 1}: {side(la)} -> {side(lb)}" + ("" if ulps is None else f" ({ulps} ulp)")
+
+
+def ulp_distance(x: str, y: str):
+    """How many doubles apart the one float in which two lines differ lies, or None
+    when the lines differ in anything else or in more than one float."""
+    if FLOAT.split(x) != FLOAT.split(y):
+        return None
+    pairs = [(a, b) for a, b in zip(FLOAT.findall(x), FLOAT.findall(y)) if a != b]
+    if len(pairs) != 1:
+        return None
+    a, b = (ordinal(float(v)) for v in pairs[0])
+    return abs(a - b)
+
+
+def ordinal(x: float) -> int:
+    """The rank of x among the doubles: consecutive doubles differ by 1, and -0.0 is 0."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
 
 
 def main() -> int:
