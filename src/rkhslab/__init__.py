@@ -21,8 +21,6 @@ from .cnp import (
     blaschke_classify,
     cnp_sample_check,
     one_minus_inverse,
-    ratio_hyponormal,
-    ratio_np,
     ratio_report,
 )
 from .errors import (

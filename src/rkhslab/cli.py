@@ -130,11 +130,6 @@ def _complex_value(re, im):
     return fock.QQi(re, im)
 
 
-def _parse_point(x, dim: int, what: str) -> list:
-    shape = f"a point in {dim} variables, a list of {dim} [re, im] pairs"
-    return [_parse_complex(c, what) for c in _parse_list(x, what, dim, shape)]
-
-
 def _float_pairs(x, shape: tuple):
     """x as a complex array of the given shape when it is nested lists of exactly
     that shape of [re, im] pairs of plain floats, read as one array; else None.
@@ -148,24 +143,22 @@ def _float_pairs(x, shape: tuple):
     return a.astype(np.float64).view(np.complex128).reshape(shape)
 
 
-def _parse_points(pts: list, dim: int, what: str) -> np.ndarray:
-    """A list of points in dim variables as an (n, dim) complex array: one array
-    when every part is a plain float, else point by point, naming the first bad one."""
-    fast = _float_pairs(pts, (len(pts), dim))
+def _complex_array(x, shape: tuple, what: str, row: str | None = None) -> np.ndarray:
+    """x, nested lists of [re, im] numbers, as a complex array of shape (n,), (d,)
+    or (n, d); for (n,) and (n, d) the caller has checked that x is a list of n.
+
+    One array when every part is a plain float; else level by level: each innermost
+    list must hold shape[-1] numbers (a refusal describes it as row, by default a
+    point in shape[-1] variables), then each number is read by _parse_complex.
+    """
+    fast = _float_pairs(x, shape)
     if fast is not None:
         return fast
-    return np.array([_parse_point(p, dim, what) for p in pts], dtype=np.complex128)
-
-
-def _parse_gram(gram: list, what: str) -> np.ndarray:
-    """n rows of n [re, im] entries as an (n, n) complex array: one array when every
-    part is a plain float, else row by row and entry by entry, naming the first bad one."""
-    n = len(gram)
-    fast = _float_pairs(gram, (n, n))
-    if fast is not None:
-        return fast
-    rows = [_parse_list(r, what, n, f"a row of {n} entries") for r in gram]
-    return np.array([[_parse_complex(v, what) for v in row] for row in rows], dtype=complex)
+    d, nested = shape[-1], len(shape) > 1
+    row = row or f"a point in {d} variables, a list of {d} [re, im] pairs"
+    rows = [_parse_list(r, what, d, row) for r in (x if nested else [x])]
+    a = np.array([[_parse_complex(c, what) for c in r] for r in rows], dtype=np.complex128)
+    return a if nested else a[0]
 
 
 def _object(x, what: str, required: tuple, optional=()) -> dict:
@@ -186,7 +179,7 @@ def _parse_points_obj(obj, what: str) -> PointSet:
     _object(obj, what, ("dim", "points"))
     dim = _parse_int(obj["dim"], f"{what}.dim", 1)
     pts = _parse_list(obj["points"], f"{what}.points")
-    return PointSet(dim, _parse_points(pts, dim, what))
+    return PointSet(dim, _complex_array(pts, (len(pts), dim), what))
 
 
 def _parse_kernel_obj(obj, what: str, tol: float | None) -> KernelSpec:
@@ -202,7 +195,8 @@ def _parse_kernel_obj(obj, what: str, tol: float | None) -> KernelSpec:
         _object(obj, what, ("type", "labels", "gram"))
         labels = _parse_list(obj["labels"], f"{what}.labels")
         gram = _parse_list(obj["gram"], f"{what}.gram")
-        return SampledGramKernel([str(x) for x in labels], _parse_gram(gram, f"{what}.gram"), tol)
+        g = _complex_array(gram, (len(gram),) * 2, f"{what}.gram", f"a row of {len(gram)} entries")
+        return SampledGramKernel([str(x) for x in labels], g, tol)
     raise InputError(f"{what}: unknown kernel type {kind!r:.60}")
 
 
@@ -482,13 +476,13 @@ def _cmd_pick(args, loader):
     obj = loader.load_json(args.problem, "problem")
     _object(obj, "problem", ("kernel", "nodes", "targets"))
     spec = _parse_kernel_obj(obj["kernel"], "problem.kernel", args.tol)
-    targets_raw = _parse_list(obj["targets"], "problem.targets")
-    targets = [_parse_complex(t, "problem.targets") for t in targets_raw]
-    nodes_raw = _parse_list(obj["nodes"], "problem.nodes")
+    targets = _parse_list(obj["targets"], "problem.targets")
+    targets = _complex_array(targets, (len(targets),), "problem.targets")
+    nodes = _parse_list(obj["nodes"], "problem.nodes")
     if isinstance(spec, SampledGramKernel):
-        nodes = [str(x) for x in nodes_raw]
+        nodes = [str(x) for x in nodes]
     else:
-        nodes = PointSet(spec.dim, _parse_points(nodes_raw, spec.dim, "problem.nodes"))
+        nodes = PointSet(spec.dim, _complex_array(nodes, (len(nodes), spec.dim), "problem.nodes"))
     problem = PickProblem(kernel=spec, nodes=nodes, targets=targets)
     if args.norm is not None:
         verdict = pick_feasible(problem, args.norm, args.tol)
@@ -570,8 +564,8 @@ def _cmd_blaschke(args, loader):
 @_command("closure", "kernel-span membership for a point", SET_Y, Z, DEGREE, TOL)
 def _cmd_closure(args, loader):
     pts = _parse_points_obj(loader.load_json(args.points, "points"), "points")
-    z = _parse_point(_parse_json_arg(args.z, "--z"), pts.dim, "--z")
-    membership = fock.in_closure(np.array(z), pts, args.degree, args.tol)
+    z = _complex_array(_parse_json_arg(args.z, "--z"), (pts.dim,), "--z")
+    membership = fock.in_closure(z, pts, args.degree, args.tol)
     return {
         "member": membership.member,
         "residual": membership.residual,
@@ -638,8 +632,9 @@ def _cmd_fock_defect(args, loader):
         "span_dim": len(subspace) if args.span == "full" else subspace.dim,
         "degree": args.degree,
         "hyponormal_on_this_model": hyponormal_here,
-        "claim_scope": "a negative defect is a refutation witness; a non-negative "
-        "defect certifies this finite compression only",
+        "claim_scope": "a negative defect refutes hyponormality of the compression "
+        "P_F M_phi|_F only, not of M_phi, since truncation alone can make it negative; "
+        "a non-negative defect certifies this finite compression only",
     }, (0 if hyponormal_here else 1)
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -123,15 +123,46 @@ def agler_mccarthy_embed(
     return EmbeddingResult(rank=rank, b_points=rows, base_index=base, residual=residual)
 
 
-class RatioCheck(NamedTuple):
-    ok: bool
-    first_violation: Optional[int]
+@dataclass(frozen=True)
+class RatioReport:
+    """Both ratio tests of the coefficients a_n of a disk kernel, from one scan.
+
+    first_hyponormal_violation is the first n >= 1 at which the successive ratios
+    fail to be non-increasing, a_n/a_{n-1} >= a_{n+1}/a_n. That direction is
+    equivalent to hyponormality of multiplication by the coordinate function on the
+    power-series space with these weights, so a violation is a refutation, not just
+    a failed sufficient condition. first_np_violation is the first n at which they
+    fail to be non-decreasing, a_n/a_{n-1} <= a_{n+1}/a_n: Kaluza's condition,
+    sufficient for the CNP property but not necessary, so its failure is
+    inconclusive and must not be reported as "not CNP". Each is None where its
+    direction holds throughout.
+    """
+
+    first_hyponormal_violation: Optional[int]
+    first_np_violation: Optional[int]
+
+    @property
+    def hyponormal_ok(self) -> bool:
+        return self.first_hyponormal_violation is None
+
+    @property
+    def np_ok(self) -> bool:
+        return self.first_np_violation is None
+
+    @property
+    def geometric(self) -> bool:
+        """Both directions hold, which forces constant successive ratios: a_n = a_1^n."""
+        return self.hyponormal_ok and self.np_ok
+
+    @property
+    def first_violation(self) -> Optional[int]:
+        """The smallest index at which either direction fails (None when both pass)."""
+        found = (self.first_hyponormal_violation, self.first_np_violation)
+        return min((n for n in found if n is not None), default=None)
 
 
-def _first_violations(coeffs: Sequence) -> tuple[Optional[int], Optional[int]]:
-    """The first n at which a_n/a_{n-1} >= a_{n+1}/a_n fails and the first
-    at which a_n/a_{n-1} <= a_{n+1}/a_n fails (None where a direction holds
-    throughout), from one scan of the validated coefficients.
+def ratio_report(coeffs: Sequence) -> RatioReport:
+    """Both ratio tests of the validated coefficients, in one scan.
 
     Each compares a_n^2 with a_{n-1} a_{n+1} on (mantissa, exponent) pairs, so no
     scale overflows or underflows: exactly for rational input (exponent 0), else on
@@ -152,53 +183,7 @@ def _first_violations(coeffs: Sequence) -> tuple[Optional[int], Optional[int]]:
             down = n
         if up is None and not lhs <= rhs + slack:
             up = n
-    return down, up
-
-
-def ratio_hyponormal(coeffs: Sequence) -> RatioCheck:
-    """Non-increasing successive ratios: a_n/a_{n-1} >= a_{n+1}/a_n for n >= 1.
-
-    Equivalent to hyponormality of multiplication by the coordinate function
-    on the power-series space with these weights, so a violation is a
-    refutation, not just a failed sufficient condition.
-    """
-    first = _first_violations(coeffs)[0]
-    return RatioCheck(ok=first is None, first_violation=first)
-
-
-def ratio_np(coeffs: Sequence) -> RatioCheck:
-    """Non-decreasing successive ratios: a_n/a_{n-1} <= a_{n+1}/a_n for n >= 1.
-
-    A sufficient condition for the CNP property. Failure is inconclusive and
-    must not be reported as "not CNP".
-    """
-    first = _first_violations(coeffs)[1]
-    return RatioCheck(ok=first is None, first_violation=first)
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Joint outcome of both ratio tests.
-
-    geometric means both directions hold, which forces constant successive
-    ratios, i.e. a_n = a_1^n. first_violation is the smallest index at which
-    either direction fails (None when both pass).
-    """
-
-    hyponormal_ok: bool
-    np_ok: bool
-    geometric: bool
-    first_violation: Optional[int]
-
-
-def ratio_report(coeffs: Sequence) -> RatioReport:
-    down, up = _first_violations(coeffs)
-    return RatioReport(
-        hyponormal_ok=down is None,
-        np_ok=up is None,
-        geometric=down is None and up is None,
-        first_violation=min((v for v in (down, up) if v is not None), default=None),
-    )
+    return RatioReport(first_hyponormal_violation=down, first_np_violation=up)
 
 
 def _validated_radii(radii: Sequence, what: str) -> tuple[float, ...]:

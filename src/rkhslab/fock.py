@@ -260,9 +260,12 @@ class TruncatedSpace:
             raise InputError("degree must be a non-negative integer")
         q, rem = divmod(degree, dim)  # M = |alpha|!/alpha! is largest for the most even alpha
         biggest, rest = 1, degree
-        for part in [q + 1] * rem + [q] * (dim - rem - 1):
-            biggest *= math.comb(rest, part)
+        for j in range(dim - 1):  # rem parts q + 1, then parts q; the last part is rest
+            part = q + (j < rem)  # rest >= 2 part - 1, so C(rest, part) >= 2^(part - 1)
+            biggest = biggest * math.comb(rest, part) if part < 1024 else 2**1023
             rest -= part
+            if biggest > 2**1022 or not rest:  # each factor while rest > 0 is at least 2
+                break
         if biggest > 2**1022:  # 1/M < sys.float_info.min
             raise InputError(
                 f"the degree-{degree} window in {dim} variables has monomial norms below the "
@@ -382,7 +385,9 @@ class TruncatedSpace:
             if len(gamma) != self.dim:
                 raise InputError("dimension mismatch")
             count = self.size_at_most(self.degree - sum(gamma))
-            dst = self.index(self.exponents[:count] + np.array(gamma, dtype=np.int64))
+            dst = np.zeros(0, dtype=np.intp)  # z^gamma past the window: no int64 row holds gamma
+            if count:
+                dst = self.index(self.exponents[:count] + np.array(gamma, dtype=np.int64))
             table = (slice(0, count), dst, self._sqrt_norms[dst] / self._sqrt_norms[:count])
             self._shifts[gamma] = table
         return table
@@ -711,7 +716,8 @@ def arveson_example() -> ArvesonWitness:
     at = int(space.index((1, 1))[0])
     y = np.zeros(len(space), dtype=object)
     y[at] = 1  # <z1 z2, z^alpha> is 1 / M_(1,1) at alpha = (1, 1) and 0 elsewhere
-    adj, fwd = space.exact_norms_sq([((1, 1), 1)], y, np.zeros_like(y), space.multinomials()[at])
+    m11 = math.comb(2, 1)  # M_(1,1) = 2!/(1! 1!)
+    adj, fwd = space.exact_norms_sq([((1, 1), 1)], y, np.zeros_like(y), m11)
     if not fwd < adj:
         raise AssertionError(f"expected forward {fwd} < adjoint {adj}")
     return ArvesonWitness(forward_norm_sq=fwd, adjoint_norm_sq=adj)

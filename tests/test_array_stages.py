@@ -223,13 +223,13 @@ class TestOneCoefficientValidator:
         with pytest.raises(InputError, match=f"^{message}$"):
             PowerSeriesKernel(coeffs)
         with pytest.raises(InputError, match=f"^{message}$"):
-            cnp.ratio_hyponormal(coeffs)
+            cnp.ratio_report(coeffs)
 
     def test_length_rules(self):
         with pytest.raises(InputError, match="non-empty"):
             PowerSeriesKernel([])
         with pytest.raises(InputError, match="at least 3"):
-            cnp.ratio_np([2, 1])
+            cnp.ratio_report([2, 1])
 
     def test_cli_tolerance_is_the_library_default(self):
         assert cli.DEFAULT_TOL is linalg.DEFAULT_TOL

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -772,6 +773,70 @@ class TestSelfCommutatorExits:
         code, report, _ = run(capsys, argv + ["--points", points, "--degree", "12"])
         assert code == 1 and report["results"]["hyponormal_on_this_model"] is False
         assert report["results"]["span_dim"] == 70 > fock._WHOLE
+
+
+def run_within_a_second(capsys, argv):
+    start = time.perf_counter()
+    result = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0, argv
+    return result
+
+
+def past_the_window(e) -> str:
+    terms = [{"exp": [e, 0], "coeff": 0.5}, {"exp": [1, 1], "coeff": 0.9}]
+    return json.dumps({"dim": 2, "terms": terms})
+
+
+class TestHugeIntegers:
+    """Integers past 2^63 in a Fock window, and degrees whose largest multinomial
+    is too large to form quickly, end in a report within a second."""
+
+    @pytest.mark.parametrize("span", ["full", "powers"])
+    def test_exponent_past_int64_reads_as_any_term_past_the_window(self, span, capsys):
+        argv = ["fock", "defect", "--span", span, "--degree", "6", "--phi"]
+        code, report, _ = run_within_a_second(capsys, argv + [past_the_window(10**20)])
+        want_code, want, _ = run(capsys, argv + [past_the_window(30)])
+        assert (code, report["results"]) == (want_code, want["results"])
+        if span == "full":
+            assert code == 1 and report["results"]["defect"] == pytest.approx(-0.243, rel=1e-12)
+
+    @pytest.mark.parametrize("degree", [10**20, 10**6, 10**7])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fock", "defect", "--phi", past_the_window(1)],
+            ["fock", "balance", "--z", "[[0.5,0],[0.3,0]]"],
+            ["closure", "--points", "pts2.json", "--z", "[[0.1,0],[0.1,0]]"],
+        ],
+        ids=["defect", "balance", "closure"],
+    )
+    def test_huge_degree_is_refused_at_once(self, command, degree, corpus, capsys):
+        argv = in_corpus(corpus, command) + ["--degree", str(degree)]
+        code, report, _ = run_within_a_second(capsys, argv)
+        assert code == 2 and report["results"]["error"]["type"] == "InputError"
+        assert "below the normal float range" in report["results"]["error"]["message"]
+
+
+@pytest.mark.parametrize("span", ["full", "powers"])
+def test_hardy_shift_defect_refutes_the_compression_only(span, capsys):
+    # M_z on the Hardy space is an isometry; its truncation diag(1, 0, ..., 0, -1) is not
+    argv = ["fock", "defect", "--phi", phi_with_exponent(1), "--span", span, "--degree", "6"]
+    code, report, _ = run(capsys, argv)
+    assert code == 1 and report["results"]["defect"] == -1.0
+    assert report["results"]["hyponormal_on_this_model"] is False
+    assert "hyponormality of the compression P_F M_phi|_F only" in report["results"]["claim_scope"]
+
+
+def test_targets_and_z_of_plain_floats_are_read_as_one_array(corpus, monkeypatch, capsys):
+    def entry_by_entry(*args):
+        raise AssertionError("plain floats read entry by entry")
+
+    monkeypatch.setattr(cli, "_parse_complex", entry_by_entry)
+    code, report, _ = run(capsys, ["pick", corpus / "problem.json", "--norm", "1.0"])
+    assert code == 0 and report["results"]["feasible"] is True
+    argv = ["closure", "--points", corpus / "pts2.json", "--z", "[[0.5,0.0],[0.0,0.0]]"]
+    code, report, _ = run(capsys, argv + ["--degree", "4"])
+    assert code == 0 and report["results"]["member"] is True
 
 
 class TestOneParser:

@@ -118,8 +118,20 @@ def test_arrays_match_json_dumps(seed):
         assert cli._canonical(tree) + "\n" == reference(tree)
 
 
+def read_points(pts, dim, what):
+    return cli._complex_array(pts, (len(pts), dim), what)
+
+
+def read_gram(gram, what):
+    return cli._complex_array(gram, (len(gram),) * 2, what, f"a row of {len(gram)} entries")
+
+
 def per_entry_points(pts, dim, what):
-    return np.array([cli._parse_point(p, dim, what) for p in pts], dtype=np.complex128)
+    shape = f"a point in {dim} variables, a list of {dim} [re, im] pairs"
+    return np.array(
+        [[cli._parse_complex(c, what) for c in cli._parse_list(p, what, dim, shape)] for p in pts],
+        dtype=np.complex128,
+    )
 
 
 def per_entry_gram(gram, what):
@@ -146,10 +158,10 @@ def test_float_pairs_keep_their_bits():
     pts, gram = json.loads(POINTS), json.loads(GRAM)
     assert outcome(cli._float_pairs, pts, (3, 2)) == outcome(per_entry_points, pts, 2, "points")
     assert outcome(cli._float_pairs, gram, (2, 2)) == outcome(per_entry_gram, gram, "kernel.gram")
-    parts = cli._parse_points(pts, 2, "points").view(np.float64)
+    parts = read_points(pts, 2, "points").view(np.float64)
     assert np.signbit(parts[0]).tolist() == [True, False, False, True]
     assert parts[1, :2].tolist() == [1.0, math.inf]
-    assert cli._parse_gram(gram, "kernel.gram").view(np.float64)[1, 2:].tolist() == [1.0, math.inf]
+    assert read_gram(gram, "kernel.gram").view(np.float64)[1, 2:].tolist() == [1.0, math.inf]
 
 
 # each replaces the last part of the middle point or of the second row
@@ -173,8 +185,8 @@ def test_other_inputs_read_entry_by_entry(kind):
         gram[1][-1] = FALLBACKS[kind](gram[1][-1])
     assert cli._float_pairs(pts, (3, 2)) is None and cli._float_pairs(gram, (2, 2)) is None
     for got, want in [
-        (outcome(cli._parse_points, pts, 2, "pts"), outcome(per_entry_points, pts, 2, "pts")),
-        (outcome(cli._parse_gram, gram, "gram"), outcome(per_entry_gram, gram, "gram")),
+        (outcome(read_points, pts, 2, "pts"), outcome(per_entry_points, pts, 2, "pts")),
+        (outcome(read_gram, gram, "gram"), outcome(per_entry_gram, gram, "gram")),
     ]:
         assert got == want
         assert isinstance(got, str) == (kind not in ("int", "rational"))  # those two are read

@@ -16,8 +16,6 @@ from rkhslab.cnp import (
     blaschke_classify,
     cnp_sample_check,
     one_minus_inverse,
-    ratio_hyponormal,
-    ratio_np,
     ratio_report,
 )
 from rkhslab.errors import InputError, IrreducibilityError, NotCnpError
@@ -153,22 +151,24 @@ class TestEmbedding:
 class TestRatioTests:
     def test_hardy_passes_both(self):
         coeffs = [1] * 100
-        assert ratio_hyponormal(coeffs).ok
-        assert ratio_np(coeffs).ok
         report = ratio_report(coeffs)
+        assert report.hyponormal_ok
+        assert report.np_ok
         assert report.geometric and report.first_violation is None
 
     def test_bergman_weights_hyponormal_only(self):
         coeffs = [n + 1 for n in range(100)]
-        assert ratio_hyponormal(coeffs) == (True, None)
+        report = ratio_report(coeffs)
+        assert (report.hyponormal_ok, report.first_hyponormal_violation) == (True, None)
         # (n+1)^2 >= n (n+2) always; reversed fails right away: 4 > 3
-        assert ratio_np(coeffs) == (False, 1)
+        assert (report.np_ok, report.first_np_violation) == (False, 1)
 
     def test_reciprocal_weights_np_only(self):
         coeffs = [Fraction(1, n + 1) for n in range(100)]
+        report = ratio_report(coeffs)
         # 1/4 < 1/3 = a_0 a_2, so the hyponormal direction dies at n = 1
-        assert ratio_hyponormal(coeffs) == (False, 1)
-        assert ratio_np(coeffs) == (True, None)
+        assert (report.hyponormal_ok, report.first_hyponormal_violation) == (False, 1)
+        assert (report.np_ok, report.first_np_violation) == (True, None)
 
     def test_exact_comparison_no_division(self):
         report = ratio_report([1, 2, 5, 8])
@@ -183,11 +183,11 @@ class TestRatioTests:
 
     def test_validation(self):
         with pytest.raises(InputError):
-            ratio_hyponormal([1, 2])
+            ratio_report([1, 2])
         with pytest.raises(InputError):
-            ratio_hyponormal([2, 2, 2])
+            ratio_report([2, 2, 2])
         with pytest.raises(InputError):
-            ratio_np([1, -1, 1])
+            ratio_report([1, -1, 1])
 
 
 class TestBlaschke:
