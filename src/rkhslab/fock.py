@@ -219,6 +219,11 @@ def _coordinates(z) -> tuple:
     return zv, ([_gaussian(x) for x in entries] if exact else None)
 
 
+def _is_real(phi) -> bool:
+    """Every coefficient of phi has imaginary part 0, of either sign."""
+    return all(complex(c).imag == 0 for c in phi.coeffs.values())
+
+
 _ARRAY_BYTES = 2**28  # the most one array of a window may take: 256 MiB
 
 
@@ -400,20 +405,24 @@ class TruncatedSpace:
         mult_adjoint_apply on the space's window: the output is supported in
         degrees <= degree - deg(phi). An f beyond the window has no
         coordinates here; iso_vector refuses it with WindowOverflowError.
+        The result is float64 when phi and u are real, else complex.
         """
         if phi.dim != self.dim:
             raise InputError("dimension mismatch")
-        u = np.asarray(u, dtype=np.complex128)
+        u = np.asarray(u)
+        real = _is_real(phi) and np.isrealobj(u)
+        u = u.astype(np.float64 if real else np.complex128, copy=False)
         if u.ndim not in (1, 2) or u.shape[0] != len(self):
             raise InputError(f"coordinates must have {len(self)} rows")
-        out = np.zeros(u.shape, dtype=np.complex128)
+        out = np.zeros(u.shape, dtype=u.dtype)
         for gamma, c in phi.coeffs.items():
             src, dst, weight = self.shift(gamma)
             w = weight if u.ndim == 1 else weight[:, None]
+            c = complex(c).real if real else complex(c)
             if adjoint:
-                out[src] += complex(c).conjugate() * (w * u[dst])
+                out[src] += c.conjugate() * (w * u[dst])
             else:
-                out[dst] += complex(c) * (w * u[src])
+                out[dst] += c * (w * u[src])
         if adjoint:
             out[self.size_at_most(self.degree - phi.degree) :] = 0
         return out
@@ -421,12 +430,16 @@ class TruncatedSpace:
     def matrix(self, phi: Polynomial) -> np.ndarray:
         """multiply(phi, identity), entry for entry: entry (dst, src) of the table of
         gamma gets its one term c_gamma * weight, added to zero as multiply adds it.
-        A k x k matrix past _ARRAY_BYTES is refused with WindowOverflowError."""
+        It is float64 when phi is real, as multiply's is. A k x k matrix past
+        _ARRAY_BYTES as complex is refused with WindowOverflowError, whatever its
+        dtype, so that the refusal does not hang on the phases of phi."""
         _check_array_size(len(self) ** 2, 16, f"the {len(self)} x {len(self)} window matrix")
-        t = np.zeros((len(self), len(self)), dtype=np.complex128)
+        real = _is_real(phi)
+        t = np.zeros((len(self), len(self)), dtype=np.float64 if real else np.complex128)
         for gamma, c in phi.coeffs.items():
             _, dst, weight = self.shift(gamma)
-            t[dst, np.arange(len(dst))] += complex(c) * weight
+            c = complex(c)
+            t[dst, np.arange(len(dst))] += (c.real if real else c) * weight
         return t
 
     def multinomials(self) -> np.ndarray:
@@ -513,10 +526,12 @@ def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubsp
     """Orthonormalized span of 1, phi, ..., phi^count, built as that of 1, psi,
     ..., psi^count for psi = (phi - phi(0)) 2^-e (see _normalized), each power the
     shift-table product of psi with the one before, so the rank rule sees no
-    scale of phi. All must fit the window, and count <= degree // max(deg phi, 1)."""
+    scale of phi. All must fit the window, and count <= degree // max(deg phi, 1).
+    Powers past _ARRAY_BYTES are refused with WindowOverflowError before they are formed."""
     if count * max(phi.degree, 1) > space.degree:
         raise WindowOverflowError(f"count {count}: more powers than degree {space.degree} holds")
     psi = _normalized(phi)[0]
+    _check_array_size(len(space) * (count + 1), 16, f"the {len(space)} x {count + 1} matrix of powers")
     cols = np.zeros((len(space), count + 1), dtype=np.complex128)
     cols[0, 0] = 1.0  # the constant 1, of norm 1
     for k in range(1, count + 1):
@@ -541,6 +556,8 @@ def vanishing_subspace(points: PointSet, degree: int) -> VanishingSubspaces:
     evaluation at y is the pairing with the kernel vector at y, so the
     evaluation nullspace and the kernel span are exact orthocomplements.
     Only the complement is built, by FockSubspace.span; the ideal on read.
+    Kernel vectors past _ARRAY_BYTES are refused with WindowOverflowError before
+    they are formed.
     """
     if degree < 1:  # every kernel function of the degree-0 window is the constant 1
         raise InputError("degree must be at least 1")
@@ -548,6 +565,7 @@ def vanishing_subspace(points: PointSet, degree: int) -> VanishingSubspaces:
     if len(points) > len(space):
         m = len(space)
         raise InputError(f"{len(points)} points exceed the {m} basis monomials of the window")
+    _check_array_size(len(points) * len(space), 16, f"the {len(space)} x {len(points)} matrix of kernel vectors")
     return VanishingSubspaces(FockSubspace.span(space, space.kernel_vector(points.points)))
 
 
@@ -593,13 +611,23 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     into the span of the z^(alpha + h - g), g and h terms of phi. Every entry
     of S between two blocks is an exact 0.0, so the least eigenvalue over the
     blocks is that of S, up to the order in which the entries are summed.
+
+    The same torus gauges the phases of phi away on the whole window, as U z^alpha =
+    e^{i <theta, alpha>} z^alpha is diagonal there and S(e^{i psi} T) = S(T): when the
+    rows (1, g) over the terms g of phi in the window are linearly independent, some
+    real (psi, theta) turns every c_g into |c_g|, so S has the spectrum it has for
+    sum |c_g| z^g (_gauged). Then, as for a real phi whatever its exponents, t, S and
+    its blocks are real and are solved in real arithmetic. Only a complex phi that
+    fails the rank test, and the kernel and powers spans, keep complex arithmetic.
+    A FockSubspace that fills its window is unitarily equivalent to it, and is
+    solved as the window.
     """
     space = subspace if isinstance(subspace, TruncatedSpace) else subspace.space
     if phi.dim != space.dim:
         raise InputError("dimension mismatch")
     phi, e = _normalized(phi)
-    if space is subspace:
-        t = space.matrix(phi)
+    if space is subspace or subspace.dim == len(space):
+        t = space.matrix(_gauged(phi, space.degree))
     elif subspace.dim == 0:
         return 0.0
     else:
@@ -607,14 +635,45 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     return math.ldexp(min(map(min_eigenvalue, _self_commutator_blocks(t))), 2 * e)
 
 
-# S stays whole up to here. Pairs against whole, in ms (Xeon, one BLAS thread), for a window
-# in one block and for z1 + z2^2 (13-25 blocks): 0.38 / 0.16 and 0.29 / 0.12 at 28 indices,
-# 0.59 / 0.37 and 0.35 / 0.29 at 45, 0.98 / 0.74 and 0.44 / 0.61 at 66.
+def _gauged(phi: Polynomial, degree: int) -> Polynomial:
+    """sum |c_g| z^g when the rows (1, g) over the terms of phi of degree <= degree are
+    linearly independent (over Q, by _rank), else phi. A term past the window has an
+    empty shift table and adds nothing to the window's matrix, so it is left out."""
+    rows = [(1, *g) for g in phi.coeffs if sum(g) <= degree]
+    if _rank(rows) < len(rows):
+        return phi
+    return Polynomial(phi.dim, {g: abs(c) for g, c in phi.coeffs.items()})
+
+
+def _rank(rows: list) -> int:
+    """Rank of integer rows, exactly: fraction-free (Bareiss) elimination on Python ints,
+    in which every entry is a minor of the rows and so each division is exact."""
+    rows = [list(r) for r in rows]
+    rank, last = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            rows[i] = [(top[col] * x - rows[i][col] * y) // last for x, y in zip(rows[i], top)]
+        last = top[col]
+        rank += 1
+    return rank
+
+
+# S stays whole up to here. compression_defect on the pairs against whole, real arithmetic, in
+# ms (Xeon, one BLAS thread), for 0.6 z1 + 0.5i z2^2 + 0.2 z1 z2 (one block) and for z1 + z2^2
+# (17-29 blocks): 0.56 / 0.28 and 0.30 / 0.17 at 45 indices, 0.58 / 0.36 and 0.39 / 0.31 at
+# 66, 0.85 / 0.60 and 0.72 / 0.69 at 91, 1.56 / 1.20 and 0.56 / 0.80 at 120. In real
+# arithmetic the whole form wins past 64 on split windows too, to about 100 indices.
 _WHOLE = 64
 
 
 def _self_commutator_blocks(t: np.ndarray) -> list:
-    """S = t* t - t t* as HermitianMatrix stacks of its diagonal blocks, one per block size.
+    """S = t* t - t t* as HermitianMatrix stacks of its diagonal blocks, one per block size,
+    real for a real t.
 
     Index i stands for column i and for row i of t. S[i, j] sums conj(t[r, i]) t[r, j]
     over the rows r less t[i, c] conj(t[j, c]) over the columns c, so only pairs of
@@ -626,7 +685,7 @@ def _self_commutator_blocks(t: np.ndarray) -> list:
     k = len(t)
     if k > _WHOLE and (pairs := _pairs(t)) is not None:
         return _blocks(k, *pairs)
-    return [HermitianMatrix(t.conj().T @ t - t @ t.conj().T)]
+    return [HermitianMatrix._stack((t.conj().T @ t - t @ t.conj().T)[None])]
 
 
 def _pairs(t: np.ndarray):
@@ -667,7 +726,7 @@ def _blocks(k: int, i: np.ndarray, j: np.ndarray, term: np.ndarray) -> list:
     by_class = np.argsort(comp, kind="stable")
     pos = np.empty_like(comp)  # of each index in its block
     pos[by_class] = np.arange(k) - (np.cumsum(size) - size)[comp[by_class]]
-    flat = np.zeros(area.sum(), complex)
+    flat = np.zeros(area.sum(), term.dtype)
     np.add.at(flat, start[comp[i]] + pos[i] * size[comp[i]] + pos[j], term)
     sizes, counts = np.unique(size, return_counts=True)
     parts = np.split(flat, np.cumsum(sizes * sizes * counts)[:-1])

@@ -1,4 +1,4 @@
-"""Dense complex Hermitian numerics.
+"""Dense Hermitian numerics.
 
 Everything downstream (Gram matrices, Pick matrices, feature factorizations)
 reduces to a handful of primitives on small dense Hermitian matrices. They
@@ -23,9 +23,9 @@ DEFAULT_TOL = 1e-9
 _ORTHONORMAL_TOL = 1e-12
 
 
-def _square_complex(entries, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """entries as a complex square matrix, or with stack=True as a (b, n, n) stack."""
-    a = np.asarray(entries, dtype=np.complex128)
+def _square(entries, name: str = "matrix", stack: bool = False, dtype=np.complex128) -> np.ndarray:
+    """entries as a square matrix of dtype, or with stack=True as a (b, n, n) stack."""
+    a = np.asarray(entries, dtype=dtype)
     if a.ndim != (3 if stack else 2) or a.shape[-2] != a.shape[-1]:
         raise InputError(f"{name} must be square, got shape {a.shape}")
     if a.size == 0:
@@ -36,8 +36,8 @@ def _square_complex(entries, name: str = "matrix", stack: bool = False) -> np.nd
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
-    h = a / 2.0  # halved first: a + a* overflows above half the float range
-    h = h + h.conj().swapaxes(-1, -2)
+    h = a * 0.5  # halved first: a + a* overflows above half the float range
+    h = h + h.swapaxes(-1, -2).conj()  # conj of a real array is the array itself
     h.setflags(write=False)
     return h
 
@@ -47,23 +47,27 @@ class HermitianMatrix:
 
     The input is averaged with its conjugate transpose, so sampled kernels
     carrying rounding asymmetry become exactly Hermitian. The stored array
-    is read-only.
+    is read-only, and complex whatever the input's dtype.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        self._entries = _hermitian(_square_complex(entries))
+        self._entries = _hermitian(_square(entries))
 
     @classmethod
     def _stack(cls, blocks) -> HermitianMatrix:
         """b equal-size blocks as one (b, n, n) value, each made Hermitian the same way.
 
-        It stands for their block-diagonal sum. Only min_eigenvalue reads a stack; the
-        public constructor and every other function here take one (n, n) matrix.
+        It stands for their block-diagonal sum. It is float64 when they are real:
+        its blocks are then real symmetric, and min_eigenvalue solves them in real
+        arithmetic. Only min_eigenvalue reads a stack; the public constructor
+        and every other function here take one (n, n) matrix.
         """
+        blocks = np.asarray(blocks)
+        dtype = np.float64 if np.isrealobj(blocks) else np.complex128
         m = cls.__new__(cls)
-        m._entries = _hermitian(_square_complex(blocks, stack=True))
+        m._entries = _hermitian(_square(blocks, stack=True, dtype=dtype))
         return m
 
     @property
@@ -72,7 +76,8 @@ class HermitianMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """Read-only (n, n) complex array, or (b, n, n) for a stack."""
+        """Read-only (n, n) complex array, or (b, n, n) for a stack: float64 for a
+        stack of real blocks, which are then real symmetric, else complex."""
         return self._entries
 
     def __getitem__(self, key):
@@ -191,7 +196,8 @@ def gram_scale(g: np.ndarray) -> float:
 
 
 def min_eigenvalue(a: HermitianMatrix) -> float:
-    """Smallest eigenvalue of a Hermitian matrix; of every block of a stack."""
+    """Smallest eigenvalue of a Hermitian matrix; of every block of a stack, by a real
+    symmetric eigensolve when the stack is real."""
     return float(np.linalg.eigvalsh(a.entries)[..., 0].min())
 
 
@@ -281,7 +287,7 @@ def verify_hyponormal_closure(
     Neither verdict changes under T -> sT or f -> rf for s, r > 0.
     Raises PreconditionError when f is farther than tol ||f|| from M.
     """
-    a = _square_complex(t, "operator")
+    a = _square(t, "operator")
     v = np.asarray(f, dtype=np.complex128)
     if v.ndim != 1 or v.shape[0] != a.shape[0]:
         raise InputError("vector shape does not match the operator")

@@ -347,6 +347,36 @@ class TestErrorPaths:
         code, report, _ = run(capsys, argv + ["powers"])  # no k x k matrix: z1 z2 is refuted
         assert code == 1 and report["results"]["span_dim"] == 4
 
+    # each budget is just below a small span's array, so nothing large is formed
+    def test_powers_past_the_array_budget_are_refused(self, monkeypatch, capsys):
+        # 1, z, ..., z^10 on the degree-10 window in one variable: 11 x 11 complex
+        phi = json.dumps({"dim": 1, "terms": [{"exp": [1], "coeff": 1}]})
+        argv = ["fock", "defect", "--phi", phi, "--span", "powers", "--degree", "10"]
+        monkeypatch.setattr(fock, "_ARRAY_BYTES", 11 * 11 * 16 - 1)
+        code, report, _ = run_within_a_second(capsys, argv)
+        assert code == 2 and report["results"]["error"]["type"] == "WindowOverflowError"
+        assert "11 x 11 matrix of powers" in report["results"]["error"]["message"]
+        monkeypatch.setattr(fock, "_ARRAY_BYTES", 11 * 11 * 16)
+        code, report, _ = run_within_a_second(capsys, argv)  # the truncated shift
+        assert code == 1 and report["results"]["span_dim"] == 11
+
+    def test_kernel_vectors_past_the_array_budget_are_refused(self, tmp_path, monkeypatch, capsys):
+        # three points on the degree-4 window in two variables: 15 x 3 complex
+        points = tmp_path / "three.json"
+        points.write_text('{"dim": 2, "points": [[[0.1, 0], [0, 0]], [[0, 0], [0.2, 0]], [[0.3, 0], [0.1, 0]]]}')
+        phi = json.dumps({"dim": 2, "terms": [{"exp": [1, 1], "coeff": 1}]})
+        requests = [
+            ["fock", "defect", "--phi", phi, "--span", "kernel", "--points", points, "--degree", "4"],
+            ["closure", "--points", points, "--z", "[[0.2, 0], [0.1, 0]]", "--degree", "4"],
+        ]
+        for argv in requests:
+            monkeypatch.setattr(fock, "_ARRAY_BYTES", 15 * 3 * 16 - 1)
+            code, report, _ = run_within_a_second(capsys, argv)
+            assert code == 2 and report["results"]["error"]["type"] == "WindowOverflowError"
+            assert "15 x 3 matrix of kernel vectors" in report["results"]["error"]["message"]
+            monkeypatch.setattr(fock, "_ARRAY_BYTES", 15 * 3 * 16)
+            assert run_within_a_second(capsys, argv)[0] in (0, 1)
+
     def test_closure_refuses_the_degree_zero_window(self, corpus, capsys):
         # there every kernel function is the constant 1, so any z would be a member
         points = corpus / "origin2.json"

@@ -43,7 +43,7 @@ from rkhslab.fock import (
     tail_balance,
     vanishing_subspace,
 )
-from rkhslab.fock import _WHOLE, _normalized, _pairs, _self_commutator_blocks
+from rkhslab.fock import _WHOLE, _gauged, _normalized, _pairs, _rank, _self_commutator_blocks
 from rkhslab.kernels import PointSet
 from rkhslab.linalg import HermitianMatrix, Subspace, connected_components, min_eigenvalue
 
@@ -340,6 +340,125 @@ class TestSelfCommutatorBlocks:
         space = TruncatedSpace(dim, BLOCK_WINDOWS[dim])
         full = FockSubspace(space, np.eye(len(space), dtype=complex))
         assert compression_defect(phi, space) == compression_defect(phi, full)
+
+
+# windows on both sides of _WHOLE in each dimension
+GAUGE_WINDOWS = [(1, 40), (1, 80), (2, 9), (2, 11), (3, 5), (3, 6)]
+
+
+def solved_stacks(phi, space: TruncatedSpace) -> tuple:
+    """compression_defect on the whole window, and the stacks of S it solved."""
+    seen = []
+
+    def recorded(t):
+        seen.extend(stacks := _self_commutator_blocks(t))
+        return stacks
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_self_commutator_blocks", recorded)
+        defect = compression_defect(phi, space)
+    return defect, [h.entries for h in seen]
+
+
+def assert_dense_complex_defect(phi, space: TruncatedSpace, defect: float) -> None:
+    """defect within 4 k eps defect_scale(phi) of the complex eigvalsh of S = t* t - t t*,
+    t the window's matrix of phi itself, phases and all."""
+    psi, e = _normalized(phi)
+    t = space.matrix(psi).astype(complex)
+    want = math.ldexp(np.linalg.eigvalsh(t.conj().T @ t - t @ t.conj().T)[0], 2 * e)
+    assert abs(defect - want) <= 4 * len(space) * np.finfo(float).eps * defect_scale(phi)
+
+
+class TestPhaseGauge:
+    """The whole window solved for sum |c_g| z^g when the rows (1, g) are independent."""
+
+    @pytest.mark.parametrize("dim, degree", GAUGE_WINDOWS)
+    @seeded
+    def test_agrees_with_the_dense_complex_solve(self, dim, degree, seed):
+        # 1 to d + 1 terms of degree 1-3 with random phases, independent or not
+        rng = np.random.default_rng(seed)
+        exps = [tuple(a) for a in TruncatedSpace(dim, 3).exponents.tolist() if any(a)]
+        picked = [exps[i] for i in rng.choice(len(exps), size=int(rng.integers(1, dim + 2)), replace=False)]
+        phi = Polynomial(dim, {g: complex(*rng.standard_normal(2)) for g in picked})
+        space = TruncatedSpace(dim, degree)
+        defect, stacks = solved_stacks(phi, space)
+        assert_dense_complex_defect(phi, space, defect)
+        independent = np.linalg.matrix_rank(np.array([(1, *g) for g in picked])) == len(picked)
+        assert [np.isrealobj(h) for h in stacks] == [independent] * len(stacks)
+
+    @pytest.mark.parametrize("degree", [9, 11])
+    @pytest.mark.parametrize("exps", [((1, 0), (0, 1), (1, 1), (2, 0)), ((2, 0), (1, 1), (0, 2))])
+    def test_dependent_exponents_keep_complex_arithmetic(self, exps, degree):
+        # four rows (1, g) in Z^3; and (1, 2, 0) + (1, 0, 2) = 2 (1, 1, 1)
+        rng = np.random.default_rng(degree)
+        phi = Polynomial(2, {g: complex(*rng.standard_normal(2)) for g in exps})
+        space = TruncatedSpace(2, degree)
+        defect, stacks = solved_stacks(phi, space)
+        assert stacks and all(h.dtype == np.complex128 for h in stacks)
+        assert_dense_complex_defect(phi, space, defect)
+
+    @pytest.mark.parametrize("degree", [9, 11])
+    def test_real_multiplier_with_dependent_exponents_is_real(self, degree):
+        phi = Polynomial(2, {(2, 0): 0.7, (1, 1): -0.4, (0, 2): 0.3, (1, 0): -0.2})
+        space = TruncatedSpace(2, degree)
+        defect, stacks = solved_stacks(phi, space)
+        assert stacks and all(h.dtype == np.float64 for h in stacks)
+        assert_dense_complex_defect(phi, space, defect)
+
+    def test_terms_past_the_window_are_left_out_of_the_rank_test(self):
+        # the rows (1, 1), (1, 2), (1, 10^20) are dependent, but z^(10^20) has an empty
+        # table on the window and adds nothing to its matrix
+        phi = fock.Polynomial(1, {(1,): 0.6 + 0.3j, (2,): -0.2j, (10**20,): 0.5 + 0.5j})
+        assert _gauged(phi, 80).coeffs == {g: abs(c) for g, c in phi.coeffs.items()}
+        assert _gauged(phi, 10**20) is phi
+        space = TruncatedSpace(1, 80)
+        defect, stacks = solved_stacks(phi, space)
+        assert stacks and all(h.dtype == np.float64 for h in stacks)
+        assert_dense_complex_defect(phi, space, defect)
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+class TestExactRank:
+    def test_small_cases(self):
+        assert _rank([]) == 0
+        assert _rank([(0, 0, 0)]) == 0
+        assert _rank([(1, 2, 0), (1, 1, 1), (1, 0, 2)]) == 2
+        assert _rank([(1, 1, 0), (1, 2, 0)]) == 2  # the last column has no pivot
+        assert _rank([(1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 2, 2)]) == 3
+
+    def test_exponents_past_two_to_the_53(self):
+        big = 2**60
+        rows = [(1, big, big + 1), (1, big + 1, big + 2)]
+        assert np.linalg.matrix_rank(np.array(rows, dtype=float)) == 1  # floats merge the rows
+        assert _rank(rows) == 2
+        assert _rank(rows + [(1, big + 2, big + 3)]) == 2  # twice the second less the first
+        assert _rank(rows + [(1, big + 2, big + 4)]) == 3
+
+    @seeded
+    def test_agrees_with_fraction_elimination(self, seed):
+        rng = np.random.default_rng(seed)
+        r, c = (int(x) for x in rng.integers(1, 7, 2))
+        a = rng.integers(-3, 4, (r, c)) * (rng.random((r, c)) < rng.random())
+        if r > 2:  # a combination of two rows
+            a[-1] = 2 * a[0] - 3 * a[1]
+        rows = [[int(x) * 2 ** int(rng.choice([0, 70])) for x in row] for row in a]
+        assert _rank(rows) == fraction_rank(rows)
 
 
 class TestDefectScale:

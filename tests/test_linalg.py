@@ -69,6 +69,17 @@ class TestHermitianMatrix:
         assert min_eigenvalue(stack) == pytest.approx(np.linalg.eigvalsh(whole)[0], abs=1e-12)
 
 
+    def test_stack_of_real_blocks_stays_real(self, rng):
+        blocks = rng.standard_normal((2, 5, 5))
+        stack = HermitianMatrix._stack(blocks)
+        assert stack.entries.dtype == np.float64
+        assert np.array_equal(stack.entries, stack.entries.swapaxes(-1, -2))
+        for i, b in enumerate(blocks):
+            whole = HermitianMatrix(b).entries  # the public constructor stores complex
+            assert whole.dtype == np.complex128 and np.array_equal(stack[i], whole.real)
+        want = min(min_eigenvalue(HermitianMatrix(b)) for b in blocks)
+        assert min_eigenvalue(stack) == pytest.approx(want, abs=1e-12)
+
 class TestPsdCheck:
     def test_identity(self):
         v = psd_check(HermitianMatrix(np.eye(3)), 1e-9)
