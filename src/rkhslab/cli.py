@@ -154,11 +154,11 @@ def _complex_array(x, shape: tuple, what: str, row: str | None = None) -> np.nda
     fast = _float_pairs(x, shape)
     if fast is not None:
         return fast
-    d, nested = shape[-1], len(shape) > 1
+    d = shape[-1]
     row = row or f"a point in {d} variables, a list of {d} [re, im] pairs"
-    rows = [_parse_list(r, what, d, row) for r in (x if nested else [x])]
+    rows = [_parse_list(r, what, d, row) for r in (x if len(shape) > 1 else [x])]
     a = np.array([[_parse_complex(c, what) for c in r] for r in rows], dtype=np.complex128)
-    return a if nested else a[0]
+    return a.reshape(shape)  # no rows give shape (0,), whatever the shape asked
 
 
 def _object(x, what: str, required: tuple, optional=()) -> dict:

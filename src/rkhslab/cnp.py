@@ -61,7 +61,6 @@ class CnpVerdict:
 
     status: str  # CONSISTENT or CERTIFIED_NOT_CNP
     min_eig: float
-    tol: float
 
 
 def cnp_sample_check(g: HermitianMatrix, base: int, tol: float = DEFAULT_TOL) -> CnpVerdict:
@@ -73,7 +72,7 @@ def cnp_sample_check(g: HermitianMatrix, base: int, tol: float = DEFAULT_TOL) ->
     f = one_minus_inverse(normalize(g, base))
     verdict = psd_check(f, tol)
     status = CONSISTENT if verdict.is_psd else CERTIFIED_NOT_CNP
-    return CnpVerdict(status=status, min_eig=verdict.min_eig, tol=tol)
+    return CnpVerdict(status=status, min_eig=verdict.min_eig)
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,15 @@ class EmbeddingResult:
     """Points b_i in the open unit ball realizing the normalized kernel.
 
     b_points[base_index] is exactly zero, every row has norm below 1, and
-    residual is the largest deviation |<b_i, b_j> - F[i][j]|.
+    residual is the largest deviation |<b_i, b_j> - F[i][j]|. delta is that of
+    the normalization at base_index (kernels.normalize).
     """
 
     rank: int
     b_points: np.ndarray
     base_index: int
     residual: float
+    delta: np.ndarray
 
 
 def agler_mccarthy_embed(
@@ -100,7 +101,8 @@ def agler_mccarthy_embed(
     InconsistentSampleError if a recovered point falls outside the open
     unit ball.
     """
-    f = one_minus_inverse(normalize(g, base))
+    ng = normalize(g, base)
+    f = one_minus_inverse(ng)
     try:
         rows, rank = psd_factor(f, tol)
     except NotPsdError as e:
@@ -120,7 +122,9 @@ def agler_mccarthy_embed(
             f"embedded point {worst} has norm {norms[worst]:.6f}, not inside the open ball"
         )
     rows.setflags(write=False)
-    return EmbeddingResult(rank=rank, b_points=rows, base_index=base, residual=residual)
+    return EmbeddingResult(
+        rank=rank, b_points=rows, base_index=base, residual=residual, delta=ng.delta
+    )
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .errors import DomainError, InputError, WindowOverflowError
 from .kernels import PointSet
 from .linalg import (
     DEFAULT_TOL,
-    HermitianMatrix,
     Subspace,
     connected_components,
     min_eigenvalue,
@@ -405,20 +404,18 @@ class TruncatedSpace:
         mult_adjoint_apply on the space's window: the output is supported in
         degrees <= degree - deg(phi). An f beyond the window has no
         coordinates here; iso_vector refuses it with WindowOverflowError.
-        The result is float64 when phi and u are real, else complex.
+        The result is complex.
         """
         if phi.dim != self.dim:
             raise InputError("dimension mismatch")
-        u = np.asarray(u)
-        real = _is_real(phi) and np.isrealobj(u)
-        u = u.astype(np.float64 if real else np.complex128, copy=False)
+        u = np.asarray(u, dtype=np.complex128)
         if u.ndim not in (1, 2) or u.shape[0] != len(self):
             raise InputError(f"coordinates must have {len(self)} rows")
         out = np.zeros(u.shape, dtype=u.dtype)
         for gamma, c in phi.coeffs.items():
             src, dst, weight = self.shift(gamma)
             w = weight if u.ndim == 1 else weight[:, None]
-            c = complex(c).real if real else complex(c)
+            c = complex(c)
             if adjoint:
                 out[src] += c.conjugate() * (w * u[dst])
             else:
@@ -430,9 +427,9 @@ class TruncatedSpace:
     def matrix(self, phi: Polynomial) -> np.ndarray:
         """multiply(phi, identity), entry for entry: entry (dst, src) of the table of
         gamma gets its one term c_gamma * weight, added to zero as multiply adds it.
-        It is float64 when phi is real, as multiply's is. A k x k matrix past
-        _ARRAY_BYTES as complex is refused with WindowOverflowError, whatever its
-        dtype, so that the refusal does not hang on the phases of phi."""
+        It is float64 when phi is real, and then the real part of multiply's. A k x k
+        matrix past _ARRAY_BYTES as complex is refused with WindowOverflowError, whatever
+        its dtype, so that the refusal does not hang on the phases of phi."""
         _check_array_size(len(self) ** 2, 16, f"the {len(self)} x {len(self)} window matrix")
         real = _is_real(phi)
         t = np.zeros((len(self), len(self)), dtype=np.float64 if real else np.complex128)
@@ -664,16 +661,16 @@ def _rank(rows: list) -> int:
 
 
 # S stays whole up to here. compression_defect on the pairs against whole, real arithmetic, in
-# ms (Xeon, one BLAS thread), for 0.6 z1 + 0.5i z2^2 + 0.2 z1 z2 (one block) and for z1 + z2^2
-# (17-29 blocks): 0.56 / 0.28 and 0.30 / 0.17 at 45 indices, 0.58 / 0.36 and 0.39 / 0.31 at
-# 66, 0.85 / 0.60 and 0.72 / 0.69 at 91, 1.56 / 1.20 and 0.56 / 0.80 at 120. In real
-# arithmetic the whole form wins past 64 on split windows too, to about 100 indices.
+# ms (Xeon, one BLAS thread, medians of 205 interleaved calls), for 0.6 z1 + 0.5i z2^2 +
+# 0.2 z1 z2 (one block) and for z1 + z2^2 (17-29 blocks): 0.55 / 0.25 and 0.44 / 0.22 at 45
+# indices, 0.85 / 0.45 and 0.49 / 0.38 at 66, 1.00 / 0.67 and 0.49 / 0.60 at 91, 1.44 / 1.04
+# and 0.56 / 0.96 at 120. The whole form wins past 64 on split windows to between 66 and 91.
 _WHOLE = 64
 
 
 def _self_commutator_blocks(t: np.ndarray) -> list:
-    """S = t* t - t t* as HermitianMatrix stacks of its diagonal blocks, one per block size,
-    real for a real t.
+    """S = t* t - t t* as stacks of its diagonal blocks, a (b, n, n) array of the dtype of t
+    per block size n: exactly symmetric for a real t, Hermitian to rounding for a complex one.
 
     Index i stands for column i and for row i of t. S[i, j] sums conj(t[r, i]) t[r, j]
     over the rows r less t[i, c] conj(t[j, c]) over the columns c, so only pairs of
@@ -685,7 +682,7 @@ def _self_commutator_blocks(t: np.ndarray) -> list:
     k = len(t)
     if k > _WHOLE and (pairs := _pairs(t)) is not None:
         return _blocks(k, *pairs)
-    return [HermitianMatrix._stack((t.conj().T @ t - t @ t.conj().T)[None])]
+    return [(t.conj().T @ t - t @ t.conj().T)[None]]
 
 
 def _pairs(t: np.ndarray):
@@ -715,8 +712,8 @@ def _run_pairs(count: np.ndarray) -> tuple:
 
 
 def _blocks(k: int, i: np.ndarray, j: np.ndarray, term: np.ndarray) -> list:
-    """The stacks of _self_commutator_blocks, the terms of _pairs summed in one pass into
-    the blocks laid end to end by size, each block in index order."""
+    """The (b, n, n) arrays of _self_commutator_blocks, the terms of _pairs summed in one
+    pass into the blocks laid end to end by size, each block in index order."""
     comp = connected_components(k, i, j)
     size = np.bincount(comp)
     by_size = np.argsort(size, kind="stable")
@@ -730,7 +727,7 @@ def _blocks(k: int, i: np.ndarray, j: np.ndarray, term: np.ndarray) -> list:
     np.add.at(flat, start[comp[i]] + pos[i] * size[comp[i]] + pos[j], term)
     sizes, counts = np.unique(size, return_counts=True)
     parts = np.split(flat, np.cumsum(sizes * sizes * counts)[:-1])
-    return [HermitianMatrix._stack(a.reshape(m, b, b)) for a, b, m in zip(parts, sizes, counts)]
+    return [a.reshape(m, b, b) for a, b, m in zip(parts, sizes, counts)]
 
 
 def _size(phi: Polynomial) -> float:

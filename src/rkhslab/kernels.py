@@ -274,7 +274,6 @@ class NormalizedGram:
 
     gram_tilde: HermitianMatrix
     delta: np.ndarray
-    base_index: int
 
 
 def normalize(g: HermitianMatrix, base: int) -> NormalizedGram:
@@ -303,7 +302,7 @@ def normalize(g: HermitianMatrix, base: int) -> NormalizedGram:
     gt[:, base] = 1.0
     delta = delta.copy()
     delta.setflags(write=False)
-    return NormalizedGram(gram_tilde=HermitianMatrix(gt), delta=delta, base_index=base)
+    return NormalizedGram(gram_tilde=HermitianMatrix(gt), delta=delta)
 
 
 def unit_diagonal(g: HermitianMatrix) -> HermitianMatrix:

@@ -23,10 +23,10 @@ DEFAULT_TOL = 1e-9
 _ORTHONORMAL_TOL = 1e-12
 
 
-def _square(entries, name: str = "matrix", stack: bool = False, dtype=np.complex128) -> np.ndarray:
-    """entries as a square matrix of dtype, or with stack=True as a (b, n, n) stack."""
-    a = np.asarray(entries, dtype=dtype)
-    if a.ndim != (3 if stack else 2) or a.shape[-2] != a.shape[-1]:
+def _square(entries, name: str = "matrix") -> np.ndarray:
+    """entries as a non-empty, finite, square complex matrix."""
+    a = np.asarray(entries, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{name} must be square, got shape {a.shape}")
     if a.size == 0:
         raise InputError(f"{name} must be non-empty")
@@ -37,7 +37,7 @@ def _square(entries, name: str = "matrix", stack: bool = False, dtype=np.complex
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
     h = a * 0.5  # halved first: a + a* overflows above half the float range
-    h = h + h.swapaxes(-1, -2).conj()  # conj of a real array is the array itself
+    h = h + h.T.conj()
     h.setflags(write=False)
     return h
 
@@ -47,7 +47,7 @@ class HermitianMatrix:
 
     The input is averaged with its conjugate transpose, so sampled kernels
     carrying rounding asymmetry become exactly Hermitian. The stored array
-    is read-only, and complex whatever the input's dtype.
+    is read-only, (n, n) and complex whatever the input's dtype.
     """
 
     __slots__ = ("_entries",)
@@ -55,29 +55,13 @@ class HermitianMatrix:
     def __init__(self, entries):
         self._entries = _hermitian(_square(entries))
 
-    @classmethod
-    def _stack(cls, blocks) -> HermitianMatrix:
-        """b equal-size blocks as one (b, n, n) value, each made Hermitian the same way.
-
-        It stands for their block-diagonal sum. It is float64 when they are real:
-        its blocks are then real symmetric, and min_eigenvalue solves them in real
-        arithmetic. Only min_eigenvalue reads a stack; the public constructor
-        and every other function here take one (n, n) matrix.
-        """
-        blocks = np.asarray(blocks)
-        dtype = np.float64 if np.isrealobj(blocks) else np.complex128
-        m = cls.__new__(cls)
-        m._entries = _hermitian(_square(blocks, stack=True, dtype=dtype))
-        return m
-
     @property
     def n(self) -> int:
-        return self._entries.shape[-1]
+        return self._entries.shape[0]
 
     @property
     def entries(self) -> np.ndarray:
-        """Read-only (n, n) complex array, or (b, n, n) for a stack: float64 for a
-        stack of real blocks, which are then real symmetric, else complex."""
+        """Read-only (n, n) complex128 array."""
         return self._entries
 
     def __getitem__(self, key):
@@ -94,12 +78,12 @@ class HermitianMatrix:
 class PsdVerdict:
     """Outcome of a positive-semidefiniteness check.
 
-    is_psd holds exactly when min_eig >= -threshold(tol_used, max(1, max_eig)).
+    is_psd holds exactly when min_eig >= -threshold(tol, max(1, max_eig)), for
+    the tol the check was given.
     """
 
     is_psd: bool
     min_eig: float
-    tol_used: float
 
 
 class Subspace:
@@ -179,11 +163,7 @@ def psd_check(a: HermitianMatrix, tol: float = DEFAULT_TOL) -> PsdVerdict:
     eigs = np.linalg.eigvalsh(a.entries)
     min_eig = float(eigs[0])
     max_eig = float(eigs[-1])
-    return PsdVerdict(
-        is_psd=_psd_accepts(min_eig, max_eig, tol),
-        min_eig=min_eig,
-        tol_used=tol,
-    )
+    return PsdVerdict(is_psd=_psd_accepts(min_eig, max_eig, tol), min_eig=min_eig)
 
 
 def gram_scale(g: np.ndarray) -> float:
@@ -195,10 +175,11 @@ def gram_scale(g: np.ndarray) -> float:
     return scale if scale > 0 else 1.0
 
 
-def min_eigenvalue(a: HermitianMatrix) -> float:
-    """Smallest eigenvalue of a Hermitian matrix; of every block of a stack, by a real
-    symmetric eigensolve when the stack is real."""
-    return float(np.linalg.eigvalsh(a.entries)[..., 0].min())
+def min_eigenvalue(a: HermitianMatrix | np.ndarray) -> float:
+    """Smallest eigenvalue of a HermitianMatrix, or of every block of a (b, n, n) array of
+    Hermitian blocks, which stands for their block-diagonal sum. eigvalsh reads the lower
+    triangle of each block only, in real arithmetic for a real array."""
+    return float(np.linalg.eigvalsh(np.asarray(a))[..., 0].min())
 
 
 def connected_components(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

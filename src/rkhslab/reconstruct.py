@@ -111,7 +111,7 @@ def classify(g: HermitianMatrix, base: int, tol: float = DEFAULT_TOL) -> Reconst
         embedding = agler_mccarthy_embed(g, base, tol)
     except NotCnpError as e:  # message: "sample refutes the CNP property ..."
         raise HypothesisError(str(e), hypothesis="cnp_consistency") from None
-    delta = normalize(g, base).delta
+    delta = embedding.delta
     j = None
     if g.n == 1:
         classification = SINGLETON

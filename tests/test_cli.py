@@ -377,6 +377,37 @@ class TestErrorPaths:
             monkeypatch.setattr(fock, "_ARRAY_BYTES", 15 * 3 * 16)
             assert run_within_a_second(capsys, argv)[0] in (0, 1)
 
+    # an empty list was read as shape (0,): a point set took it for (0, 1) and the
+    # Gram reader for a vector, and the refusal named a shape the input never had
+    def test_an_empty_point_set_is_refused_as_empty(self, tmp_path, capsys):
+        (tmp_path / "kernel.json").write_text('{"type": "drury_arveson", "dim": 2}')
+        (tmp_path / "empty.json").write_text('{"dim": 2, "points": []}')
+        (tmp_path / "problem.json").write_text(
+            '{"kernel": {"type": "drury_arveson", "dim": 2}, "nodes": [], "targets": []}'
+        )
+        phi = json.dumps({"dim": 2, "terms": [{"exp": [1, 0], "coeff": 1}]})
+        requests = [
+            ["cnp-check", "kernel.json", "--points", "empty.json"],
+            ["pick", "problem.json"],
+            ["closure", "--points", "empty.json", "--z", "[[0.1, 0], [0, 0]]"],
+            ["fock", "defect", "--phi", phi, "--span", "kernel", "--points", "empty.json", "--degree", "3"],
+        ]
+        for argv in requests:
+            code, report, _ = run(capsys, [tmp_path / a if a.endswith(".json") else a for a in argv])
+            assert code == 2 and report["results"]["error"] == {
+                "message": "point set must be non-empty",
+                "type": "InputError",
+            }, argv
+
+    def test_an_empty_sampled_gram_is_refused_as_empty(self, tmp_path, capsys):
+        (tmp_path / "kernel.json").write_text('{"type": "sampled", "labels": [], "gram": []}')
+        for command in ("cnp-check", "embed", "reconstruct", "partition"):
+            code, report, _ = run(capsys, [command, tmp_path / "kernel.json"])
+            assert code == 2 and report["results"]["error"] == {
+                "message": "matrix must be non-empty",
+                "type": "InputError",
+            }, command
+
     def test_closure_refuses_the_degree_zero_window(self, corpus, capsys):
         # there every kernel function is the constant 1, so any z would be a member
         points = corpus / "origin2.json"

@@ -54,7 +54,7 @@ class TestOneMinusInverse:
         ng = normalize(HermitianMatrix([[1.0, 1.0], [1.0, 1.0 + 1e-12]]), 0)
         gt = ng.gram_tilde.entries.copy()
         gt[1, 1] = 0.0
-        bad = type(ng)(HermitianMatrix(gt), ng.delta, 0)
+        bad = type(ng)(HermitianMatrix(gt), ng.delta)
         with pytest.raises(IrreducibilityError):
             one_minus_inverse(bad)
 

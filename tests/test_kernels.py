@@ -34,6 +34,11 @@ class TestPointSet:
         with pytest.raises(InputError):
             PointSet(2, [[0.3]])
 
+    def test_a_flat_list_is_one_coordinate_per_point(self):
+        assert np.array_equal(PointSet(1, [0.0, 0.5j]).points, [[0.0], [0.5j]])
+        with pytest.raises(InputError, match=r"points must form an \(n, 2\) array, got shape \(2, 1\)"):
+            PointSet(2, [0.1, 0.2])
+
 
 class TestEvaluate:
     def test_ball_kernel_closed_form(self):

@@ -8,14 +8,14 @@ points; the CNP verdict also under change of base point, and classify
 under rescaling of single points. A sampled Gram matrix is refused as
 non-PSD at every scale or at none, and partition gives the same classes
 at every scale. The Fock defect verdict is checked under rescaling of the
-multiplier, under a unitary change of variables and, on the full window,
-under a change of the phase of each term, in_closure under a
-unitary rotation of the set and the point together, and the closure-step
-verdicts under rescaling of the operator and of the vector. Sampled Grams
-(Pick included), power-series coefficients, Pick targets with the norm
-level, and Fock multipliers are also scaled by 2^k over the whole float
-range: that scaling is exact, so no verdict may change at all. Random cases
-are drawn by hypothesis when it is installed and from fixed seeds
+multiplier, under a unitary change of variables and under a change of the
+phase of each term (on the kernel span with the points turned too),
+in_closure under a unitary rotation of the set and the point together, and
+the closure-step verdicts under rescaling of the operator and of the vector.
+Sampled Grams (Pick included), power-series coefficients, Pick targets with
+the norm level, and Fock multipliers are also scaled by 2^k over the whole
+float range: that scaling is exact, so no verdict may change at all. Random
+cases are drawn by hypothesis when it is installed and from fixed seeds
 otherwise.
 """
 
@@ -717,21 +717,64 @@ class TestPhaseInvariance:
     @pytest.mark.parametrize("dim, degree", [(1, 40), (1, 80), (2, 9), (2, 11), (3, 5), (3, 6)])
     @seeded
     def test_full_window_defect(self, dim, degree, seed):
+        # windows on both sides of _WHOLE; span_dim is the window's k
         rng = np.random.default_rng(seed)
-        exps = [tuple(a) for a in TruncatedSpace(dim, 3).exponents.tolist() if any(a)]
-        picked = rng.choice(len(exps), size=min(int(rng.integers(1, 6)), len(exps)), replace=False)
-        coeffs = {exps[i]: complex(*rng.standard_normal(2)) for i in picked}
+        coeffs = self.random_coeffs(rng, dim)
         theta, psi = rng.uniform(0, 2 * np.pi, dim), rng.uniform(0, 2 * np.pi)
         turned = {g: c * np.exp(1j * (psi + np.dot(theta, g))) for g, c in coeffs.items()}
-        fields = ("hyponormal_on_this_model", "defect")
         options = ["--span", "full", "--degree", str(degree)]
+        self.assert_same_defect([self.defect_run(c, dim, options) for c in (coeffs, turned)], coeffs, dim)
+
+    # the kernel vector at D y = (e^{i theta_j} y_j) is U* k_y, so the kernel span of D Y is
+    # U* F, on which M_phi' for c_g e^{i(psi - <theta, g>)} is e^{i psi} U* (P_F M_phi|_F) U.
+    # Wedin: the computed basis of F moves by about eps cond(K), K the kernel vectors
+    @pytest.mark.parametrize("dim, degree", [(1, 12), (2, 5), (3, 3)])
+    @seeded
+    def test_kernel_span_defect(self, dim, degree, seed, workdir):
+        rng = np.random.default_rng(seed)
+        coeffs = self.random_coeffs(rng, dim)
+        theta, psi = rng.uniform(0, 2 * np.pi, dim), rng.uniform(0, 2 * np.pi)
+        turned = {g: c * np.exp(1j * (psi - np.dot(theta, g))) for g, c in coeffs.items()}
+        points = random_ball_points(rng, int(rng.integers(1, 5)), dim)
         runs = []
-        for c in (coeffs, turned):
-            terms = [{"exp": list(g), "coeff": [v.real, v.imag]} for g, v in c.items()]
-            phi = json.dumps({"dim": dim, "terms": terms})
-            runs.append(run_verdict("fock defect", ["--phi", phi] + options, fields))
+        for c, y in ((coeffs, points), (turned, points * np.exp(1j * theta))):
+            path = input_file({"dim": dim, "points": complex_lists(y)}, workdir)
+            options = ["--span", "kernel", "--points", path, "--degree", str(degree)]
+            runs.append(self.defect_run(c, dim, options))
+        s = np.linalg.svd(TruncatedSpace(dim, degree).kernel_vector(points), compute_uv=False)
+        self.assert_same_defect(runs, coeffs, dim, s[0] / s[-1])
+
+    # U z^alpha = e^{i <theta, alpha>} z^alpha is multiplicative, so the powers of phi'
+    # for c_g e^{i(psi + <theta, g>)} are e^{i n psi} U phi^n and span U F
+    @pytest.mark.parametrize("dim, degree", [(1, 12), (2, 6), (3, 4)])
+    @seeded
+    def test_powers_span_defect(self, dim, degree, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = self.random_coeffs(rng, dim)
+        theta, psi = rng.uniform(0, 2 * np.pi, dim), rng.uniform(0, 2 * np.pi)
+        turned = {g: c * np.exp(1j * (psi + np.dot(theta, g))) for g, c in coeffs.items()}
+        options = ["--span", "powers", "--degree", str(degree)]
+        self.assert_same_defect([self.defect_run(c, dim, options) for c in (coeffs, turned)], coeffs, dim)
+
+    @staticmethod
+    def random_coeffs(rng, dim):
+        exps = [tuple(a) for a in TruncatedSpace(dim, 3).exponents.tolist() if any(a)]
+        picked = rng.choice(len(exps), size=min(int(rng.integers(1, 6)), len(exps)), replace=False)
+        return {exps[i]: complex(*rng.standard_normal(2)) for i in picked}
+
+    @staticmethod
+    def defect_run(coeffs, dim, options):
+        terms = [{"exp": list(g), "coeff": [v.real, v.imag]} for g, v in coeffs.items()]
+        phi = json.dumps({"dim": dim, "terms": terms})
+        fields = ("hyponormal_on_this_model", "span_dim", "defect")
+        return run_verdict("fock defect", ["--phi", phi] + options, fields)
+
+    @staticmethod
+    def assert_same_defect(runs, coeffs, dim, cond=1.0):
+        """Same exit code, verdict and span; defects within 4 k eps cond defect_scale(phi)."""
         (code, want), (got_code, got) = runs
-        assert got_code == code and got["hyponormal_on_this_model"] == want["hyponormal_on_this_model"]
-        k = len(TruncatedSpace(dim, degree))  # windows on both sides of _WHOLE
-        bound = 4 * k * np.finfo(float).eps * defect_scale(Polynomial(dim, coeffs))
+        assert got_code == code
+        assert got["hyponormal_on_this_model"] == want["hyponormal_on_this_model"]
+        assert got["span_dim"] == want["span_dim"]
+        bound = 4 * want["span_dim"] * np.finfo(float).eps * cond * defect_scale(Polynomial(dim, coeffs))
         assert abs(got["defect"] - want["defect"]) <= bound
