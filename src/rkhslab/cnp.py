@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence, Union
 
@@ -139,7 +138,7 @@ class RatioReport:
     fail to be non-decreasing, a_n/a_{n-1} <= a_{n+1}/a_n: Kaluza's condition,
     sufficient for the CNP property but not necessary, so its failure is
     inconclusive and must not be reported as "not CNP". Each is None where its
-    direction holds throughout.
+    direction holds throughout. Both come from exact integer products (ratio_report).
     """
 
     first_hyponormal_violation: Optional[int]
@@ -168,24 +167,25 @@ class RatioReport:
 def ratio_report(coeffs: Sequence) -> RatioReport:
     """Both ratio tests of the validated coefficients, in one scan.
 
-    Each compares a_n^2 with a_{n-1} a_{n+1} on (mantissa, exponent) pairs, so no
-    scale overflows or underflows: exactly for rational input (exponent 0), else on
-    math.frexp pairs within threshold(1e-12, the larger side), so geometric ties pass.
+    Each compares a_n^2 with a_{n-1} a_{n+1} as exact integer products, so no scale
+    overflows, underflows or rounds: the sides tie within threshold(1e-12, the larger
+    side) when a coefficient is a float, so geometric float lists pass, else exactly.
     """
     coeffs = tuple(coeffs)
     if len(coeffs) < 3:
         raise InputError("need at least 3 coefficients")
     coeffs = validated_coeffs(coeffs)
     exact = all(isinstance(c, Rational) for c in coeffs)
-    vals = [(Fraction(c), 0) if exact else math.frexp(c) for c in coeffs]
+    tie, unit = (0, 1) if exact else threshold(_FLOAT_RATIO_RTOL, 1.0).as_integer_ratio()
+    vals = [(int(c.numerator), int(c.denominator)) if isinstance(c, Rational)
+            else float(c).as_integer_ratio() for c in coeffs]  # a = p/q exactly, q > 0
     down = up = None
-    for n in range(1, len(vals) - 1):
-        (m0, e0), (m1, e1), (m2, e2) = vals[n - 1 : n + 2]  # a = m 2^e; 2 ** 0 is the int 1
-        lhs, rhs = m1 * m1 * 2 ** min(2 * e1 - e0 - e2, 0), m0 * m2 * 2 ** min(e0 + e2 - 2 * e1, 0)
-        slack = 0 if exact else threshold(_FLOAT_RATIO_RTOL, max(lhs, rhs))
-        if down is None and not lhs >= rhs - slack:
+    for n, ((p0, q0), (p1, q1), (p2, q2)) in enumerate(zip(vals, vals[1:], vals[2:]), 1):
+        lhs, rhs = p1 * p1 * q0 * q2, p0 * p2 * q1 * q1  # a_n^2, a_{n-1} a_{n+1} times q0 q1^2 q2
+        gap, slack = (rhs - lhs) * unit, tie * max(lhs, rhs)
+        if down is None and gap > slack:
             down = n
-        if up is None and not lhs <= rhs + slack:
+        if up is None and -gap > slack:
             up = n
     return RatioReport(first_hyponormal_violation=down, first_np_violation=up)
 

@@ -525,6 +525,8 @@ def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubsp
     shift-table product of psi with the one before, so the rank rule sees no
     scale of phi. All must fit the window, and count <= degree // max(deg phi, 1).
     Powers past _ARRAY_BYTES are refused with WindowOverflowError before they are formed."""
+    if not isinstance(count, int) or count < 0:
+        raise InputError("count must be a non-negative integer")
     if count * max(phi.degree, 1) > space.degree:
         raise WindowOverflowError(f"count {count}: more powers than degree {space.degree} holds")
     psi = _normalized(phi)[0]

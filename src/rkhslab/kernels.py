@@ -135,6 +135,8 @@ def validated_coeffs(coeffs: Sequence) -> tuple:
             raise InputError(f"coefficient {i} is not a real number")
         if not c > 0:
             raise InputError(f"coefficient {i} must be positive, got {c}")
+        if isinstance(c, np.floating):  # else the bound below is cast to a float32 inf
+            c = float(c)
         if not c <= sys.float_info.max:  # inf, or an int or Fraction beyond the float range
             got = c if isinstance(c, float) else "a number beyond the float range"
             raise InputError(f"coefficient {i} must be finite, got {got}")

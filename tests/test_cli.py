@@ -105,6 +105,18 @@ class TestRatioCheck:
         assert code == 2
         assert "a_0 must equal 1" in report["results"]["error"]["message"]
 
+    def test_rational_below_the_float_range_beside_a_float(self, tmp_path, capsys):
+        # a_1^2 = 1e-400 (to rounding) > a_0 a_2 = 2e-405: Kaluza fails at n = 1,
+        # though a_2 as a float would be 0.0
+        coeffs = [1, 1e-200, {"num": "2", "den": str(10**405)}]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"type": "power_series", "coeffs": coeffs}))
+        code, report, _ = run(capsys, ["ratio-check", path])
+        assert code == 0
+        got = {k: report["results"][k] for k in ("hyponormal_ok", "np_sufficient_ok", "geometric")}
+        assert got == {"hyponormal_ok": True, "np_sufficient_ok": False, "geometric": False}
+        assert report["results"]["first_violation"] == 1
+
 
 class TestCnpCheck:
     def test_szego_consistent(self, corpus, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_ball_points
+from conftest import random_ball_points, seeded_by
 
 from rkhslab.cnp import (
     CERTIFIED_NOT_CNP,
@@ -188,6 +188,99 @@ class TestRatioTests:
             ratio_report([2, 2, 2])
         with pytest.raises(InputError):
             ratio_report([1, -1, 1])
+
+    def test_rational_below_the_float_range_beside_a_float(self):
+        # a_1^2 = 1e-400 (to rounding) < a_0 a_2 = 2e-400: hyponormality fails at n = 1,
+        # though a_2 as a float would be 0.0
+        report = ratio_report([1, 1e-200, Fraction(2, 10**400)])
+        assert report.first_hyponormal_violation == 1
+        assert report.np_ok
+
+    def test_numpy_integers_do_not_wrap(self):
+        # a_1^2 = 2^80 > a_0 a_2 = 2^62; np.int64 products wrapped past 2^63
+        report = ratio_report([1, np.int64(2**40), np.int64(2**62)])
+        assert (report.first_hyponormal_violation, report.first_np_violation) == (None, 1)
+
+    @pytest.mark.parametrize("q", [0.7, 0.1, 0.999, 1.3, 3.0, 1e-10, 2.0**-30])
+    def test_float_geometric_lists_tie(self, q):
+        assert ratio_report([(3 * q**n) / 3 for n in range(30)]).geometric
+        running = [1.0]
+        for _ in range(29):
+            running.append(running[-1] * q)
+        assert ratio_report(running).geometric
+
+    def test_geometric_across_the_float_range(self):
+        # a float ratio, then its powers exactly: q^2 = 1e-320 would be a subnormal
+        # float with 11 significant bits, and q^3 on are below 2^-1074
+        q = 1e-160
+        report = ratio_report([1, q] + [Fraction(q) ** n for n in range(2, 8)])
+        assert report.geometric
+
+
+def mixed_coefficient(rng, value: Fraction):
+    """value, or something near it, as one of the coefficient types validated_coeffs
+    accepts: a float (subnormal when value is that small), an np.float32, an np.int64,
+    or a Fraction, whose numerator and denominator may both exceed 2^1024."""
+    kind = rng.integers(5)
+    if kind == 0 and 2.0**-1074 <= value:
+        return float(value)
+    if kind == 1 and 2.0**-149 <= value <= 2.0**127:
+        return np.float32(float(value))
+    if kind == 2 and 1 <= value < 2**63:
+        return np.int64(round(value))
+    if kind == 3:
+        big = 3 ** int(rng.integers(650, 900))
+        return value * Fraction(big + 1, big)
+    return value
+
+
+def mixed_coefficient_list(rng) -> list:
+    """a_0 = 1 and a_1.. near a geometric sequence: ratios 2^x for x in [-400, 1000/(N-1)],
+    so terms reach far below 2^-1074, each perturbed by 0, a relative amount from 1e-17
+    to 1e-8, or at random, so that ties, near ties and plain violations all occur."""
+    n = int(rng.integers(3, 9))
+    q = Fraction(2.0 ** rng.uniform(-400, 1000 / (n - 1)))
+    values = [Fraction(1)]
+    for _ in range(n - 1):
+        wobble = rng.choice([0.0, 10.0 ** -rng.uniform(8, 17), rng.uniform(0.0, 1.0)])
+        values.append(values[-1] * q * (1 + Fraction(wobble) * int(rng.choice([-1, 1]))))
+    return [rng.choice([1, 1.0, np.int64(1), np.float32(1.0), Fraction(1)])] + [
+        mixed_coefficient(rng, v) for v in values[1:]
+    ]
+
+
+def exact_value(c) -> Fraction:
+    if isinstance(c, np.integer):  # a Fraction of an np.int64 keeps it, and its products wrap
+        return Fraction(int(c))
+    return Fraction(c) if isinstance(c, (int, Fraction)) else Fraction(float(c))
+
+
+def reference_ratio_report(coeffs):
+    """The documented comparison in Fraction arithmetic: a_n^2 against a_{n-1} a_{n+1}
+    with slack 1e-12 times the larger side when any coefficient is not rational."""
+    rational = all(isinstance(c, (int, np.integer, Fraction)) for c in coeffs)
+    tie = Fraction(0) if rational else Fraction(1e-12)
+    a = [exact_value(c) for c in coeffs]
+    down = up = None
+    for n in range(1, len(a) - 1):
+        square, product = a[n] ** 2, a[n - 1] * a[n + 1]
+        slack = tie * max(square, product)
+        if down is None and product - square > slack:
+            down = n
+        if up is None and square - product > slack:
+            up = n
+    return down, up
+
+
+class TestRatioReportAgainstFractions:
+    @seeded_by(100)
+    def test_mixed_types_and_scales(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            coeffs = mixed_coefficient_list(rng)
+            report = ratio_report(coeffs)
+            got = (report.first_hyponormal_violation, report.first_np_violation)
+            assert got == reference_ratio_report(coeffs), coeffs
 
 
 class TestBlaschke:

@@ -391,6 +391,13 @@ class TestFockSubspaceSpan:
         with pytest.raises(WindowOverflowError, match="count 13: more powers than degree 12"):
             powers_span(space, phi, 13)
 
+    @pytest.mark.parametrize("count", [-1, -3, 1.0, "2"])
+    def test_powers_span_refuses_a_bad_count(self, count):
+        # before any array is formed: -1 and -3 used to reach numpy as column counts
+        z1 = Polynomial(2, {(1, 0): 1})
+        with pytest.raises(InputError, match="count must be a non-negative integer"):
+            powers_span(TruncatedSpace(2, 4), z1, count)
+
 
 class TestInClosure:
     def test_members_of_y(self, rng):

@@ -65,6 +65,11 @@ class TestEvaluate:
         with pytest.raises(InputError, match="coefficient 1 must be finite, got inf"):
             PowerSeriesKernel([1, math.inf, 1])
 
+    def test_rejects_float32_infinity(self):
+        # it passed: the bound float_info.max was cast to a float32 inf to compare
+        with pytest.raises(InputError, match="coefficient 1 must be finite, got inf"):
+            PowerSeriesKernel([1, np.float32(math.inf), 1])
+
     @pytest.mark.parametrize("big", [Fraction(10**400), 10**400, Fraction(10**400, 3)], ids=["fraction", "int", "ratio"])
     def test_rejects_rational_beyond_the_float_range(self, big):
         # float(big) overflows; it raised OverflowError from gram() before

@@ -1,4 +1,17 @@
-"""Smoke test of tools/report_corpus.py on one workload at one seed."""
+"""tools/report_corpus.py: a smoke test on one workload at one seed, and the
+verdict gate on the seed-1 corpus.
+
+data/corpus_verdicts.json holds verdicts() of the seed-1 dump of the three
+benchmark workloads: for each json report, its exit code and every leaf that
+is not a float. A change that flips a verdict on a benchmark input fails the
+gate and names the report. A change to the seed-1 requests regenerates the
+file on purpose, and lists each changed entry:
+
+    python3 tools/report_corpus.py dump seed1.json --seeds 1
+    python3 -c 'import json, sys; sys.path.insert(0, "tools"); import report_corpus as rc;
+        print(json.dumps(rc.verdicts(json.load(open("seed1.json"))), indent=1, sort_keys=True))' \
+        > tests/data/corpus_verdicts.json
+"""
 
 import json
 import math
@@ -9,6 +22,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "report_corpus.py"
+VERDICTS = Path(__file__).parent / "data" / "corpus_verdicts.json"
+sys.path.insert(0, str(TOOL.parent))
+import report_corpus  # noqa: E402
 
 
 def corpus_tool(*args):
@@ -71,3 +87,41 @@ def test_compare_counts_ulps_in_one_float(tmp_path):
     assert out[out.index("DIFFERS text") + 1] == "  line 1: 'a 0.5\\n' -> 'b 0.5\\n'"
     assert out[out.index("DIFFERS two-floats") + 1] == "  line 1: '0.5 0.25\\n' -> '0.75 0.125\\n'"
     assert out[-1] == "0 identical, 4 differ"
+
+
+def test_seed_one_verdicts_match_the_committed_file(tmp_path):
+    out = tmp_path / "seed1.json"
+    done = corpus_tool("dump", out, "--seeds", "1")
+    assert done.returncode == 0, done.stderr
+    want = json.loads(VERDICTS.read_text())
+    got = report_corpus.verdicts(json.loads(out.read_text()))
+    differ = report_corpus.compare(want, got)
+    assert not differ, f"verdicts differ from {VERDICTS.name}: " + ", ".join(differ)
+
+
+def test_verdicts_keep_every_leaf_but_floats():
+    results = {
+        "ok": False,
+        "min_eig": -0.5,
+        "classes": [[0, 1], [2]],
+        "note": None,
+        "exact": {"num": "1", "den": "6"},
+    }
+    corpus = {
+        "w/1/000/a/json": json.dumps({"exit_code": 1, "results": results}),
+        "w/1/000/a/text": "ok\n",
+        "w/1/001/b/json": "CRASH ValueError: x\n",
+    }
+    assert report_corpus.verdicts(corpus) == {
+        "w/1/000/a/json": {
+            "exit_code": 1,
+            "results/ok": False,
+            "results/classes/0/0": 0,
+            "results/classes/0/1": 1,
+            "results/classes/1/0": 2,
+            "results/note": None,
+            "results/exact/num": "1",
+            "results/exact/den": "6",
+        },
+        "w/1/001/b/json": "CRASH ValueError: x\n",
+    }

@@ -12,6 +12,9 @@ multiplier, under a unitary change of variables and under a change of the
 phase of each term (on the kernel span with the points turned too),
 in_closure under a unitary rotation of the set and the point together, and
 the closure-step verdicts under rescaling of the operator and of the vector.
+Disk and ball automorphisms, which change a Szego, Bergman or Drury-Arveson
+Gram matrix only by a positive diagonal congruence, keep the CNP status, the
+embedding rank, classify's verdict and level-1 Pick feasibility.
 Sampled Grams (Pick included), power-series coefficients, Pick targets with
 the norm level, and Fock multipliers are also scaled by 2^k over the whole
 float range: that scaling is exact, so no verdict may change at all. Random
@@ -303,6 +306,123 @@ class TestCnpSymmetries:
             assert agler_mccarthy_embed(h, b, TOL).rank == 1
             assert np.allclose(np.abs(got.j_values), np.abs(want.j_values[idx]), atol=1e-9)
             assert np.allclose(got.delta, factor * want.delta[idx], rtol=1e-12, atol=0)
+
+
+def disk_automorphism(a, z):
+    """phi_a(z) = (a - z) / (1 - conj(a) z), which swaps a and 0."""
+    return (a - z) / (1.0 - np.conj(a) * z)
+
+
+def ball_automorphism(a, z):
+    """Rudin's phi_a(z) = (a - P_a z - s_a Q_a z) / (1 - <z, a>) on each row of z, with
+    P_a the projection onto a, Q_a = I - P_a and s_a = sqrt(1 - |a|^2) (Function
+    Theory in the Unit Ball of C^n, 2.2.1); a must be nonzero."""
+    za = z @ a.conj()
+    aa = float(np.vdot(a, a).real)
+    pz = np.outer(za / aa, a)
+    return (a - pz - math.sqrt(1.0 - aa) * (z - pz)) / (1.0 - za)[:, None]
+
+
+def truncated_series(coeff, *samples) -> PowerSeriesKernel:
+    """coeff(n) for the N terms with x_max^N < 1e-18, x_max = max |z|^2 over the
+    samples, so truncation stays below rounding (as bench/workloads.series_length)."""
+    x_max = max(float(np.max(np.abs(z))) for z in samples) ** 2
+    terms = int(math.ceil(math.log(1e-18) / math.log(x_max))) + 1
+    return PowerSeriesKernel([coeff(n) for n in range(terms)])
+
+
+def outcome(check, *args):
+    """The verdict of check(*args), or the name of the InputError it raised: a sample
+    refused on one side of a symmetry must be refused on the other."""
+    try:
+        return check(*args)
+    except InputError as e:
+        return type(e).__name__
+
+
+def cnp_status(g, base):
+    return cnp_sample_check(g, base, TOL).status
+
+
+def classify_verdict(g, base):
+    res = classify(g, base, TOL)
+    return res.classification, res.rank
+
+
+def embed_rank(g, base):
+    return agler_mccarthy_embed(g, base, TOL).rank
+
+
+def level_one_feasible(problem):
+    return pick_feasible(problem, 1.0, TOL).is_psd
+
+
+def disk_draw(rng, n_max=11):
+    """n = 3..n_max points with |z| <= 0.6, and a with |a| <= 0.5."""
+    z = disk_points(rng, int(rng.integers(3, n_max + 1)), 0.6)
+    return z, disk_points(rng, 1, 0.5)[0]
+
+
+class TestAutomorphismInvariance:
+    """1 - phi_a(z) conj(phi_a(w)) = (1 - |a|^2)(1 - z conj w) / ((1 - conj(a) z)(1 - a conj w)),
+    and Rudin's identity in the ball is the same with <z, w>. So moving a sample by an
+    automorphism changes a Szego, Bergman or Drury-Arveson Gram matrix only by a
+    positive diagonal congruence (Bergman by its square), and a level-1 Szego Pick
+    matrix likewise, whether the nodes or the targets move. No verdict may change.
+    Images lie within radius (0.6 + 0.5) / (1 + 0.3) < 0.85."""
+
+    @pytest.mark.parametrize("name", ["szego", "bergman"])
+    @seeded_by(50)
+    def test_disk_cnp_check_and_classify(self, name, seed):
+        rng = np.random.default_rng(seed)
+        coeff = {"szego": lambda n: 1, "bergman": lambda n: n + 1}[name]
+        checks = [cnp_status] + ([classify_verdict] if name == "szego" else [])
+        for _ in range(4):
+            z, a = disk_draw(rng)
+            moved = disk_automorphism(a, z)
+            kernel = truncated_series(coeff, z, moved)
+            g, h = (kernel.gram(PointSet(1, x[:, None])) for x in (z, moved))
+            base = int(rng.integers(len(z)))
+            for check in checks:
+                assert outcome(check, h, base) == outcome(check, g, base), (check.__name__, z, a)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @seeded_by(50)
+    def test_ball_cnp_check_and_embed(self, d, seed):
+        rng = np.random.default_rng(seed)
+        kernel = DruryArvesonKernel(d)
+        for _ in range(4):
+            pts = random_ball_points(rng, int(rng.integers(3, 10)), d, 0.6)
+            a = random_ball_points(rng, 1, d, 0.5)[0]
+            moved = ball_automorphism(a, pts)
+            # Rudin's identity, which makes the change a diagonal congruence
+            za = 1 - pts @ a.conj()
+            want = (1 - np.vdot(a, a)) * (1 - pts @ pts.conj().T) / np.outer(za, za.conj())
+            assert np.allclose(1 - moved @ moved.conj().T, want, rtol=0, atol=1e-14)
+            g, h = (kernel.gram(PointSet(d, x)) for x in (pts, moved))
+            base = int(rng.integers(len(pts)))
+            for check in (cnp_status, embed_rank):
+                assert outcome(check, h, base) == outcome(check, g, base), (check.__name__, pts, a)
+
+    @seeded_by(50)
+    def test_pick_at_level_one(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            z, a = disk_draw(rng)
+            b = disk_points(rng, 1, 0.5)[0]
+            if rng.integers(2):  # s B, B a Blaschke product of lower degree: feasible iff s <= 1
+                zeros = disk_points(rng, int(rng.integers(1, len(z))), 0.9)
+                w = rng.uniform(0.3, 1.3) * blaschke(z, zeros)
+            else:
+                w = disk_points(rng, len(z), 0.9)
+            moved = disk_automorphism(a, z)
+            kernel = truncated_series(lambda n: 1, z, moved)
+            nodes = PointSet(1, z[:, None])
+            want = outcome(level_one_feasible, PickProblem(kernel=kernel, nodes=nodes, targets=w))
+            targets_moved = PickProblem(kernel=kernel, nodes=nodes, targets=disk_automorphism(b, w))
+            nodes_moved = PickProblem(kernel=kernel, nodes=PointSet(1, moved[:, None]), targets=w)
+            assert outcome(level_one_feasible, targets_moved) == want, (z, w, b)
+            assert outcome(level_one_feasible, nodes_moved) == want, (z, w, a)
 
 
 # ---------------------------------------------------------------------------

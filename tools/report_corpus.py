@@ -13,6 +13,10 @@ equal programs are equal. --root names the source checkout whose src/ and
 bench/ are used (default: the checkout holding this script), so a parent
 commit can be dumped without copying this tool into it.
 
+verdicts() projects a corpus onto what must not change at all; the tier-1
+test tests/test_report_corpus.py compares that projection of a fresh seed-1
+dump with tests/data/corpus_verdicts.json.
+
 `compare` prints each key whose report differs or that only one corpus has,
 each followed by the first line where the two reports part (numbered from 1,
 both sides quoted, and the distance in ulps, as "(6 ulp)", when the two lines
@@ -76,6 +80,31 @@ def dump(root: Path, seeds: list, names: list) -> dict:
 def compare(a: dict, b: dict) -> list:
     """Keys whose reports differ or that only one corpus has, sorted."""
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def verdicts(corpus: dict) -> dict:
+    """The json reports of a corpus as their leaves that are not floats: the exit
+    code, verdicts, strings, integers, nulls and inputs_digest, each under its path
+    of keys and list indices joined by "/". Two programs that agree on every verdict
+    agree on these exactly, whatever their floats. A report that is not JSON (a
+    crash) is kept as its text."""
+    out = {}
+    for key, text in corpus.items():
+        if key.endswith("/json"):
+            try:
+                out[key] = dict(leaves(json.loads(text)))
+            except ValueError:
+                out[key] = text
+    return out
+
+
+def leaves(node, path: str = ""):
+    """(path, value) for each leaf of a parsed JSON value that is not a float."""
+    if isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from leaves(v, f"{path}/{k}" if path else str(k))
+    elif not isinstance(node, float):
+        yield path, node
 
 
 def first_difference(a, b) -> str:
