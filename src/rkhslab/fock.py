@@ -10,8 +10,10 @@ TruncatedSpace: in its isometric coordinates multiplication by c z^gamma is
 a scatter-add over the table of gamma, and its adjoint is the gather over
 the same table. A Polynomial is the value type of a multiplier, with complex
 coefficients; its products, powers and inner products are short calls onto
-the tables. Every orthonormal subspace of a window comes from
-FockSubspace.span: one thin SVD, cut at one numerical-rank rule.
+the tables. No operator matrix of a window is formed: the self-commutator of
+the whole window is summed from the tables too, pair by pair. Every
+orthonormal subspace of a window comes from FockSubspace.span: one thin
+SVD, cut at one numerical-rank rule.
 
 One exact routine. Where exactness is the result (Arveson's witness
 1/6 < 1/4 in arveson_example, and tail_balance at a point with exact
@@ -98,6 +100,8 @@ class Polynomial:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict = {}
         for alpha, c in items:
+            if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in alpha):
+                raise InputError(f"exponents must be integers, got {alpha!r:.60}")
             key = tuple(int(e) for e in alpha)
             if len(key) != dim or any(e < 0 for e in key):
                 raise InputError(f"bad multi-index {alpha} for dim {dim}")
@@ -243,8 +247,9 @@ class TruncatedSpace:
     reproducible. Coordinates are isometric: the coefficient of z^alpha is
     scaled by ||z^alpha||, making the standard inner product of coordinate
     vectors equal to the space's weighted inner product. Multiplication
-    acts through per-monomial shift tables kept on the instance; only
-    matrix, for the full-window compression, forms an operator matrix.
+    acts through per-monomial shift tables kept on the instance, and no
+    operator matrix is formed: compression_defect sums the whole window's
+    self-commutator from the same tables.
     A window is built by array arithmetic, with no Python work per monomial:
     exponent rows in order, one coordinate at a time; weights sqrt(1/M),
     M = |alpha|!/alpha! and 1/M correctly rounded, in floats where M < 2^53
@@ -424,21 +429,6 @@ class TruncatedSpace:
             out[self.size_at_most(self.degree - phi.degree) :] = 0
         return out
 
-    def matrix(self, phi: Polynomial) -> np.ndarray:
-        """multiply(phi, identity), entry for entry: entry (dst, src) of the table of
-        gamma gets its one term c_gamma * weight, added to zero as multiply adds it.
-        It is float64 when phi is real, and then the real part of multiply's. A k x k
-        matrix past _ARRAY_BYTES as complex is refused with WindowOverflowError, whatever
-        its dtype, so that the refusal does not hang on the phases of phi."""
-        _check_array_size(len(self) ** 2, 16, f"the {len(self)} x {len(self)} window matrix")
-        real = _is_real(phi)
-        t = np.zeros((len(self), len(self)), dtype=np.float64 if real else np.complex128)
-        for gamma, c in phi.coeffs.items():
-            _, dst, weight = self.shift(gamma)
-            c = complex(c)
-            t[dst, np.arange(len(dst))] += (c.real if real else c) * weight
-        return t
-
     def multinomials(self) -> np.ndarray:
         """The integers M_alpha = |alpha|!/alpha! = 1 / ||z^alpha||^2, exactly, as Python
         ints in an object array."""
@@ -591,53 +581,52 @@ def in_closure(z, points: PointSet, degree: int, tol: float = DEFAULT_TOL) -> Cl
 def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedSpace]) -> float:
     """Smallest eigenvalue of the self-commutator of P_F M_phi |_F.
 
-    The compressed matrix is B* (M_phi B) for the orthonormal basis B of F,
-    with M_phi B applied through the shift tables. A TruncatedSpace stands
-    for its whole window, whose compression is its matrix(phi) itself.
-    Components of the products beyond the window are orthogonal to the
-    window and drop out of the compression exactly, so no degree headroom
-    is needed. The constant term (c I, which commutes) is dropped with its
-    rounding. The matrices are formed for (phi - phi(0)) 2^-e (see _normalized)
-    and the defect is multiplied back by 4^e, both exactly, so no scale of phi
-    that defect_scale accepts overflows or underflows. A defect below
-    -tol * defect_scale(phi) refutes hyponormality of the compression at
-    every size of phi; a non-negative defect certifies this model only.
+    The compressed matrix is t = B* (M_phi B) for the orthonormal basis B of F,
+    with M_phi B applied through the shift tables, and S = t* t - t t* is formed
+    by two dense products. Components of the products beyond the window are
+    orthogonal to the window and drop out of the compression exactly, so no
+    degree headroom is needed. The constant term (c I, which commutes) is dropped
+    with its rounding. The matrices are formed for (phi - phi(0)) 2^-e (see
+    _normalized) and the defect is multiplied back by 4^e, both exactly, so no
+    scale of phi that defect_scale accepts overflows or underflows. A defect below
+    -tol * defect_scale(phi) refutes hyponormality of the compression at every
+    size of phi; a non-negative defect certifies this model only.
 
-    The self-commutator S = t* t - t t* is summed from the pairs of nonzeros
-    of t, block by block where they split it (_self_commutator_blocks). On the
-    whole window they often do: the torus z -> (e^{i theta_j} z_j) acts
-    unitarily and turns M_{z^g} into e^{i <theta, g>} M_{z^g}, so S sends z^alpha
-    into the span of the z^(alpha + h - g), g and h terms of phi. Every entry
-    of S between two blocks is an exact 0.0, so the least eigenvalue over the
-    blocks is that of S, up to the order in which the entries are summed.
+    A TruncatedSpace stands for its whole window, and a FockSubspace that fills
+    its window is unitarily equivalent to it and is solved as the window. There
+    no k x k matrix is formed: S is summed from the shift tables (_window_pairs),
+    block by block (_blocks). The torus z -> (e^{i theta_j} z_j) acts unitarily
+    and turns M_{z^g} into e^{i <theta, g>} M_{z^g}, so S sends z^alpha into the
+    span of the z^(alpha + h - g), g and h terms of phi. Every entry of S between
+    two blocks is an exact 0.0, so the least eigenvalue over the blocks is that of
+    S, up to the order in which the entries are summed.
 
     The same torus gauges the phases of phi away on the whole window, as U z^alpha =
     e^{i <theta, alpha>} z^alpha is diagonal there and S(e^{i psi} T) = S(T): when the
     rows (1, g) over the terms g of phi in the window are linearly independent, some
     real (psi, theta) turns every c_g into |c_g|, so S has the spectrum it has for
-    sum |c_g| z^g (_gauged). Then, as for a real phi whatever its exponents, t, S and
+    sum |c_g| z^g (_gauged). Then, as for a real phi whatever its exponents, S and
     its blocks are real and are solved in real arithmetic. Only a complex phi that
     fails the rank test, and the kernel and powers spans, keep complex arithmetic.
-    A FockSubspace that fills its window is unitarily equivalent to it, and is
-    solved as the window.
     """
     space = subspace if isinstance(subspace, TruncatedSpace) else subspace.space
     if phi.dim != space.dim:
         raise InputError("dimension mismatch")
     phi, e = _normalized(phi)
     if space is subspace or subspace.dim == len(space):
-        t = space.matrix(_gauged(phi, space.degree))
+        blocks = _blocks(len(space), *_window_pairs(space, _gauged(phi, space.degree)))
     elif subspace.dim == 0:
         return 0.0
     else:
         t = subspace.basis.conj().T @ space.multiply(phi, subspace.basis)
-    return math.ldexp(min(map(min_eigenvalue, _self_commutator_blocks(t))), 2 * e)
+        blocks = [t.conj().T @ t - t @ t.conj().T]
+    return math.ldexp(min(map(min_eigenvalue, blocks)), 2 * e)
 
 
 def _gauged(phi: Polynomial, degree: int) -> Polynomial:
     """sum |c_g| z^g when the rows (1, g) over the terms of phi of degree <= degree are
     linearly independent (over Q, by _rank), else phi. A term past the window has an
-    empty shift table and adds nothing to the window's matrix, so it is left out."""
+    empty shift table and adds nothing to the window's self-commutator, so it is left out."""
     rows = [(1, *g) for g in phi.coeffs if sum(g) <= degree]
     if _rank(rows) < len(rows):
         return phi
@@ -662,60 +651,41 @@ def _rank(rows: list) -> int:
     return rank
 
 
-# S stays whole up to here. compression_defect on the pairs against whole, real arithmetic, in
-# ms (Xeon, one BLAS thread, medians of 205 interleaved calls), for 0.6 z1 + 0.5i z2^2 +
-# 0.2 z1 z2 (one block) and for z1 + z2^2 (17-29 blocks): 0.55 / 0.25 and 0.44 / 0.22 at 45
-# indices, 0.85 / 0.45 and 0.49 / 0.38 at 66, 1.00 / 0.67 and 0.49 / 0.60 at 91, 1.44 / 1.04
-# and 0.56 / 0.96 at 120. The whole form wins past 64 on split windows to between 66 and 91.
-_WHOLE = 64
-
-
-def _self_commutator_blocks(t: np.ndarray) -> list:
-    """S = t* t - t t* as stacks of its diagonal blocks, a (b, n, n) array of the dtype of t
-    per block size n: exactly symmetric for a real t, Hermitian to rounding for a complex one.
-
-    Index i stands for column i and for row i of t. S[i, j] sums conj(t[r, i]) t[r, j]
-    over the rows r less t[i, c] conj(t[j, c]) over the columns c, so only pairs of
-    nonzeros in a common row or column add to it (_pairs). Joined by those pairs, the
-    indices fall into classes, and every entry of S between two classes is an exact 0.0.
-    S is left whole, by two dense products, for a t of at most _WHOLE indices and for one
-    with more pairs than entries (a dense t), both checked before any class is sought.
-    """
-    k = len(t)
-    if k > _WHOLE and (pairs := _pairs(t)) is not None:
-        return _blocks(k, *pairs)
-    return [(t.conj().T @ t - t @ t.conj().T)[None]]
-
-
-def _pairs(t: np.ndarray):
-    """(i, j, term): S = t* t - t t* is the sum of term at (i, j) over the ordered pairs
-    of nonzeros of t in a common row and then over those in a common column; None when
-    there are more than k^2 pairs."""
-    k = len(t)
-    r, c = np.divmod(np.flatnonzero(t), k)  # by row, then by column
-    per_row, per_col = np.bincount(r, minlength=k), np.bincount(c, minlength=k)
-    if per_row @ per_row + per_col @ per_col > k * k:
-        return None
-    by_col = np.argsort(c, kind="stable")
-    v = t[r, c]
-    rc, vc = r[by_col], v[by_col]
-    (p, q), (pc, qc) = _run_pairs(per_row), _run_pairs(per_col)
-    term = np.concatenate((v[p].conj() * v[q], -(vc[pc] * vc[qc].conj())))
-    return np.concatenate((c[p], rc[pc])), np.concatenate((c[q], rc[qc])), term
-
-
-def _run_pairs(count: np.ndarray) -> tuple:
-    """(p, q): the ordered pairs of positions in a common run, for runs of count[n]
-    positions laid end to end, by p and then by q."""
-    n = np.repeat(count, count)  # the length of the run of each position
-    start = np.repeat(np.cumsum(count) - count, count)  # and where that run starts
-    p = np.repeat(np.arange(len(n)), n)
-    return p, np.arange(len(p)) - np.repeat(np.cumsum(n) - n - start, n)
+def _window_pairs(space: TruncatedSpace, phi: Polynomial) -> tuple:
+    """(i, j, term): S = t* t - t t* on the whole window, t the matrix of phi there, as
+    the sum of term at (i, j). The table of each term g puts v = c_g * weight in column a
+    of t at row dst[g, a], and src inverts it: src[g, r] is the column that g sends to row
+    r; an index a table leaves out reads k. So t* t adds conj(v_g) v_h at (src[g, r],
+    src[h, r]) for each row r that terms g and h both reach, and t t* adds
+    -(v_g conj(v_h)) at (dst[g, a], dst[h, a]) for each column a that both move. The
+    pairs come by row and then by column, so S[i, j] and S[j, i] sum their terms in one
+    order, and S is exactly symmetric when phi is real; its terms are then float64, else
+    complex. A window whose S, as one complex block, or whose pairs of terms would pass
+    _ARRAY_BYTES is refused with WindowOverflowError before any array is built."""
+    k = len(space)
+    _check_array_size(k * k, 16, f"the {k} x {k} self-commutator")
+    real = _is_real(phi)
+    tables = [(space.shift(g)[1:], complex(c)) for g, c in phi.coeffs.items() if sum(g) <= space.degree]
+    _check_array_size(len(tables) ** 2 * k, 16, f"the pairs of {len(tables)} terms on {k} indices")
+    dst, src = np.full((2, len(tables), k), k)
+    v = np.zeros((len(tables), k), np.float64 if real else np.complex128)
+    for n, ((rows, weight), c) in enumerate(tables):
+        cols = np.arange(len(rows))
+        dst[n, cols], src[n, rows] = rows, cols
+        v[n, cols] = (c.real if real else c) * weight
+    reach, move = (src < k).T, (dst < k).T  # the terms at each row, and at each column
+    r, g, h = np.nonzero(reach[:, :, None] & reach[:, None])
+    a, b = src[g, r], src[h, r]
+    col, gc, hc = np.nonzero(move[:, :, None] & move[:, None])
+    term = np.concatenate((v[g, a].conj() * v[h, b], -(v[gc, col] * v[hc, col].conj())))
+    return np.concatenate((a, dst[gc, col])), np.concatenate((b, dst[hc, col])), term
 
 
 def _blocks(k: int, i: np.ndarray, j: np.ndarray, term: np.ndarray) -> list:
-    """The (b, n, n) arrays of _self_commutator_blocks, the terms of _pairs summed in one
-    pass into the blocks laid end to end by size, each block in index order."""
+    """The diagonal blocks of the k x k matrix that sums term at (i, j), joined into
+    classes by the pairs (i, j), as one (b, n, n) array of the dtype of term per block
+    size n, each block in index order: the terms summed in one pass into the blocks laid
+    end to end by size. Every entry between two classes is an exact 0.0."""
     comp = connected_components(k, i, j)
     size = np.bincount(comp)
     by_size = np.argsort(size, kind="stable")

@@ -821,17 +821,18 @@ class TestPowersSpan:
 
 
 class TestSelfCommutatorExits:
-    """The two compressions past fock._WHOLE indices that form no block from pairs."""
+    """Two compressions that join no indices by pairs: a constant on the whole window,
+    and a kernel span, whose S is formed whole."""
 
     def test_constant_multiplier_has_no_pairs(self, capsys):
-        # t is all zeros: every index is a block of its own, and each block is 0
+        # the window has no pairs: every index is a block of its own, and each block is 0
         phi = json.dumps({"dim": 2, "terms": [{"exp": [0, 0], "coeff": [0.5, 0.5]}]})
         code, report, _ = run(capsys, ["fock", "defect", "--phi", phi, "--span", "full", "--degree", "11"])
         assert code == 0 and report["results"]["defect"] == 0.0
-        assert report["results"]["span_dim"] > fock._WHOLE
+        assert report["results"]["span_dim"] == 78
 
     def test_dense_compression_is_solved_whole(self, tmp_path, monkeypatch, capsys):
-        # a kernel span makes t dense, with more pairs than entries of S: no class is sought
+        # a kernel span makes t dense: S is formed by two dense products, and no class is sought
         def no_classes(*args):
             raise AssertionError("classes sought for a dense compression")
 
@@ -845,7 +846,7 @@ class TestSelfCommutatorExits:
         argv = ["fock", "defect", "--phi", json.dumps({"dim": 2, "terms": terms}), "--span", "kernel"]
         code, report, _ = run(capsys, argv + ["--points", points, "--degree", "12"])
         assert code == 1 and report["results"]["hyponormal_on_this_model"] is False
-        assert report["results"]["span_dim"] == 70 > fock._WHOLE
+        assert report["results"]["span_dim"] == 70
 
 
 def run_within_a_second(capsys, argv):

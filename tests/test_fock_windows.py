@@ -43,7 +43,7 @@ from rkhslab.fock import (
     tail_balance,
     vanishing_subspace,
 )
-from rkhslab.fock import _WHOLE, _gauged, _normalized, _pairs, _rank, _self_commutator_blocks
+from rkhslab.fock import _blocks, _gauged, _normalized, _rank, _window_pairs
 from rkhslab.kernels import PointSet
 from rkhslab.linalg import HermitianMatrix, Subspace, connected_components, min_eigenvalue
 
@@ -183,10 +183,23 @@ class TestWindowConstruction:
             TruncatedSpace(3, 11)
 
     def test_a_full_window_matrix_past_the_array_budget_is_refused(self, monkeypatch):
+        # S as one complex k x k block: the worst case of its blocks
         space = TruncatedSpace(2, 7)  # 36 monomials
         monkeypatch.setattr(fock, "_ARRAY_BYTES", 36 * 36 * 16 - 1)
-        with pytest.raises(WindowOverflowError, match="36 x 36 window matrix"):
-            space.matrix(Polynomial.monomial(2, (1, 0)))
+        with pytest.raises(WindowOverflowError, match="36 x 36 self-commutator"):
+            compression_defect(Polynomial.monomial(2, (1, 0)), space)
+
+    def test_pairs_of_many_terms_past_the_array_budget_are_refused(self, monkeypatch):
+        # 9 terms act on the window, so each index has at most 81 pairs of terms; a
+        # term past the window acts on nothing and is not counted
+        space = TruncatedSpace(2, 7)  # 36 monomials
+        phi = Polynomial(2, {g: 0.1 for g in graded_basis(2, 3)[1:]})
+        phi += Polynomial.monomial(2, (8, 0), 0.5)
+        monkeypatch.setattr(fock, "_ARRAY_BYTES", 81 * 36 * 16)
+        assert compression_defect(phi, space) < 0
+        monkeypatch.setattr(fock, "_ARRAY_BYTES", 81 * 36 * 16 - 1)
+        with pytest.raises(WindowOverflowError, match="pairs of 9 terms on 36 indices"):
+            compression_defect(phi, space)
 
     def test_the_window_that_ran_out_of_memory_is_past_the_budget(self):
         # fock defect --span full --degree 500 in 4 variables: C(504, 4) exponent rows
@@ -194,26 +207,44 @@ class TestWindowConstruction:
         assert math.comb(500 + 4, 4) * 4 * 8 > 300 * fock._ARRAY_BYTES
 
 
-class TestFullWindowMatrix:
+def dense_self_commutator(space: TruncatedSpace, phi: Polynomial) -> np.ndarray:
+    """S = t* t - t t* by two dense products, t = M_phi on the window."""
+    t = space.multiply(phi, np.eye(len(space)))
+    return t.conj().T @ t - t @ t.conj().T
+
+
+def summed(k: int, i, j, term) -> np.ndarray:
+    s = np.zeros((k, k), term.dtype)
+    np.add.at(s, (i, j), term)
+    return s
+
+
+class TestWindowPairs:
+    """The whole window's self-commutator summed from the shift tables against the two
+    dense products of the window's matrix, which multiply forms with the identity."""
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @seeded
-    def test_is_the_product_with_the_identity(self, dim, seed):
-        # exponents of degree <= 3: the constant, several of one degree, and
-        # in three variables some beyond the degree-2 window; parts of +-0.0
-        # check that each entry is added to zero, as multiply adds it
+    def test_sum_to_the_dense_self_commutator(self, dim, seed):
+        # 1-12 terms of degree up to 2 past the window, so more than d + 1 of them
+        # have dependent exponents, with real or complex coefficients; at times only
+        # the constant, which compression_defect passes on as the zero polynomial.
+        # S[i, j] and S[j, i] sum their terms in one order, so a real S is symmetric
         rng = np.random.default_rng(seed)
-        space = TruncatedSpace(dim, {1: 9, 2: 6, 3: 2}[dim])
-        exps = graded_basis(dim, 3)
-        picked = rng.choice(len(exps), size=int(rng.integers(1, 5)), replace=False)
-        shape = (len(picked), 2)
-        zeros = rng.choice([0.0, -0.0], size=shape)
-        parts = np.where(rng.random(shape) < 0.3, zeros, rng.standard_normal(shape))
-        phi = Polynomial(dim, {exps[i]: complex(*p) for i, p in zip(picked, parts)})
-        got = space.matrix(phi)
-        want = space.multiply(phi, np.eye(len(space)))
-        if np.isrealobj(got):  # a real phi: multiply is complex, matrix real
-            want = want.real
-        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        space = TruncatedSpace(dim, {1: 40, 2: 9, 3: 5}[dim])
+        exps = graded_basis(dim, space.degree + 2)
+        picked = rng.choice(len(exps), size=int(rng.integers(1, 13)), replace=False)
+        if rng.random() < 0.125:
+            picked = [0]
+        real = rng.random() < 0.5
+        draw = (lambda: rng.standard_normal()) if real else (lambda: complex(*rng.standard_normal(2)))
+        psi = _normalized(Polynomial(dim, {exps[i]: draw() for i in picked}))[0]
+        i, j, term = _window_pairs(space, psi)
+        assert term.dtype == (np.float64 if real or psi.is_zero else np.complex128)
+        got, want = summed(len(space), i, j, term), dense_self_commutator(space, psi)
+        bound = 4 * len(space) * np.finfo(float).eps * defect_scale(psi)
+        assert np.max(np.abs(got - want)) <= bound
+        assert np.iscomplexobj(got) or np.array_equal(got, got.T)
 
 
 class TestCompressionDefect:
@@ -272,19 +303,32 @@ def block_poly(rng, dim: int, kind: str) -> Polynomial:
     return Polynomial(dim, {a: complex(*rng.standard_normal(2)) for a in exps})
 
 
-# each window has more than _WHOLE monomials, so its defect is split when it can be
 BLOCK_WINDOWS = {1: 80, 2: 11, 3: 6}
 KINDS = ["homogeneous", "mixed", "spanning"]
 
 
 def dense_commutator(phi: Polynomial, space: TruncatedSpace) -> tuple:
-    """S = t* t - t t* for the full window as compression_defect forms t, the class
-    number of each index (joined by the pairs of nonzeros of t in a common row or
-    column) and the exponent e of the normalization."""
+    """S = t* t - t t* for the full window by two dense products, t the window's matrix
+    of phi as compression_defect normalizes it, the class number of each index (joined
+    by the pairs of _window_pairs) and the exponent e of the normalization."""
     psi, e = _normalized(phi)
-    t = space.matrix(psi)
-    i, j, _ = _pairs(t)
-    return t.conj().T @ t - t @ t.conj().T, connected_components(len(t), i, j), e
+    i, j, _ = _window_pairs(space, psi)
+    return dense_self_commutator(space, psi), connected_components(len(space), i, j), e
+
+
+def brute_force_pairs(t: np.ndarray) -> tuple:
+    """(i, j, term) of S = t* t - t t*: each ordered pair of nonzeros of t in a common row,
+    then each in a common column, found one row and one column at a time."""
+    parts = []
+    for r in range(len(t)):
+        c = np.flatnonzero(t[r])
+        a, b = np.repeat(c, len(c)), np.tile(c, len(c))
+        parts.append((a, b, t[r, a].conj() * t[r, b]))
+    for c in range(len(t)):
+        r = np.flatnonzero(t[:, c])
+        a, b = np.repeat(r, len(r)), np.tile(r, len(r))
+        parts.append((a, b, -(t[a, c] * t[b, c].conj())))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 class TestSelfCommutatorBlocks:
@@ -320,18 +364,18 @@ class TestSelfCommutatorBlocks:
         for n in np.unique(comp):
             assert len(set(degree[comp == n].tolist())) == 1
         # so the defect is solved by blocks
-        assert len(space) > _WHOLE and 2 * np.bincount(comp).max() <= len(space)
+        assert 2 * np.bincount(comp).max() <= len(space)
 
     @seeded
     def test_stacks_hold_the_spectrum_of_any_sparse_matrix(self, seed):
         # any zero pattern, not only a window's: rows and columns of every count per
-        # block, and a dense t, which is one class and leaves S whole
+        # block, and a dense t, which is one class
         rng = np.random.default_rng(seed)
-        k = int(rng.integers(_WHOLE + 1, 2 * _WHOLE))
+        k = int(rng.integers(65, 128))
         t = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         t *= rng.random((k, k)) < rng.choice([0.004, 0.008, 0.015, 1.0])
         s = t.conj().T @ t - t @ t.conj().T
-        stacks = _self_commutator_blocks(t)
+        stacks = _blocks(k, *brute_force_pairs(t))
         got = np.sort(np.concatenate([np.linalg.eigvalsh(h).ravel() for h in stacks]))
         assert np.allclose(got, np.linalg.eigvalsh(s), rtol=0, atol=1e-12 * np.abs(s).max())
 
@@ -344,7 +388,6 @@ class TestSelfCommutatorBlocks:
         assert compression_defect(phi, space) == compression_defect(phi, full)
 
 
-# windows on both sides of _WHOLE in each dimension
 GAUGE_WINDOWS = [(1, 40), (1, 80), (2, 9), (2, 11), (3, 5), (3, 6)]
 
 
@@ -352,12 +395,12 @@ def solved_stacks(phi, space: TruncatedSpace) -> tuple:
     """compression_defect on the whole window, and the stacks of S it solved."""
     seen = []
 
-    def recorded(t):
-        seen.extend(stacks := _self_commutator_blocks(t))
+    def recorded(*args):
+        seen.extend(stacks := _blocks(*args))
         return stacks
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fock, "_self_commutator_blocks", recorded)
+        patch.setattr(fock, "_blocks", recorded)
         defect = compression_defect(phi, space)
     return defect, seen
 
@@ -366,8 +409,7 @@ def assert_dense_complex_defect(phi, space: TruncatedSpace, defect: float) -> No
     """defect within 4 k eps defect_scale(phi) of the complex eigvalsh of S = t* t - t t*,
     t the window's matrix of phi itself, phases and all."""
     psi, e = _normalized(phi)
-    t = space.matrix(psi).astype(complex)
-    want = math.ldexp(np.linalg.eigvalsh(t.conj().T @ t - t @ t.conj().T)[0], 2 * e)
+    want = math.ldexp(np.linalg.eigvalsh(dense_self_commutator(space, psi))[0], 2 * e)
     assert abs(defect - want) <= 4 * len(space) * np.finfo(float).eps * defect_scale(phi)
 
 
@@ -580,7 +622,7 @@ class TestShiftTables:
             with pytest.raises(InputError, match="dimension mismatch"):
                 space.shift(gamma)
         with pytest.raises(InputError, match="dimension mismatch"):
-            space.matrix(Polynomial.monomial(3, (1, 0, 0)))
+            compression_defect(Polynomial.monomial(3, (1, 0, 0)), space)
 
     def test_table_covers_exactly_the_fitting_monomials(self):
         space = TruncatedSpace(3, 5)
@@ -800,3 +842,15 @@ class TestPolynomialOnTheTables:
             fock.Polynomial(1, {(0,): complex(0, math.inf)})
         with pytest.raises(AttributeError, match="immutable"):
             p.dim = 3
+
+    @pytest.mark.parametrize("e", [1.5, 0.5, 2.0, "2", True, False, np.float64(1.0), np.bool_(True), Fraction(2)])
+    def test_exponents_that_are_not_integers_are_refused(self, e):
+        # int() would read 1.5 as 1 and "2" as 2, and a half power of z as the constant
+        with pytest.raises(InputError, match="exponents must be integers"):
+            fock.Polynomial(1, {(e,): 1})
+        with pytest.raises(InputError, match="exponents must be integers"):
+            fock.Polynomial(2, [((1, e), 1)])
+
+    def test_integer_exponents_of_numpy_are_kept(self):
+        p = fock.Polynomial(2, {(np.int64(2), np.uint8(1)): 0.5})
+        assert p.coeffs == {(2, 1): 0.5} and all(type(e) is int for e in next(iter(p.coeffs)))

@@ -1,5 +1,5 @@
 """tools/report_corpus.py: a smoke test on one workload at one seed, and the
-verdict gate on the seed-1 corpus.
+verdict and defect gates on the seed-1 corpus.
 
 data/corpus_verdicts.json holds verdicts() of the seed-1 dump of the three
 benchmark workloads: for each json report, its exit code and every leaf that
@@ -11,6 +11,14 @@ file on purpose, and lists each changed entry:
     python3 -c 'import json, sys; sys.path.insert(0, "tools"); import report_corpus as rc;
         print(json.dumps(rc.verdicts(json.load(open("seed1.json"))), indent=1, sort_keys=True))' \
         > tests/data/corpus_verdicts.json
+
+data/corpus_defects.json holds defects() of the same dump: the defect of each
+`fock defect` report and the compression defect of `fock arveson`. Each fresh
+defect must lie within 4 k eps defect_scale(phi) of it, the rounding bound
+that compression_defect documents, with k the report's span_dim (3, the
+powers 1, z1 z2, (z1 z2)^2, for `fock arveson`, whose phi is z1 z2). It is
+written the same way, with rc.defects in place of rc.verdicts, from a dump of
+the commit whose defects it pins (`dump --root` names that checkout).
 """
 
 import json
@@ -23,8 +31,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "report_corpus.py"
 VERDICTS = Path(__file__).parent / "data" / "corpus_verdicts.json"
+DEFECTS = Path(__file__).parent / "data" / "corpus_defects.json"
 sys.path.insert(0, str(TOOL.parent))
 import report_corpus  # noqa: E402
+
+from rkhslab.cli import _parse_poly_obj  # noqa: E402
+from rkhslab.fock import Polynomial, defect_scale  # noqa: E402
 
 
 def corpus_tool(*args):
@@ -97,6 +109,44 @@ def test_seed_one_verdicts_match_the_committed_file(tmp_path):
     got = report_corpus.verdicts(json.loads(out.read_text()))
     differ = report_corpus.compare(want, got)
     assert not differ, f"verdicts differ from {VERDICTS.name}: " + ", ".join(differ)
+
+
+def defect_bound(report: dict) -> float:
+    """4 k eps defect_scale(phi) for a report of `fock defect` or `fock arveson`."""
+    if report["command"] == "fock arveson":
+        k, phi = 3, Polynomial.monomial(2, (1, 1))
+    else:
+        k, phi = report["results"]["span_dim"], _parse_poly_obj(json.loads(report["parameters"]["phi"]), "phi")
+    return 4 * k * sys.float_info.epsilon * defect_scale(phi)
+
+
+def test_seed_one_defects_lie_within_their_bound(tmp_path):
+    out = tmp_path / "seed1.json"
+    done = corpus_tool("dump", out, "--seeds", "1")
+    assert done.returncode == 0, done.stderr
+    corpus = json.loads(out.read_text())
+    want = json.loads(DEFECTS.read_text())
+    got = report_corpus.defects(corpus)
+    assert sorted(got) == sorted(want)
+    far = [
+        f"{key} ({got[key]!r} against {want[key]!r})"
+        for key in sorted(want)
+        if not abs(got[key] - want[key]) <= defect_bound(json.loads(corpus[key]))
+    ]
+    assert not far, f"defects outside 4 k eps defect_scale(phi) of {DEFECTS.name}: " + ", ".join(far)
+
+
+def test_defects_read_each_defect_report():
+    report = lambda command, results: json.dumps({"command": command, "results": results})
+    corpus = {
+        "w/1/000/full/json": report("fock defect", {"defect": -0.5, "span_dim": 3}),
+        "w/1/000/full/text": "results.defect = -0.5\n",
+        "w/1/001/arveson/json": report("fock arveson", {"compression_defect_on_three_powers": -0.25}),
+        "w/1/002/refused/json": report("fock defect", {"error": {"type": "WindowOverflowError"}}),
+        "w/1/003/balance/json": report("fock balance", {"defect": 1.0}),
+        "w/1/004/crash/json": "CRASH ValueError: x\n",
+    }
+    assert report_corpus.defects(corpus) == {"w/1/000/full/json": -0.5, "w/1/001/arveson/json": -0.25}
 
 
 def test_verdicts_keep_every_leaf_but_floats():

@@ -386,6 +386,20 @@ class TestAutomorphismInvariance:
             for check in checks:
                 assert outcome(check, h, base) == outcome(check, g, base), (check.__name__, z, a)
 
+    @seeded_by(50)
+    def test_recovered_j_of_a_szego_sample(self, seed):
+        # phi_b o phi_a with b = phi_a(z_base) sends z_base to 0, so it is phi_{z_base}
+        # times a unimodular constant: with the first non-base value turned real positive,
+        # the j recovered from the moved sample is the j recovered from the original
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            z, a = disk_draw(rng)
+            moved = disk_automorphism(a, z)
+            kernel = truncated_series(lambda n: 1, z, moved)
+            base = int(rng.integers(len(z)))
+            got, want = (classify(kernel.gram(PointSet(1, x[:, None])), base, TOL).j_values for x in (moved, z))
+            assert np.allclose(got, want, rtol=0, atol=1e-9), (z, a, base)
+
     @pytest.mark.parametrize("d", [2, 3])
     @seeded_by(50)
     def test_ball_cnp_check_and_embed(self, d, seed):
@@ -837,7 +851,7 @@ class TestPhaseInvariance:
     @pytest.mark.parametrize("dim, degree", [(1, 40), (1, 80), (2, 9), (2, 11), (3, 5), (3, 6)])
     @seeded
     def test_full_window_defect(self, dim, degree, seed):
-        # windows on both sides of _WHOLE; span_dim is the window's k
+        # span_dim is the window's k
         rng = np.random.default_rng(seed)
         coeffs = self.random_coeffs(rng, dim)
         theta, psi = rng.uniform(0, 2 * np.pi, dim), rng.uniform(0, 2 * np.pi)

@@ -13,9 +13,11 @@ equal programs are equal. --root names the source checkout whose src/ and
 bench/ are used (default: the checkout holding this script), so a parent
 commit can be dumped without copying this tool into it.
 
-verdicts() projects a corpus onto what must not change at all; the tier-1
-test tests/test_report_corpus.py compares that projection of a fresh seed-1
-dump with tests/data/corpus_verdicts.json.
+verdicts() projects a corpus onto what must not change at all, and defects()
+onto the Fock defects, which may move by rounding within their documented
+bound; the tier-1 test tests/test_report_corpus.py compares those
+projections of a fresh seed-1 dump with tests/data/corpus_verdicts.json and
+tests/data/corpus_defects.json.
 
 `compare` prints each key whose report differs or that only one corpus has,
 each followed by the first line where the two reports part (numbered from 1,
@@ -95,6 +97,22 @@ def verdicts(corpus: dict) -> dict:
                 out[key] = dict(leaves(json.loads(text)))
             except ValueError:
                 out[key] = text
+    return out
+
+
+def defects(corpus: dict) -> dict:
+    """The defect of each json report of `fock defect`, and the compression defect on
+    three powers of each `fock arveson` report, under the report's key."""
+    fields = {"fock defect": "defect", "fock arveson": "compression_defect_on_three_powers"}
+    out = {}
+    for key, text in corpus.items():
+        try:
+            report = json.loads(text) if key.endswith("/json") else {}
+        except ValueError:  # a crash
+            continue
+        field = fields.get(report.get("command"))
+        if field in report.get("results", {}):
+            out[key] = report["results"][field]
     return out
 
 
