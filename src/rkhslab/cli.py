@@ -29,6 +29,7 @@ import math
 import sys
 import traceback
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -52,6 +53,7 @@ from .kernels import (
     PointSet,
     PowerSeriesKernel,
     SampledGramKernel,
+    beyond_float_range,
     irreducible_partition,
     unit_diagonal,
 )
@@ -95,7 +97,7 @@ def _parse_number(x, what: str):
             raise InputError(f"{what}: bad rational {x!r} ({e})") from None
     elif not isinstance(x, (int, float)):
         raise InputError(f"{what}: expected a number, got {x!r:.60}")
-    if not isinstance(x, float) and abs(x) > sys.float_info.max:
+    if not isinstance(x, float) and beyond_float_range(x):
         raise InputError(f"{what}: number beyond the float range")
     return x
 
@@ -134,13 +136,21 @@ def _float_pairs(x, shape: tuple):
     """x as a complex array of the given shape when it is nested lists of exactly
     that shape of [re, im] pairs of plain floats, read as one array; else None.
 
-    The parts keep their bits: re + 1j*im would turn -0.0 into 0.0, and an
-    infinite imaginary part into a NaN real part.
+    Level by level, every entry must be a list of the length that shape gives
+    (2 for the pairs), and the entries one level further down must be plain
+    floats; each level is flattened by chain.from_iterable, so no entry costs a
+    Python call, and the floats are read in one pass. The parts keep their bits:
+    re + 1j*im would turn -0.0 into 0.0, and an infinite imaginary part into a
+    NaN real part.
     """
-    a = np.array(x, dtype=object)  # ragged nesting leaves lists as entries
-    if a.shape != (*shape, 2) or set(map(type, a.ravel().tolist())) != {float}:
+    level = [x]
+    for size in (*shape, 2):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) != {float}:
         return None
-    return a.astype(np.float64).view(np.complex128).reshape(shape)
+    return np.fromiter(level, np.float64, len(level)).view(np.complex128).reshape(shape)
 
 
 def _complex_array(x, shape: tuple, what: str, row: str | None = None) -> np.ndarray:
@@ -187,7 +197,9 @@ def _parse_kernel_obj(obj, what: str, tol: float | None) -> KernelSpec:
     kind = _object(obj, what, ("type",), obj)["type"]
     if kind == "power_series":
         coeffs = _parse_list(_object(obj, what, ("type", "coeffs"))["coeffs"], f"{what}.coeffs")
-        return PowerSeriesKernel([_parse_number(c, f"{what}.coeffs") for c in coeffs])
+        if set(map(type, coeffs)) != {float}:  # plain floats are numbers as they are
+            coeffs = [_parse_number(c, f"{what}.coeffs") for c in coeffs]
+        return PowerSeriesKernel(coeffs)
     if kind == "drury_arveson":
         _object(obj, what, ("type", "dim"))
         return DruryArvesonKernel(_parse_int(obj["dim"], f"{what}.dim", 1))
@@ -457,7 +469,7 @@ def _cmd_ratio_check(args, loader):
     obj = loader.load_json(args.kernel, "kernel")
     if _object(obj, "kernel", ("type",), obj)["type"] != "power_series":  # so no tol is read
         raise InputError("ratio-check applies to power_series kernels only")
-    report = ratio_report(_parse_kernel_obj(obj, "kernel", None).coeffs)
+    report = ratio_report(_parse_kernel_obj(obj, "kernel", None))
     results = {
         "hyponormal_ok": report.hyponormal_ok,
         "np_sufficient_ok": report.np_ok,
@@ -625,7 +637,8 @@ def _cmd_fock_defect(args, loader):
             count = args.degree // max(phi.degree, 1) if args.count is None else args.count
             subspace = fock.powers_span(subspace, phi, count)
     defect = fock.compression_defect(phi, subspace)
-    hyponormal_here = defect >= -threshold(args.tol, fock.defect_scale(phi))
+    # the terms past the window act on nothing in it, so they add nothing to the scale
+    hyponormal_here = defect >= -threshold(args.tol, fock.defect_scale(fock.truncated(phi, args.degree)))
     return {
         "defect": defect,
         "span": args.span,
@@ -642,10 +655,16 @@ def _cmd_fock_defect(args, loader):
 # parser
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser, built on the first call. Parsing leaves it as it was,
     and each handler looks its library names up when it runs."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple:
+    """(tree, leaves): the parser tree, and its leaf parsers keyed by their command
+    words, such as ("pick",) or ("fock", "defect")."""
     parser = argparse.ArgumentParser(
         prog="rkhslab",
         description="Reproducing-kernel Hilbert space laboratory: Pick feasibility, "
@@ -654,6 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     groups: dict = {}
+    leaves: dict = {}
     for name, (handler, help_text, arguments) in COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group and group not in groups:
@@ -663,11 +683,32 @@ def build_parser() -> argparse.ArgumentParser:
         for names, options in arguments + (FORMAT,):
             p.add_argument(*names, **options)
         p.set_defaults(handler=handler)
-    return parser
+        leaves[tuple(name.split())] = p
+    return parser, leaves
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """What the tree's parse_args gives, from the leaf parser alone when the
+    command words name a leaf: its output, usage errors and exit are the same,
+    as the tree hands the leaf every argument after them."""
+    tree, leaves = _parsers()
+    words = tuple(argv[:2] if argv[:1] == ["fock"] else argv[:1])
+    if words not in leaves:  # help, an unknown command, or a group alone
+        return tree.parse_args(argv)
+    args, extra = leaves[words].parse_known_args(argv[len(words):])
+    if extra:
+        tree.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = words[0]
+    if len(words) == 2:
+        args.fock_command = words[1]
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command on argv (sys.argv[1:] by default), write its report to
+    stdout and return the exit code. Arguments are parsed by the command's own
+    leaf parser, with the tree's messages; a usage error exits 2 through argparse."""
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     command = f"fock {args.fock_command}" if args.command == "fock" else args.command
 
     loader = _Loader()

@@ -31,7 +31,7 @@ from .errors import (
     NotCnpError,
     NotPsdError,
 )
-from .kernels import NormalizedGram, normalize, validated_coeffs
+from .kernels import NormalizedGram, PowerSeriesKernel, normalize, validated_coeffs
 from .linalg import DEFAULT_TOL, HermitianMatrix, psd_check, psd_factor, threshold
 
 CONSISTENT = "consistent"
@@ -164,17 +164,21 @@ class RatioReport:
         return min((n for n in found if n is not None), default=None)
 
 
-def ratio_report(coeffs: Sequence) -> RatioReport:
-    """Both ratio tests of the validated coefficients, in one scan.
+def ratio_report(coeffs: Union[Sequence, PowerSeriesKernel]) -> RatioReport:
+    """Both ratio tests of the coefficients of a disk kernel, in one scan.
 
-    Each compares a_n^2 with a_{n-1} a_{n+1} as exact integer products, so no scale
-    overflows, underflows or rounds: the sides tie within threshold(1e-12, the larger
-    side) when a coefficient is a float, so geometric float lists pass, else exactly.
+    A PowerSeriesKernel's coefficients were validated when it was made; a sequence
+    is validated here, after its length is checked. Each test compares a_n^2 with
+    a_{n-1} a_{n+1} as exact integer products, so no scale overflows, underflows or
+    rounds: the sides tie within threshold(1e-12, the larger side) when a
+    coefficient is a float, so geometric float lists pass, else exactly.
     """
-    coeffs = tuple(coeffs)
+    kernel = isinstance(coeffs, PowerSeriesKernel)
+    coeffs = coeffs.coeffs if kernel else tuple(coeffs)
     if len(coeffs) < 3:
         raise InputError("need at least 3 coefficients")
-    coeffs = validated_coeffs(coeffs)
+    if not kernel:
+        coeffs = validated_coeffs(coeffs)
     exact = all(isinstance(c, Rational) for c in coeffs)
     tie, unit = (0, 1) if exact else threshold(_FLOAT_RATIO_RTOL, 1.0).as_integer_ratio()
     vals = [(int(c.numerator), int(c.denominator)) if isinstance(c, Rational)

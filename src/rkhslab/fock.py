@@ -519,7 +519,7 @@ def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubsp
         raise InputError("count must be a non-negative integer")
     if count * max(phi.degree, 1) > space.degree:
         raise WindowOverflowError(f"count {count}: more powers than degree {space.degree} holds")
-    psi = _normalized(phi)[0]
+    psi = _normalized(truncated(phi, space.degree))[0]  # phi itself unless count is 0
     _check_array_size(len(space) * (count + 1), 16, f"the {len(space)} x {count + 1} matrix of powers")
     cols = np.zeros((len(space), count + 1), dtype=np.complex128)
     cols[0, 0] = 1.0  # the constant 1, of norm 1
@@ -585,12 +585,15 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     with M_phi B applied through the shift tables, and S = t* t - t t* is formed
     by two dense products. Components of the products beyond the window are
     orthogonal to the window and drop out of the compression exactly, so no
-    degree headroom is needed. The constant term (c I, which commutes) is dropped
+    degree headroom is needed. The terms of phi past the window's degree act on
+    nothing in it and are dropped first, so they neither count in the scale nor
+    overflow it. The constant term (c I, which commutes) is dropped
     with its rounding. The matrices are formed for (phi - phi(0)) 2^-e (see
     _normalized) and the defect is multiplied back by 4^e, both exactly, so no
-    scale of phi that defect_scale accepts overflows or underflows. A defect below
-    -tol * defect_scale(phi) refutes hyponormality of the compression at every
-    size of phi; a non-negative defect certifies this model only.
+    scale of phi that defect_scale accepts overflows or underflows. With phi
+    truncated to the window's degree, a defect below -tol * defect_scale(phi)
+    refutes hyponormality of the compression at every size of phi; a
+    non-negative defect certifies this model only.
 
     A TruncatedSpace stands for its whole window, and a FockSubspace that fills
     its window is unitarily equivalent to it and is solved as the window. There
@@ -612,9 +615,9 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     space = subspace if isinstance(subspace, TruncatedSpace) else subspace.space
     if phi.dim != space.dim:
         raise InputError("dimension mismatch")
-    phi, e = _normalized(phi)
+    phi, e = _normalized(truncated(phi, space.degree))
     if space is subspace or subspace.dim == len(space):
-        blocks = _blocks(len(space), *_window_pairs(space, _gauged(phi, space.degree)))
+        blocks = _blocks(len(space), *_window_pairs(space, _gauged(phi)))
     elif subspace.dim == 0:
         return 0.0
     else:
@@ -623,11 +626,18 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     return math.ldexp(min(map(min_eigenvalue, blocks)), 2 * e)
 
 
-def _gauged(phi: Polynomial, degree: int) -> Polynomial:
-    """sum |c_g| z^g when the rows (1, g) over the terms of phi of degree <= degree are
-    linearly independent (over Q, by _rank), else phi. A term past the window has an
-    empty shift table and adds nothing to the window's self-commutator, so it is left out."""
-    rows = [(1, *g) for g in phi.coeffs if sum(g) <= degree]
+def truncated(phi: Polynomial, degree: int) -> Polynomial:
+    """The terms of phi of degree at most degree; phi itself when it has no others."""
+    if all(sum(g) <= degree for g in phi.coeffs):
+        return phi
+    return Polynomial(phi.dim, {g: c for g, c in phi.coeffs.items() if sum(g) <= degree})
+
+
+def _gauged(phi: Polynomial) -> Polynomial:
+    """sum |c_g| z^g when the rows (1, g) over the terms of phi are linearly independent
+    (over Q, by _rank), else phi. The caller has dropped the terms past the window, which
+    add nothing to its self-commutator and would only make the rows dependent."""
+    rows = [(1, *g) for g in phi.coeffs]
     if _rank(rows) < len(rows):
         return phi
     return Polynomial(phi.dim, {g: abs(c) for g, c in phi.coeffs.items()})

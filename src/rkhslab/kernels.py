@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
+from numbers import Rational, Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -124,12 +124,30 @@ def _first_outside_disk(x: np.ndarray) -> Optional[float]:
     return None
 
 
+_FLOAT_MAX = int(sys.float_info.max)  # the largest float, exactly
+
+
+def beyond_float_range(x) -> bool:
+    """|x| exceeds the largest float, for an int or Fraction x: one comparison of
+    integers, where comparing a Fraction with a float converts the float to a Fraction."""
+    return abs(int(x.numerator)) > _FLOAT_MAX * int(x.denominator)
+
+
 def validated_coeffs(coeffs: Sequence) -> tuple:
     """Power-series coefficients as a tuple: non-empty, real (int, float or
-    Fraction, not bool), positive, within the float range, with a_0 = 1."""
+    Fraction, not bool), positive, within the float range, with a_0 = 1.
+
+    A list of plain floats is checked as one float64 array. Any other list, or
+    a float list that fails that check, is checked entry by entry, so a refusal
+    names the first bad entry with the same message either way.
+    """
     coeffs = tuple(coeffs)
     if not coeffs:
         raise InputError("coefficient list must be non-empty")
+    if set(map(type, coeffs)) == {float}:
+        a = np.array(coeffs)
+        if a[0] == 1.0 and (a > 0.0).all() and (a <= sys.float_info.max).all():  # NaN fails both
+            return coeffs
     for i, c in enumerate(coeffs):
         if not isinstance(c, (Real, Fraction)) or isinstance(c, bool):
             raise InputError(f"coefficient {i} is not a real number")
@@ -137,7 +155,7 @@ def validated_coeffs(coeffs: Sequence) -> tuple:
             raise InputError(f"coefficient {i} must be positive, got {c}")
         if isinstance(c, np.floating):  # else the bound below is cast to a float32 inf
             c = float(c)
-        if not c <= sys.float_info.max:  # inf, or an int or Fraction beyond the float range
+        if beyond_float_range(c) if isinstance(c, Rational) else not c <= sys.float_info.max:
             got = c if isinstance(c, float) else "a number beyond the float range"
             raise InputError(f"coefficient {i} must be finite, got {got}")
     if coeffs[0] != 1:
@@ -156,6 +174,7 @@ class PowerSeriesKernel:
 
     def __init__(self, coeffs: Sequence):
         self.coeffs = validated_coeffs(coeffs)
+        self._horner = [float(c) for c in reversed(self.coeffs)]  # highest degree first
 
     def evaluate(self, z, w) -> complex:
         zv = _as_point(z, 1)
@@ -164,8 +183,8 @@ class PowerSeriesKernel:
         if abs(x) >= 1.0:
             raise DomainError(f"|z conj(w)| = {abs(x):.6f} is not below 1")
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in self._horner:
+            acc = acc * x + c
         return acc
 
     def gram(self, pts: PointSet) -> HermitianMatrix:
@@ -178,9 +197,9 @@ class PowerSeriesKernel:
             raise DomainError(f"|z conj(w)| = {bad:.6f} is not below 1")
         # Horner on the whole matrix: one multiply-add per coefficient.
         acc = np.zeros_like(x)
-        for c in reversed(self.coeffs):
+        for c in self._horner:
             acc *= x
-            acc += float(c)
+            acc += c
         return HermitianMatrix(acc)
 
     def __repr__(self) -> str:

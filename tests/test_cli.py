@@ -849,6 +849,26 @@ class TestSelfCommutatorExits:
         assert report["results"]["span_dim"] == 70
 
 
+class TestTermsPastTheWindow:
+    """A term of phi past the window's degree acts on nothing in it: it moves neither the
+    defect nor the threshold that judges it, and its size cannot overflow the scale."""
+
+    @pytest.mark.parametrize("span", ["full", "kernel"])
+    @pytest.mark.parametrize("far", [1000.0, 1e300])
+    def test_same_defect_and_exit(self, span, far, corpus, capsys):
+        near = {"exp": [1, 1], "coeff": 0.001}
+        argv = ["fock", "defect", "--span", span, "--degree", "6"]
+        argv += ["--points", corpus / "pts2.json"] if span == "kernel" else []
+        reports = []
+        for terms in ([near], [near, {"exp": [50, 0], "coeff": far}]):
+            code, report, _ = run(capsys, argv + ["--phi", json.dumps({"dim": 2, "terms": terms})])
+            reports.append((code, report["results"]))
+        (code, alone), (code_far, with_far) = reports
+        assert code == code_far and alone == with_far
+        if span == "full":  # a refutation either way, not one that the far term hides
+            assert code == 1 and alone["defect"] < 0
+
+
 def run_within_a_second(capsys, argv):
     start = time.perf_counter()
     result = run(capsys, argv)

@@ -14,7 +14,8 @@ in_closure under a unitary rotation of the set and the point together, and
 the closure-step verdicts under rescaling of the operator and of the vector.
 Disk and ball automorphisms, which change a Szego, Bergman or Drury-Arveson
 Gram matrix only by a positive diagonal congruence, keep the CNP status, the
-embedding rank, classify's verdict and level-1 Pick feasibility.
+embedding rank, classify's verdict, level-1 Pick feasibility and the Pick
+minimal norm.
 Sampled Grams (Pick included), power-series coefficients, Pick targets with
 the norm level, and Fock multipliers are also scaled by 2^k over the whole
 float range: that scaling is exact, so no verdict may change at all. Random
@@ -437,6 +438,29 @@ class TestAutomorphismInvariance:
             nodes_moved = PickProblem(kernel=kernel, nodes=PointSet(1, moved[:, None]), targets=w)
             assert outcome(level_one_feasible, targets_moved) == want, (z, w, b)
             assert outcome(level_one_feasible, nodes_moved) == want, (z, w, a)
+
+    @seeded_by(50)
+    def test_pick_minimal_norm_under_node_automorphisms(self, seed):
+        # at every t the moved nodes' Pick matrix is a positive diagonal congruence of
+        # the original one, so the least t at which it is PSD does not move. A draw
+        # that the positive-definiteness guard refuses on either side, as it may for
+        # near-coincident nodes, says nothing of the norm and is not compared
+        rng = np.random.default_rng(seed)
+        compared = 0
+        for _ in range(4):
+            z = disk_points(rng, int(rng.integers(3, 10)), 0.6)
+            a = 0.7 * np.exp(2j * np.pi * rng.uniform())
+            w = rng.standard_normal(len(z)) + 1j * rng.standard_normal(len(z))
+            moved = disk_automorphism(a, z)
+            kernel = truncated_series(lambda n: 1, z, moved)
+            problem, moved_problem = (
+                PickProblem(kernel=kernel, nodes=PointSet(1, x[:, None]), targets=w) for x in (z, moved)
+            )
+            want, got = minimal_norm_or_refused(problem), minimal_norm_or_refused(moved_problem)
+            if want is not None and got is not None:
+                assert_same_norm(got, want, moved_problem.gram().entries)
+                compared += 1
+        assert compared
 
 
 # ---------------------------------------------------------------------------
