@@ -53,11 +53,10 @@ from .kernels import (
     PointSet,
     PowerSeriesKernel,
     SampledGramKernel,
-    beyond_float_range,
     irreducible_partition,
     unit_diagonal,
 )
-from .linalg import DEFAULT_TOL, threshold
+from .linalg import DEFAULT_TOL, real_number, threshold
 from .pick import PickProblem, minimal_interpolation_norm, pick_feasible
 from .reconstruct import classify
 
@@ -82,24 +81,20 @@ def _parse_int(x, what: str, least: int) -> int:
     return x
 
 
-def _parse_number(x, what: str):
-    """Real number from JSON: int, float, or {"num": "...", "den": "..."}.
-
-    Integers and rationals beyond the float range are refused: every
-    command computes in floating point somewhere downstream.
-    """
-    if isinstance(x, bool):
-        raise InputError(f"{what}: expected a number, got a boolean")
+def _parse_rational(x, what: str):
+    """x as a Fraction when it is {"num": "...", "den": "..."}, else x itself."""
     if isinstance(x, dict) and set(x) == {"num", "den"}:
         try:  # through str, so that 1.5 and true are refused rather than truncated
-            x = Fraction(int(str(x["num"])), int(str(x["den"])))
+            return Fraction(int(str(x["num"])), int(str(x["den"])))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"{what}: bad rational {x!r} ({e})") from None
-    elif not isinstance(x, (int, float)):
-        raise InputError(f"{what}: expected a number, got {x!r:.60}")
-    if not isinstance(x, float) and beyond_float_range(x):
-        raise InputError(f"{what}: number beyond the float range")
     return x
+
+
+def _parse_number(x, what: str):
+    """A real number from JSON, an int, a float or {"num", "den"}, by linalg.real_number:
+    every command computes in floating point somewhere downstream."""
+    return real_number(_parse_rational(x, what), what)
 
 
 def _parse_json_arg(text: str, what: str):
@@ -111,8 +106,6 @@ def _parse_json_arg(text: str, what: str):
 
 def _parse_complex(x, what: str) -> complex:
     re, im = _parse_list(x, what, 2, "[re, im]")
-    if type(re) is float and type(im) is float:  # _parse_number returns floats as they are
-        return complex(re, im)
     return complex(float(_parse_number(re, what)), float(_parse_number(im, what)))
 
 
@@ -192,14 +185,19 @@ def _parse_points_obj(obj, what: str) -> PointSet:
     return PointSet(dim, _complex_array(pts, (len(pts), dim), what))
 
 
-def _parse_kernel_obj(obj, what: str, tol: float | None) -> KernelSpec:
+def _parse_coeffs(obj, what: str) -> list:
+    """A power_series object's coefficients, {"num", "den"} read; validated_coeffs checks them."""
+    coeffs = _parse_list(_object(obj, what, ("type", "coeffs"))["coeffs"], f"{what}.coeffs")
+    if set(map(type, coeffs)) != {float}:  # a list of plain floats holds no rational
+        coeffs = [_parse_rational(c, f"{what}.coeffs") for c in coeffs]
+    return coeffs
+
+
+def _parse_kernel_obj(obj, what: str, tol: float) -> KernelSpec:
     """A kernel spec; a sampled Gram matrix is checked PSD at the command's tol."""
     kind = _object(obj, what, ("type",), obj)["type"]
     if kind == "power_series":
-        coeffs = _parse_list(_object(obj, what, ("type", "coeffs"))["coeffs"], f"{what}.coeffs")
-        if set(map(type, coeffs)) != {float}:  # plain floats are numbers as they are
-            coeffs = [_parse_number(c, f"{what}.coeffs") for c in coeffs]
-        return PowerSeriesKernel(coeffs)
+        return PowerSeriesKernel(_parse_coeffs(obj, what))
     if kind == "drury_arveson":
         _object(obj, what, ("type", "dim"))
         return DruryArvesonKernel(_parse_int(obj["dim"], f"{what}.dim", 1))
@@ -467,9 +465,9 @@ def _cmd_cnp_check(args, loader):
 @_command("ratio-check", "coefficient ratio tests for disk kernels", SERIES)
 def _cmd_ratio_check(args, loader):
     obj = loader.load_json(args.kernel, "kernel")
-    if _object(obj, "kernel", ("type",), obj)["type"] != "power_series":  # so no tol is read
+    if _object(obj, "kernel", ("type",), obj)["type"] != "power_series":
         raise InputError("ratio-check applies to power_series kernels only")
-    report = ratio_report(_parse_kernel_obj(obj, "kernel", None))
+    report = ratio_report(_parse_coeffs(obj, "kernel"))
     results = {
         "hyponormal_ok": report.hyponormal_ok,
         "np_sufficient_ok": report.np_ok,

@@ -31,8 +31,8 @@ from .errors import (
     NotCnpError,
     NotPsdError,
 )
-from .kernels import NormalizedGram, PowerSeriesKernel, normalize, validated_coeffs
-from .linalg import DEFAULT_TOL, HermitianMatrix, psd_check, psd_factor, threshold
+from .kernels import NormalizedGram, normalize, validated_coeffs
+from .linalg import DEFAULT_TOL, HermitianMatrix, psd_check, psd_factor, real_number, threshold
 
 CONSISTENT = "consistent"
 CERTIFIED_NOT_CNP = "certified_not_cnp"
@@ -164,21 +164,17 @@ class RatioReport:
         return min((n for n in found if n is not None), default=None)
 
 
-def ratio_report(coeffs: Union[Sequence, PowerSeriesKernel]) -> RatioReport:
-    """Both ratio tests of the coefficients of a disk kernel, in one scan.
+def ratio_report(coeffs: Sequence) -> RatioReport:
+    """Both ratio tests of a disk kernel's coefficients, in one scan.
 
-    A PowerSeriesKernel's coefficients were validated when it was made; a sequence
-    is validated here, after its length is checked. Each test compares a_n^2 with
-    a_{n-1} a_{n+1} as exact integer products, so no scale overflows, underflows or
-    rounds: the sides tie within threshold(1e-12, the larger side) when a
-    coefficient is a float, so geometric float lists pass, else exactly.
-    """
-    kernel = isinstance(coeffs, PowerSeriesKernel)
-    coeffs = coeffs.coeffs if kernel else tuple(coeffs)
+    The entries are validated (validated_coeffs) before the length of at least 3 is
+    checked. Each test compares a_n^2 with a_{n-1} a_{n+1} as exact integer products,
+    so no scale overflows, underflows or rounds: the sides tie within threshold(1e-12,
+    the larger side) when a coefficient is a float, so geometric float lists pass,
+    else exactly."""
+    coeffs = validated_coeffs(coeffs)
     if len(coeffs) < 3:
         raise InputError("need at least 3 coefficients")
-    if not kernel:
-        coeffs = validated_coeffs(coeffs)
     exact = all(isinstance(c, Rational) for c in coeffs)
     tie, unit = (0, 1) if exact else threshold(_FLOAT_RATIO_RTOL, 1.0).as_integer_ratio()
     vals = [(int(c.numerator), int(c.denominator)) if isinstance(c, Rational)
@@ -197,8 +193,8 @@ def ratio_report(coeffs: Union[Sequence, PowerSeriesKernel]) -> RatioReport:
 def _validated_radii(radii: Sequence, what: str) -> tuple[float, ...]:
     out = []
     for i, r in enumerate(radii):
-        r = float(r)
-        if not (0.0 < r < 1.0) or not math.isfinite(r):
+        r = float(real_number(r, f"{what} radius {i}"))
+        if not 0.0 < r < 1.0:
             raise InputError(f"{what} radius {i} is {r}, not in (0, 1)")
         out.append(r)
     return tuple(out)
@@ -223,9 +219,9 @@ class GeometricTail:
     prefix: tuple = ()
 
     def __post_init__(self):
-        if not (self.c > 0):
+        if not real_number(self.c, "c") > 0:
             raise InputError("c must be positive")
-        if not (0.0 < self.q < 1.0):
+        if not 0.0 < real_number(self.q, "q") < 1.0:
             raise InputError("q must lie in (0, 1)")
         object.__setattr__(self, "prefix", _validated_radii(self.prefix, "prefix"))
         # The gaps c q^k decrease from c, so all radii lie in (0, 1) iff c < 1.
@@ -246,9 +242,9 @@ class PolynomialTail:
     prefix: tuple = ()
 
     def __post_init__(self):
-        if not (self.c > 0):
+        if not real_number(self.c, "c") > 0:
             raise InputError("c must be positive")
-        if not math.isfinite(self.p):
+        if not math.isfinite(real_number(self.p, "p")):
             raise InputError("p must be finite")
         object.__setattr__(self, "prefix", _validated_radii(self.prefix, "prefix"))
         # For p < 0 the gaps c k^(-p) grow without bound; for p >= 0 the

@@ -42,13 +42,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, WindowOverflowError
 from .kernels import PointSet
-from .linalg import (
-    DEFAULT_TOL,
-    Subspace,
-    connected_components,
-    min_eigenvalue,
-    threshold,
-)
+from .linalg import DEFAULT_TOL, Subspace, connected_components, min_eigenvalue, real_number, threshold
 
 
 class QQi:
@@ -76,8 +70,11 @@ def _gaussian(x) -> tuple:
     return (Fraction(x), Fraction(0)) if isinstance(x, Rational) else (x.re, x.im)
 
 
-def _coerce_coeff(x) -> complex:
-    """A finite complex number from any number, a QQi included."""
+def _coerce_coeff(x, what: str) -> complex:
+    """A finite complex from a complex, or from a real number or QQi read by real_number."""
+    if not isinstance(x, (complex, np.complexfloating)):  # the parts of a complex are floats
+        x = (complex(float(real_number(x.re, what)), float(real_number(x.im, what))) if isinstance(x, QQi)
+             else float(real_number(x, what)))
     c = complex(x)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise InputError("coefficients must be finite")
@@ -87,9 +84,9 @@ def _coerce_coeff(x) -> complex:
 class Polynomial:
     """A multiplier: complex coefficients on multi-indices, zeros not stored.
 
-    Any number (a QQi too) is accepted as a coefficient and kept as a finite
-    complex. Products, powers and inner products run on the shift tables of
-    the smallest window that holds their result.
+    Any complex, QQi or real number (linalg.real_number) is a coefficient,
+    kept as a finite complex. Products, powers and inner products run on the
+    shift tables of the smallest window that holds their result.
     """
 
     __slots__ = ("dim", "coeffs")
@@ -105,7 +102,7 @@ class Polynomial:
             key = tuple(int(e) for e in alpha)
             if len(key) != dim or any(e < 0 for e in key):
                 raise InputError(f"bad multi-index {alpha} for dim {dim}")
-            cc = _coerce_coeff(c)
+            cc = _coerce_coeff(c, "coefficient")
             clean[key] = clean[key] + cc if key in clean else cc
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coeffs", {k: v for k, v in clean.items() if v})
@@ -217,7 +214,7 @@ def _coordinates(z) -> tuple:
     entries = list(z) if isinstance(z, (list, tuple)) else list(np.atleast_1d(z))
     if not entries:
         raise InputError("point must have at least one coordinate")
-    zv = np.array([_coerce_coeff(x) for x in entries], dtype=np.complex128)
+    zv = np.array([_coerce_coeff(x, f"coordinate {i}") for i, x in enumerate(entries)], np.complex128)
     exact = all(isinstance(x, (Rational, QQi)) for x in entries)
     return zv, ([_gaussian(x) for x in entries] if exact else None)
 

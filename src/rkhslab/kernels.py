@@ -10,21 +10,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational, Real
+from numbers import Rational
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, InputError, IrreducibilityError
-from .linalg import (
-    DEFAULT_TOL,
-    HermitianMatrix,
-    connected_components,
-    gram_scale,
-    psd_check,
-    threshold,
-)
+from .linalg import DEFAULT_TOL, HermitianMatrix, connected_components, gram_scale, psd_check
+from .linalg import real_number, threshold
 
 
 def _as_point(p, dim: int) -> np.ndarray:
@@ -124,22 +117,13 @@ def _first_outside_disk(x: np.ndarray) -> Optional[float]:
     return None
 
 
-_FLOAT_MAX = int(sys.float_info.max)  # the largest float, exactly
-
-
-def beyond_float_range(x) -> bool:
-    """|x| exceeds the largest float, for an int or Fraction x: one comparison of
-    integers, where comparing a Fraction with a float converts the float to a Fraction."""
-    return abs(int(x.numerator)) > _FLOAT_MAX * int(x.denominator)
-
-
 def validated_coeffs(coeffs: Sequence) -> tuple:
-    """Power-series coefficients as a tuple: non-empty, real (int, float or
-    Fraction, not bool), positive, within the float range, with a_0 = 1.
+    """Power-series coefficients as a tuple: non-empty, each a real number by
+    linalg.real_number, positive and finite, with a_0 = 1.
 
     A list of plain floats is checked as one float64 array. Any other list, or
     a float list that fails that check, is checked entry by entry, so a refusal
-    names the first bad entry with the same message either way.
+    names the first bad entry, by its index, with the same message either way.
     """
     coeffs = tuple(coeffs)
     if not coeffs:
@@ -149,15 +133,11 @@ def validated_coeffs(coeffs: Sequence) -> tuple:
         if a[0] == 1.0 and (a > 0.0).all() and (a <= sys.float_info.max).all():  # NaN fails both
             return coeffs
     for i, c in enumerate(coeffs):
-        if not isinstance(c, (Real, Fraction)) or isinstance(c, bool):
-            raise InputError(f"coefficient {i} is not a real number")
+        c = real_number(c, f"coefficient {i}")
         if not c > 0:
             raise InputError(f"coefficient {i} must be positive, got {c}")
-        if isinstance(c, np.floating):  # else the bound below is cast to a float32 inf
-            c = float(c)
-        if beyond_float_range(c) if isinstance(c, Rational) else not c <= sys.float_info.max:
-            got = c if isinstance(c, float) else "a number beyond the float range"
-            raise InputError(f"coefficient {i} must be finite, got {got}")
+        if not isinstance(c, Rational) and (f := float(c)) > sys.float_info.max:  # the rule bounds exact ones
+            raise InputError(f"coefficient {i} must be finite, got {f}")
     if coeffs[0] != 1:
         raise InputError("a_0 must equal 1")
     return coeffs

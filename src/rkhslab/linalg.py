@@ -12,6 +12,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Rational, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -136,9 +137,29 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
+_FLOAT_MAX = int(np.finfo(np.float64).max)  # the largest float, exactly
+
+
+def real_number(x, what: str):
+    """x itself if it is a real number to compute with, else InputError naming what: the
+    one rule for a number from outside. A float returns first, NaN and inf too, for each
+    caller's range rule. A bool, a non-number and an int or Fraction past the largest
+    float (float() would overflow) are refused; the range test compares integers."""
+    if type(x) is float:
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        raise InputError(f"{what}: expected a number, got a boolean")
+    if not isinstance(x, Real):
+        raise InputError(f"{what}: expected a number, got {x!r:.60}")
+    if isinstance(x, Rational) and abs(int(x.numerator)) > _FLOAT_MAX * int(x.denominator):
+        raise InputError(f"{what}: number beyond the float range")
+    return x
+
+
 def threshold(tol: float, scale: float) -> float:
     """tol * scale: every verdict's threshold, for the scale of the data it
-    judges. Raises InputError unless tol is finite and positive."""
+    judges. Raises InputError unless tol is a real_number, finite and positive."""
+    tol = real_number(tol, "tol")
     if not 0 < tol < np.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
     return tol * scale

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .kernels import KernelSpec, PointSet
-from .linalg import DEFAULT_TOL, HermitianMatrix, PsdVerdict, gram_scale, min_eigenvalue, psd_check, threshold
+from .linalg import DEFAULT_TOL, HermitianMatrix, PsdVerdict, gram_scale, min_eigenvalue, psd_check
+from .linalg import real_number, threshold
 
 Nodes = Union[PointSet, Sequence[str]]
 
@@ -57,7 +58,7 @@ class PickProblem:
 
 
 def _norm_level(t) -> float:
-    t = float(t)  # a numpy scalar would warn on overflow in t * t
+    t = float(real_number(t, "norm level t"))  # a numpy scalar would warn on overflow in t * t
     if not (t > 0 and 0 < t * t < math.inf):
         raise InputError("norm level t must be positive with t^2 finite")
     return t

@@ -212,8 +212,8 @@ class TestOneCoefficientValidator:
     @pytest.mark.parametrize(
         "coeffs, message",
         [
-            ([1, True, 1], "coefficient 1 is not a real number"),
-            ([1, 2, "3"], "coefficient 2 is not a real number"),
+            ([1, True, 1], "coefficient 1: expected a number, got a boolean"),
+            ([1, 2, "3"], "coefficient 2: expected a number, got '3'"),
             ([1, 0.0, -1], "coefficient 1 must be positive, got 0.0"),
             ([2, -1, 1], "coefficient 1 must be positive, got -1"),
             ([2, 1, 1], "a_0 must equal 1"),
@@ -229,6 +229,8 @@ class TestOneCoefficientValidator:
         with pytest.raises(InputError, match="non-empty"):
             PowerSeriesKernel([])
         with pytest.raises(InputError, match="at least 3"):
+            cnp.ratio_report([1, 0.5])
+        with pytest.raises(InputError, match="a_0 must equal 1"):  # the entries come first
             cnp.ratio_report([2, 1])
 
     def test_cli_tolerance_is_the_library_default(self):

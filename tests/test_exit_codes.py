@@ -3,8 +3,11 @@
 Each subcommand gets small valid inputs. Their numbers are then replaced at
 random: a float by one of +-0.0, 5e-324, 1e308, 1.0 and -1.0, an integer
 (an exponent, a count, a degree, a dimension, a base index) by one past
-2^63. Whatever comes out, main must return 0, 1 or 2 with a report, and 1
-exactly when the report carries the command's negative verdict. Random cases
+2^63. Sizes are mutated too: sample sizes, point-set lengths, coefficient and
+radii lists and window degrees that fit the exponent table but make the dense
+steps after it work. Whatever comes out, main must return 0, 1 or 2 with a
+report, and 1 exactly when the report carries the command's negative verdict.
+Random cases
 are drawn by hypothesis when it is installed and from fixed seeds otherwise;
 inputs once seen to exit 3 are fixed cases.
 """
@@ -174,3 +177,86 @@ def test_no_mutated_input_exits_three(seed):
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_inputs_that_once_exited_three(name):
     check(EXAMPLES[name])
+
+
+# ---------------------------------------------------------------------------
+# size mutations
+
+
+def ball_points(rng, n, dim) -> list:
+    """n random points of the ball of radius 0.9 in C^dim, as [re, im] pairs."""
+    x = rng.standard_normal((n, dim, 2))
+    x *= 0.9 * rng.uniform(0.0, 1.0, (n, 1, 1)) / np.sqrt(np.sum(x * x, axis=(1, 2), keepdims=True))
+    return x.tolist()
+
+
+def points(rng, n, dim) -> dict:
+    return {"dim": dim, "points": ball_points(rng, n, dim)}
+
+
+def labels(n) -> list:
+    return [f"p{i}" for i in range(n)]
+
+
+def sampled(rng, n) -> dict:
+    """A Szego Gram matrix of n random disk points as a sampled kernel."""
+    z = np.array(ball_points(rng, n, 1)).reshape(n, 2) @ [1, 1j]
+    g = 1.0 / (1.0 - np.outer(z, z.conj()))
+    return {"type": "sampled", "labels": labels(n), "gram": np.stack((g.real, g.imag), -1).tolist()}
+
+
+def coeffs(rng, n) -> list:
+    return [1.0] + rng.uniform(0.1, 1.0, max(n - 1, 0)).tolist() if n else []
+
+
+def targets(rng, n) -> list:
+    """n random disk points as [re, im] pairs, or one fewer or one more at random."""
+    return [p[0] for p in ball_points(rng, max(n + int(rng.integers(-1, 2)), 0), 1)]
+
+
+DA2 = {"type": "drury_arveson", "dim": 2}
+Z2 = [[0.1, 0.0], [0.0, 0.1]]
+DEFECT = ["fock", "defect", "--phi", PHI2]
+
+# each builds an argv from a sample size, list length or degree n, the largest n
+# given after it; degrees reach 89, the largest full window in two variables (4095
+# indices), and 150
+SIZED = {
+    "cnp-check points": (lambda rng, n: ["cnp-check", ("file", SERIES), "--points",
+                                         ("file", points(rng, n, 1))], 60),
+    "cnp-check sampled": (lambda rng, n: ["cnp-check", ("file", sampled(rng, n))], 60),
+    "ratio-check coeffs": (lambda rng, n: ["ratio-check", ("file", {"type": "power_series",
+                                                                    "coeffs": coeffs(rng, n)})], 300),
+    "pick nodes": (lambda rng, n: ["pick", ("file", {"kernel": SERIES, "nodes": ball_points(rng, n, 1),
+                                                     "targets": targets(rng, n)})], 40),
+    "pick norm": (lambda rng, n: ["pick", ("file", {"kernel": sampled(rng, n), "nodes": labels(n),
+                                                    "targets": targets(rng, n)}), "--norm", 1.0], 40),
+    "embed ball": (lambda rng, n: ["embed", ("file", DA2), "--points", ("file", points(rng, n, 2))], 60),
+    "reconstruct points": (lambda rng, n: ["reconstruct", ("file", SERIES), "--points",
+                                           ("file", points(rng, n, 1))], 40),
+    "partition sampled": (lambda rng, n: ["partition", ("file", sampled(rng, n))], 60),
+    "blaschke radii": (lambda rng, n: ["blaschke", ("file", {"type": "finite_list",
+                                                             "radii": rng.uniform(0, 1, n).tolist()})], 300),
+    "closure points": (lambda rng, n: ["closure", "--points", ("file", points(rng, n, 2)), "--z", Z2,
+                                       "--degree", 12], 40),
+    "closure degree": (lambda rng, n: ["closure", "--points", ("file", POINTS2), "--z", Z2,
+                                       "--degree", n], 150),
+    "balance degree": (lambda rng, n: ["fock", "balance", "--z", [[0.5, 0.0], 0.25], "--degree", n], 150),
+    "defect degree": (lambda rng, n: [*DEFECT, "--degree", n], 89),
+    "powers degree": (lambda rng, n: [*DEFECT, "--span", "powers", "--degree", n], 89),
+    "powers count": (lambda rng, n: [*DEFECT, "--span", "powers", "--count", n, "--degree", 89], 45),
+    "kernel points": (lambda rng, n: [*DEFECT, "--span", "kernel", "--points", ("file", points(rng, n, 2)),
+                                      "--degree", 20], 60),
+    "kernel degree": (lambda rng, n: [*DEFECT, "--span", "kernel", "--points", ("file", POINTS2),
+                                      "--degree", n], 89),
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+@seeded_by(8)
+def test_no_resized_input_exits_three(name, seed):
+    # the size is none, one, two, the largest, or any between
+    rng = np.random.default_rng(seed)
+    build, largest = SIZED[name]
+    n = int([0, 1, 2, largest, rng.integers(3, largest + 1)][rng.integers(5)])
+    check(build(rng, n))

@@ -3,7 +3,8 @@
 A coefficient list of plain floats is validated as one float64 array, a nested
 list of [re, im] pairs of plain floats is read level by level as one array,
 and a command's arguments are parsed by its own leaf parser. Each is compared
-with a per-entry reference written out here (the earlier readers), on random
+with a per-entry reference written out here (the earlier readers, with the rule
+for a real number from outside as it is specified), on random
 inputs into which one bad entry is injected: both must accept the same values,
 bit for bit, or refuse with the same InputError message. The leaf parser must
 give the parser tree's stdout, stderr and exit code, on valid argument vectors,
@@ -18,7 +19,7 @@ import math
 import struct
 import sys
 from fractions import Fraction
-from numbers import Real
+from numbers import Rational, Real
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from test_cli_shell import PARSED_DEFAULTS
 from rkhslab import cli
 from rkhslab.cnp import ratio_report
 from rkhslab.errors import InputError
-from rkhslab.kernels import PointSet, PowerSeriesKernel, validated_coeffs
-from rkhslab.linalg import HermitianMatrix
+from rkhslab.kernels import PointSet, validated_coeffs
+from rkhslab.linalg import DEFAULT_TOL, HermitianMatrix
 
 
 def outcome(read, *args):
@@ -49,46 +50,50 @@ def exact(values) -> list:
 # coefficient lists
 
 
+def reference_rule(x, what):
+    """The rule for a real number from outside (linalg.real_number) as it is
+    specified, with its range test on an exact number against a float."""
+    if isinstance(x, (bool, np.bool_)):
+        raise InputError(f"{what}: expected a number, got a boolean")
+    if not isinstance(x, Real):
+        raise InputError(f"{what}: expected a number, got {x!r:.60}")
+    if isinstance(x, Rational) and abs(Fraction(x)) > sys.float_info.max:
+        raise InputError(f"{what}: number beyond the float range")
+    return x
+
+
 def reference_coeffs(coeffs) -> tuple:
     """The per-entry coefficient validator, entry by entry in index order."""
     coeffs = tuple(coeffs)
     if not coeffs:
         raise InputError("coefficient list must be non-empty")
     for i, c in enumerate(coeffs):
-        if not isinstance(c, (Real, Fraction)) or isinstance(c, bool):
-            raise InputError(f"coefficient {i} is not a real number")
+        reference_rule(c, f"coefficient {i}")
         if not c > 0:
             raise InputError(f"coefficient {i} must be positive, got {c}")
         if isinstance(c, np.floating):
             c = float(c)
         if not c <= sys.float_info.max:
-            got = c if isinstance(c, float) else "a number beyond the float range"
-            raise InputError(f"coefficient {i} must be finite, got {got}")
+            raise InputError(f"coefficient {i} must be finite, got {c}")
     if coeffs[0] != 1:
         raise InputError("a_0 must equal 1")
     return coeffs
 
 
-def reference_number(x, what):
-    """The per-entry JSON number reader, with its range test on a Fraction against a
-    float."""
-    if isinstance(x, bool):
-        raise InputError(f"{what}: expected a number, got a boolean")
+def reference_rational(x, what):
+    """The JSON rational reader: {"num": "...", "den": "..."} as a Fraction."""
     if isinstance(x, dict) and set(x) == {"num", "den"}:
         try:
-            x = Fraction(int(str(x["num"])), int(str(x["den"])))
+            return Fraction(int(str(x["num"])), int(str(x["den"])))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"{what}: bad rational {x!r} ({e})") from None
-    elif not isinstance(x, (int, float)):
-        raise InputError(f"{what}: expected a number, got {x!r:.60}")
-    if not isinstance(x, float) and abs(x) > sys.float_info.max:
-        raise InputError(f"{what}: number beyond the float range")
     return x
 
 
 def reference_series(obj):
-    coeffs = obj["coeffs"]
-    return reference_coeffs([reference_number(c, "kernel.coeffs") for c in coeffs])
+    """A kernel file's coefficients: the rationals read in the CLI, every entry
+    checked once, by the coefficient validator."""
+    return reference_coeffs([reference_rational(c, "kernel.coeffs") for c in obj["coeffs"]])
 
 
 # one bad or unusual entry each; the library takes Python objects, the CLI JSON values
@@ -186,7 +191,7 @@ def test_kernel_files_read_as_the_per_entry_reader_reads_them(seed):
     for _ in range(int(rng.integers(0, 3))):
         coeffs[int(rng.integers(len(coeffs)))] = JSON_ENTRIES[names[rng.integers(len(names))]]
     obj = json.loads(json.dumps({"type": "power_series", "coeffs": coeffs}))
-    got = outcome(cli._parse_kernel_obj, obj, "kernel", None)
+    got = outcome(cli._parse_kernel_obj, obj, "kernel", DEFAULT_TOL)
     want = outcome(reference_series, obj)
     if isinstance(want, str):
         assert got == want
@@ -204,17 +209,25 @@ def test_kernel_files_read_as_the_per_entry_reader_reads_them(seed):
     assert got.evaluate(z[0], z[1]) == acc
 
 
-def test_ratio_check_refuses_in_the_order_it_did():
-    # a short, invalid list: the kernel's refusal comes first in the CLI, the length
-    # first in the library
-    bad = {"type": "power_series", "coeffs": [1.0, -1.0]}
-    assert outcome(cli._parse_kernel_obj, bad, "kernel", None) == (
-        "InputError: coefficient 1 must be positive, got -1.0"
-    )
-    assert outcome(ratio_report, [1.0, -1.0]) == "InputError: need at least 3 coefficients"
-    kernel = PowerSeriesKernel([1.0, 0.5])
-    assert outcome(ratio_report, kernel) == "InputError: need at least 3 coefficients"
-    assert ratio_report(PowerSeriesKernel([1, 2, 5, 8])) == ratio_report([1, 2, 5, 8])
+def test_ratio_check_refuses_in_the_order_it_did(tmp_path, monkeypatch, capsys):
+    # a short, invalid list: the entries are validated before the length is checked,
+    # in the library as in the CLI, which reads the list and forms no kernel
+    assert outcome(ratio_report, [1.0, -1.0]) == "InputError: coefficient 1 must be positive, got -1.0"
+    assert outcome(ratio_report, [1.0, 0.5]) == "InputError: need at least 3 coefficients"
+
+    def no_kernel(*args):
+        raise AssertionError("ratio-check formed a kernel")
+
+    monkeypatch.setattr(cli, "PowerSeriesKernel", no_kernel)
+    for coeffs, message in [([1.0, -1.0], "coefficient 1 must be positive, got -1.0"),
+                            ([1, {"num": "1", "den": "2"}], "need at least 3 coefficients")]:
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"type": "power_series", "coeffs": coeffs}))
+        assert cli.main(["ratio-check", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["results"]["error"]["message"] == message
+    path.write_text(json.dumps({"type": "power_series", "coeffs": [1, 2, {"num": "5", "den": "1"}, 8]}))
+    assert cli.main(["ratio-check", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["first_violation"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ in_closure under a unitary rotation of the set and the point together, and
 the closure-step verdicts under rescaling of the operator and of the vector.
 Disk and ball automorphisms, which change a Szego, Bergman or Drury-Arveson
 Gram matrix only by a positive diagonal congruence, keep the CNP status, the
-embedding rank, classify's verdict, level-1 Pick feasibility and the Pick
-minimal norm.
+embedding rank and the Gram of the embedded points, classify's verdict,
+level-1 Pick feasibility and the Pick minimal norm.
 Sampled Grams (Pick included), power-series coefficients, Pick targets with
 the norm level, and Fock multipliers are also scaled by 2^k over the whole
 float range: that scaling is exact, so no verdict may change at all. Random
@@ -418,6 +418,28 @@ class TestAutomorphismInvariance:
             base = int(rng.integers(len(pts)))
             for check in (cnp_status, embed_rank):
                 assert outcome(check, h, base) == outcome(check, g, base), (check.__name__, pts, a)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @seeded_by(50)
+    def test_embedded_points_keep_their_gram(self, d, seed):
+        # normalize divides out the diagonal congruence exactly, so F = 1 - 1/K~, and
+        # with it the Gram <b_i, b_j> of the embedded points, is the same for both
+        # samples. Each Gram is within its factor's residual of its computed F. Each
+        # computed F_ij is within 32 (d + 2) eps of the exact one: 1/K~_ij is a product
+        # and quotient of four factors 1 - <z, w>, each within (d / (1 - 0.85^2) + 1) eps
+        # < (3.7 d + 1) eps relative for points of radius below 0.85, with a few more
+        # roundings and those of phi_a itself, and |1/K~_ij| = |1 - F_ij| < 2. Over 2000
+        # random draws the Grams differed by at most 13 eps.
+        rng = np.random.default_rng(seed)
+        kernel = DruryArvesonKernel(d)
+        for _ in range(4):
+            pts = random_ball_points(rng, int(rng.integers(3, 10)), d, 0.6)
+            moved = ball_automorphism(random_ball_points(rng, 1, d, 0.5)[0], pts)
+            base = int(rng.integers(len(pts)))
+            got, want = (agler_mccarthy_embed(kernel.gram(PointSet(d, x)), base, TOL) for x in (moved, pts))
+            bound = got.residual + want.residual + 64 * (d + 2) * np.finfo(float).eps
+            drift = np.abs(got.b_points @ got.b_points.conj().T - want.b_points @ want.b_points.conj().T)
+            assert got.rank == want.rank and drift.max() <= bound, (pts, moved, base)
 
     @seeded_by(50)
     def test_pick_at_level_one(self, seed):
