@@ -56,7 +56,7 @@ from .kernels import (
     irreducible_partition,
     unit_diagonal,
 )
-from .linalg import DEFAULT_TOL, real_number, threshold
+from .linalg import DEFAULT_TOL, real_number, threshold, whole_number
 from .pick import PickProblem, minimal_interpolation_norm, pick_feasible
 from .reconstruct import classify
 
@@ -71,13 +71,6 @@ def _parse_list(x, what: str, length: int | None = None, shape: str = "an array"
     """x itself when it is a JSON array, of the given length if one is given."""
     if not isinstance(x, list) or length is not None and len(x) != length:
         raise InputError(f"{what}: expected {shape}, got {x!r:.60}")
-    return x
-
-
-def _parse_int(x, what: str, least: int) -> int:
-    """A JSON integer of at least `least`; booleans and floats are refused."""
-    if isinstance(x, bool) or not isinstance(x, int) or x < least:
-        raise InputError(f"{what}: expected an integer >= {least}, got {x!r:.60}")
     return x
 
 
@@ -180,7 +173,7 @@ def _object(x, what: str, required: tuple, optional=()) -> dict:
 
 def _parse_points_obj(obj, what: str) -> PointSet:
     _object(obj, what, ("dim", "points"))
-    dim = _parse_int(obj["dim"], f"{what}.dim", 1)
+    dim = whole_number(obj["dim"], f"{what}.dim", 1)
     pts = _parse_list(obj["points"], f"{what}.points")
     return PointSet(dim, _complex_array(pts, (len(pts), dim), what))
 
@@ -200,7 +193,7 @@ def _parse_kernel_obj(obj, what: str, tol: float) -> KernelSpec:
         return PowerSeriesKernel(_parse_coeffs(obj, what))
     if kind == "drury_arveson":
         _object(obj, what, ("type", "dim"))
-        return DruryArvesonKernel(_parse_int(obj["dim"], f"{what}.dim", 1))
+        return DruryArvesonKernel(whole_number(obj["dim"], f"{what}.dim", 1))
     if kind == "sampled":
         _object(obj, what, ("type", "labels", "gram"))
         labels = _parse_list(obj["labels"], f"{what}.labels")
@@ -234,12 +227,12 @@ def _parse_family_obj(obj, what: str) -> BlaschkeFamily:
 
 def _parse_poly_obj(obj, what: str) -> fock.Polynomial:
     _object(obj, what, ("dim", "terms"))
-    dim = _parse_int(obj["dim"], f"{what}.dim", 1)
+    dim = whole_number(obj["dim"], f"{what}.dim", 1)
     parts: dict = {}  # exponent -> (re, im), the parts of repeated terms summed
     for t in _parse_list(obj["terms"], f"{what}.terms"):
         _object(t, f"{what}.terms", ("exp", "coeff"))
         exp = _parse_list(t["exp"], f"{what}.exp", dim, f"{dim} exponents")
-        key = tuple(_parse_int(e, f"{what}.exp", 0) for e in exp)
+        key = tuple(whole_number(e, f"{what}.exp", 0) for e in exp)
         re, im = _parse_parts(t["coeff"], f"{what}.coeff")
         parts[key] = (parts[key][0] + re, parts[key][1] + im) if key in parts else (re, im)
     return fock.Polynomial(dim, {key: _complex_value(*c) for key, c in parts.items()})

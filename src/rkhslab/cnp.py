@@ -122,7 +122,7 @@ def agler_mccarthy_embed(
         )
     rows.setflags(write=False)
     return EmbeddingResult(
-        rank=rank, b_points=rows, base_index=base, residual=residual, delta=ng.delta
+        rank=rank, b_points=rows, base_index=int(base), residual=residual, delta=ng.delta
     )
 
 

@@ -41,8 +41,9 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from .errors import DomainError, InputError, WindowOverflowError
-from .kernels import PointSet
-from .linalg import DEFAULT_TOL, Subspace, connected_components, min_eigenvalue, real_number, threshold
+from .kernels import PointSet, _as_point
+from .linalg import DEFAULT_TOL, Subspace, complex_array, complex_number, connected_components, min_eigenvalue
+from .linalg import real_number, threshold, whole_number
 
 
 class QQi:
@@ -71,36 +72,29 @@ def _gaussian(x) -> tuple:
 
 
 def _coerce_coeff(x, what: str) -> complex:
-    """A finite complex from a complex, or from a real number or QQi read by real_number."""
-    if not isinstance(x, (complex, np.complexfloating)):  # the parts of a complex are floats
-        x = (complex(float(real_number(x.re, what)), float(real_number(x.im, what))) if isinstance(x, QQi)
-             else float(real_number(x, what)))
-    c = complex(x)
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        raise InputError("coefficients must be finite")
-    return c
+    """A finite complex: a QQi part by part by real_number, any other value by complex_number."""
+    if isinstance(x, QQi):
+        x = complex(float(real_number(x.re, what)), float(real_number(x.im, what)))
+    return complex_number(x, what)
 
 
 class Polynomial:
     """A multiplier: complex coefficients on multi-indices, zeros not stored.
 
-    Any complex, QQi or real number (linalg.real_number) is a coefficient,
-    kept as a finite complex. Products, powers and inner products run on the
+    Any complex, QQi or real number (linalg.real_number) is a coefficient, kept as a finite
+    complex; exponents are whole_numbers. Products, powers and inner products run on the
     shift tables of the smallest window that holds their result.
     """
 
     __slots__ = ("dim", "coeffs")
 
     def __init__(self, dim: int, coeffs: Union[Mapping, Iterable[tuple]] = ()):
-        if not isinstance(dim, int) or dim < 1:
-            raise InputError("dim must be a positive integer")
+        dim = whole_number(dim, "dim", 1)
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict = {}
         for alpha, c in items:
-            if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in alpha):
-                raise InputError(f"exponents must be integers, got {alpha!r:.60}")
-            key = tuple(int(e) for e in alpha)
-            if len(key) != dim or any(e < 0 for e in key):
+            key = tuple(whole_number(e, "exponent", 0) for e in alpha)
+            if len(key) != dim:
                 raise InputError(f"bad multi-index {alpha} for dim {dim}")
             cc = _coerce_coeff(c, "coefficient")
             clean[key] = clean[key] + cc if key in clean else cc
@@ -158,8 +152,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise InputError("exponent must be a non-negative integer")
+        n = whole_number(n, "exponent", 0)
         space = TruncatedSpace(self.dim, n * max(self.degree, 0))
         u = np.zeros(len(space), dtype=np.complex128)
         u[0] = 1.0  # the constant 1, of norm 1
@@ -196,9 +189,7 @@ def mult_adjoint_apply(phi: Polynomial, f: Polynomial, degree: int) -> Polynomia
     the complete adjoint image. f must fit the window; the engine raises
     rather than truncate.
     """
-    if degree < 0:
-        raise InputError("degree must be non-negative")
-    if f.degree > degree:
+    if f.degree > whole_number(degree, "degree", 0):
         raise WindowOverflowError(
             f"input of degree {f.degree} does not fit the degree-{degree} window"
         )
@@ -209,8 +200,6 @@ def mult_adjoint_apply(phi: Polynomial, f: Polynomial, degree: int) -> Polynomia
 def _coordinates(z) -> tuple:
     """z as a complex array, and as (re, im) Fraction pairs when every coordinate
     is exact (a Rational or a QQi), else None."""
-    if isinstance(z, PointSet):
-        raise InputError("expected a single point, not a point set")
     entries = list(z) if isinstance(z, (list, tuple)) else list(np.atleast_1d(z))
     if not entries:
         raise InputError("point must have at least one coordinate")
@@ -260,10 +249,7 @@ class TruncatedSpace:
     __slots__ = ("dim", "degree", "exponents", "_choose", "_sqrt_norms", "_shifts")
 
     def __init__(self, dim: int, degree: int):
-        if not isinstance(dim, int) or dim < 1:
-            raise InputError("dim must be a positive integer")
-        if not isinstance(degree, int) or degree < 0:
-            raise InputError("degree must be a non-negative integer")
+        dim, degree = whole_number(dim, "dim", 1), whole_number(degree, "degree", 0)
         q, rem = divmod(degree, dim)  # M = |alpha|!/alpha! is largest for the most even alpha
         biggest, rest = 1, degree
         for j in range(dim - 1):  # rem parts q + 1, then parts q; the last part is rest
@@ -355,14 +341,14 @@ class TruncatedSpace:
         Entry alpha is conj(z)^alpha / ||z^alpha||; the squared norm of the
         vector is sum_{n <= degree} ||z||^(2n). Its degree-n block holds the
         coordinates of <., z>^n. A stack of points, shape (m, dim), gives
-        one column per point.
+        one column per point. z is read by linalg.complex_array.
         """
-        zv = np.asarray(z, dtype=np.complex128)
+        zv = complex_array(z, "point")
         pts = zv if zv.ndim == 2 else np.atleast_1d(zv)[None, :]
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InputError(f"point must have {self.dim} coordinates")
         with np.errstate(over="ignore"):  # a norm past the float range is inf, and refused
-            inside = np.all(np.linalg.norm(pts, axis=1) < 1.0)  # a NaN coordinate fails too
+            inside = np.all(np.linalg.norm(pts, axis=1) < 1.0)
         if not inside:
             raise DomainError("point must lie inside the open unit ball")
         # conj(z_j)^e for each coordinate j and e <= degree, each power once; at picks alpha_j
@@ -483,9 +469,9 @@ class FockSubspace(Subspace):
     __slots__ = ("space",)
 
     def __init__(self, space: TruncatedSpace, basis):
-        if np.ndim(basis) != 2 or np.shape(basis)[0] != len(space):
-            raise InputError("basis shape does not match the space")
         super().__init__(basis)
+        if self.ambient_dim != len(space):
+            raise InputError("basis shape does not match the space")
         self.space = space
 
     def polynomials(self) -> list:
@@ -512,8 +498,7 @@ def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubsp
     shift-table product of psi with the one before, so the rank rule sees no
     scale of phi. All must fit the window, and count <= degree // max(deg phi, 1).
     Powers past _ARRAY_BYTES are refused with WindowOverflowError before they are formed."""
-    if not isinstance(count, int) or count < 0:
-        raise InputError("count must be a non-negative integer")
+    count = whole_number(count, "count", 0)
     if count * max(phi.degree, 1) > space.degree:
         raise WindowOverflowError(f"count {count}: more powers than degree {space.degree} holds")
     psi = _normalized(truncated(phi, space.degree))[0]  # phi itself unless count is 0
@@ -545,9 +530,7 @@ def vanishing_subspace(points: PointSet, degree: int) -> VanishingSubspaces:
     Kernel vectors past _ARRAY_BYTES are refused with WindowOverflowError before
     they are formed.
     """
-    if degree < 1:  # every kernel function of the degree-0 window is the constant 1
-        raise InputError("degree must be at least 1")
-    space = TruncatedSpace(points.dim, degree)
+    space = TruncatedSpace(points.dim, whole_number(degree, "degree", 1))  # at degree 0 each is 1
     if len(points) > len(space):
         m = len(space)
         raise InputError(f"{len(points)} points exceed the {m} basis monomials of the window")
@@ -568,6 +551,7 @@ def in_closure(z, points: PointSet, degree: int, tol: float = DEFAULT_TOL) -> Cl
     truncated kernel vector at z from the span; member means
     residual <= threshold(tol, 1), the residual being relative already.
     """
+    z = _as_point(z, points.dim)  # one point, not a stack
     cut = threshold(tol, 1.0)
     spaces = vanishing_subspace(points, degree)
     u = spaces.complement.space.kernel_vector(z)
@@ -845,8 +829,7 @@ def tail_balance(z, degree: int) -> TailBalance:
     step, zv, nz, exact = _pairing_setup(z)
     if nz == 0.0:
         raise InputError("z must be nonzero; the tail vanishes at z = 0")
-    if degree < 1:
-        raise InputError("degree must be at least 1")
+    degree = whole_number(degree, "degree", 1)
     if not nz < 1.0:
         raise DomainError(f"||z||^2 = {nz:.6f} is not below 1")
     if exact is not None:
@@ -870,12 +853,11 @@ def pairing_power_norms(z, n: int, degree: int) -> PairingPowerNorms:
     Finite computations with no truncation error, through the shift tables
     in floating point: the power fits the window whenever n <= degree.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InputError("n must be an integer >= 2")
+    n = whole_number(n, "n", 2)
     step, zv, nz, _ = _pairing_setup(z)
     if not 0.0 < nz < 1.0:
         raise DomainError("need 0 < ||z|| < 1")
-    if n > degree:
+    if n > whole_number(degree, "degree", 0):
         raise WindowOverflowError(f"power {n} does not fit the degree-{degree} window")
     adj, fwd, _ = _band_norms_sq(step, zv, n - 1, n - 1)
     return PairingPowerNorms(adjoint_norm=math.sqrt(adj), forward_norm=math.sqrt(fwd))

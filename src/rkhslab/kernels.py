@@ -16,40 +16,35 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InputError, IrreducibilityError
-from .linalg import DEFAULT_TOL, HermitianMatrix, connected_components, gram_scale, psd_check
-from .linalg import real_number, threshold
+from .linalg import DEFAULT_TOL, HermitianMatrix, complex_array, connected_components, gram_scale, psd_check
+from .linalg import real_number, threshold, whole_number
 
 
 def _as_point(p, dim: int) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(p, dtype=np.complex128))
+    v = np.atleast_1d(complex_array(p, "point"))
     if v.ndim != 1 or v.shape[0] != dim:
         raise InputError(f"expected a point with {dim} coordinates, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InputError("point contains non-finite coordinates")
     return v
 
 
 class PointSet:
     """Finite set of points in the open unit ball of C^dim.
 
-    Points are pairwise distinct (exact comparison; inputs are user data,
-    not computed) and each has Euclidean norm strictly below 1.
+    dim and the (n, dim) points are read by whole_number and complex_array. Points are pairwise
+    distinct (exact comparison on user data) and each has Euclidean norm strictly below 1.
     """
 
     __slots__ = ("_dim", "_points")
 
     def __init__(self, dim: int, points):
-        if dim < 1:
-            raise InputError("dim must be at least 1")
-        pts = np.asarray(points, dtype=np.complex128)
+        dim = whole_number(dim, "dim", 1)
+        pts = complex_array(points, "points")
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[1] != dim:
             raise InputError(f"points must form an (n, {dim}) array, got shape {pts.shape}")
         if pts.shape[0] == 0:
             raise InputError("point set must be non-empty")
-        if not np.all(np.isfinite(pts)):
-            raise InputError("points contain non-finite coordinates")
         with np.errstate(over="ignore"):  # a norm past the float range is inf, and refused
             norms = np.linalg.norm(pts, axis=1)
         if np.any(norms >= 1.0):
@@ -190,9 +185,7 @@ class DruryArvesonKernel:
     """K(z, w) = 1 / (1 - <z, w>) on the open unit ball of C^dim."""
 
     def __init__(self, dim: int):
-        if not isinstance(dim, int) or dim < 1:
-            raise InputError("dim must be a positive integer")
-        self.dim = dim
+        self.dim = whole_number(dim, "dim", 1)
 
     def evaluate(self, z, w) -> complex:
         zv = _as_point(z, self.dim)
@@ -283,9 +276,8 @@ def normalize(g: HermitianMatrix, base: int) -> NormalizedGram:
     Requires a strictly positive base diagonal entry and a nowhere-zero base
     column (the sample-level irreducibility needed for the rescaling).
     """
-    n = g.n
-    if not 0 <= base < n:
-        raise InputError(f"base index {base} out of range for n={n}")
+    if not whole_number(base, "base index", 0) < g.n:
+        raise InputError(f"base index {base} out of range for n={g.n}")
     gbb = g[base, base].real
     if not gbb > 0:
         raise InputError(f"G[base][base] must be positive, got {gbb}")

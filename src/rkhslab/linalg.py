@@ -1,9 +1,12 @@
-"""Dense Hermitian numerics.
+"""Dense Hermitian numerics, and the rules for data from outside.
 
 Everything downstream (Gram matrices, Pick matrices, feature factorizations)
 reduces to a handful of primitives on small dense Hermitian matrices. They
 live here, together with the subspace membership check used to exercise the
 closure argument for hyponormal compressions on finite-dimensional models.
+
+Each value from outside is read by one rule (real_number, complex_number, complex_array or
+whole_number) that refuses it with InputError naming the field; callers add shape and range.
 
 All operations are pure functions on immutable values and are safe to call
 concurrently.
@@ -11,6 +14,7 @@ concurrently.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from numbers import Rational, Real
 from typing import NamedTuple
@@ -25,14 +29,12 @@ _ORTHONORMAL_TOL = 1e-12
 
 
 def _square(entries, name: str = "matrix") -> np.ndarray:
-    """entries as a non-empty, finite, square complex matrix."""
-    a = np.asarray(entries, dtype=np.complex128)
+    """entries as a non-empty, square complex_array."""
+    a = complex_array(entries, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{name} must be square, got shape {a.shape}")
     if a.size == 0:
         raise InputError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} contains non-finite entries")
     return a
 
 
@@ -91,20 +93,18 @@ class Subspace:
     """Column span with an orthonormal basis, stored read-only.
 
     basis has shape (ambient_dim, k) with columns orthonormal to 1e-12;
-    k may be zero (the trivial subspace).
+    k may be zero (the trivial subspace). It is read by complex_array.
     """
 
     __slots__ = ("_basis",)
 
     def __init__(self, basis):
-        b = np.asarray(basis, dtype=np.complex128)
+        b = complex_array(basis, "subspace basis")
         if b.ndim != 2:
             raise InputError("subspace basis must be a 2-d array of columns")
         n, k = b.shape
         if k > n:
             raise InputError("more basis columns than ambient dimensions")
-        if not np.all(np.isfinite(b)):
-            raise InputError("subspace basis contains non-finite entries")
         if k:
             g = b.conj().T @ b
             defect = np.max(np.abs(g - np.eye(k)))
@@ -154,6 +154,38 @@ def real_number(x, what: str):
     if isinstance(x, Rational) and abs(int(x.numerator)) > _FLOAT_MAX * int(x.denominator):
         raise InputError(f"{what}: number beyond the float range")
     return x
+
+
+def complex_number(x, what: str) -> complex:
+    """x as a finite complex, else InputError naming what; a non-complex goes through real_number."""
+    c = complex(x if isinstance(x, (complex, np.complexfloating)) else real_number(x, what))
+    if not cmath.isfinite(c):
+        raise InputError(f"{what}: expected a finite number, got {c!r}")
+    return c
+
+
+def complex_array(x, what: str) -> np.ndarray:
+    """x as a complex128 array of finite entries, else InputError naming what. A numeric
+    ndarray converts in one call (a complex128 one is not copied); anything else, nested lists,
+    bool, str or object arrays, goes entry by entry through complex_number, so a ragged row,
+    which numpy keeps as a list, is refused. The shape is the caller's to check."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iufc":
+        a = np.asarray(x, dtype=np.complex128)
+        if not np.isfinite(a).all():
+            complex_number(a[~np.isfinite(a)][0], what)  # refuses it
+        return a
+    try:
+        entries = np.asarray(x, dtype=object)
+    except ValueError:  # ndarrays of unequal shapes in one list: each is an entry
+        entries = np.fromiter(x, dtype=object)
+    return np.array([complex_number(e, what) for e in entries.flat], np.complex128).reshape(entries.shape)
+
+
+def whole_number(x, what: str, least: int) -> int:
+    """x as an int if it is an int or numpy integer, no boolean, >= least; else InputError."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
+        raise InputError(f"{what}: expected an integer >= {least}, got {x!r:.60}")
+    return int(x)
 
 
 def threshold(tol: float, scale: float) -> float:
@@ -290,11 +322,9 @@ def verify_hyponormal_closure(
     Raises PreconditionError when f is farther than tol ||f|| from M.
     """
     a = _square(t, "operator")
-    v = np.asarray(f, dtype=np.complex128)
+    v = complex_array(f, "vector")
     if v.ndim != 1 or v.shape[0] != a.shape[0]:
         raise InputError("vector shape does not match the operator")
-    if not np.all(np.isfinite(v)):
-        raise InputError("vector contains non-finite entries")
     if subspace.ambient_dim != a.shape[0]:
         raise InputError("subspace ambient dimension does not match the operator")
 

@@ -16,9 +16,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .kernels import KernelSpec, PointSet
+from .kernels import KernelSpec, PointSet, SampledGramKernel
 from .linalg import DEFAULT_TOL, HermitianMatrix, PsdVerdict, gram_scale, min_eigenvalue, psd_check
-from .linalg import real_number, threshold
+from .linalg import complex_array, real_number, threshold
 
 Nodes = Union[PointSet, Sequence[str]]
 
@@ -27,8 +27,8 @@ Nodes = Union[PointSet, Sequence[str]]
 class PickProblem:
     """Interpolation data: nodes z_i in the kernel's domain, targets w_i.
 
-    Nodes are a PointSet for analytic kernels or a label sequence for a
-    sampled kernel. Scalar targets only.
+    Nodes are a PointSet of the kernel's dim for an analytic kernel or distinct labels for a
+    sampled kernel, refused here otherwise. Scalar targets only, read by complex_array.
     """
 
     kernel: KernelSpec
@@ -36,15 +36,18 @@ class PickProblem:
     targets: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.targets, dtype=np.complex128))
+        w = np.atleast_1d(complex_array(self.targets, "targets"))
         if w.ndim != 1:
             raise InputError("targets must be a flat list of scalars")
-        if not np.all(np.isfinite(w)):
-            raise InputError("targets contain non-finite values")
+        sampled = isinstance(self.kernel, SampledGramKernel)
+        if sampled == isinstance(self.nodes, PointSet):
+            raise InputError("nodes must be labels for a sampled kernel and a PointSet for an analytic one")
+        if not sampled and self.nodes.dim != self.kernel.dim:
+            raise InputError(f"nodes have dim {self.nodes.dim}, kernel has dim {self.kernel.dim}")
         n = len(self.nodes)
         if n < 1 or w.shape[0] != n:
             raise InputError(f"{n} nodes but {w.shape[0]} targets")
-        if not isinstance(self.nodes, PointSet):
+        if sampled:
             labels = tuple(self.nodes)
             if len(set(labels)) != len(labels):
                 raise InputError("nodes must be pairwise distinct")

@@ -31,7 +31,7 @@ from .errors import (
     NotCnpError,
 )
 from .kernels import check_irreducible_sample, first_coincident_pair, normalize, unit_diagonal
-from .linalg import DEFAULT_TOL, HermitianMatrix
+from .linalg import DEFAULT_TOL, HermitianMatrix, complex_array, complex_number, whole_number
 
 SINGLETON = "singleton"
 HARDY_EQUIVALENT = "hardy_equivalent"
@@ -68,10 +68,10 @@ def verify_factorization(g: HermitianMatrix, delta, j_values) -> float:
     """Largest relative defect of K = delta conj(delta) / (1 - j conj(j)).
 
     Entrywise maximum of |G[i][j] - delta_i conj(delta_j)/(1 - j_i conj(j_j))|
-    normalized by max |G|.
+    normalized by max |G|, delta and j read by linalg.complex_array.
     """
-    d = np.asarray(delta, dtype=np.complex128)
-    j = np.asarray(j_values, dtype=np.complex128)
+    d = complex_array(delta, "delta")
+    j = complex_array(j_values, "j values")
     if d.shape != (g.n,) or j.shape != (g.n,):
         raise InputError("delta and j must have one entry per sample point")
     if np.any(np.abs(j) >= 1.0):
@@ -163,14 +163,13 @@ def j_from_formula(g: HermitianMatrix, base: int, mu: int, j_mu: complex) -> np.
 
     The base index comes out zero by normalization. Agreement of the result
     across reference indices, and with the embedding-derived j, is how the
-    formula is validated.
+    formula is validated. Indices are read by whole_number, j_mu by complex_number.
     """
-    n = g.n
-    if not 0 <= mu < n:
-        raise InputError(f"mu index {mu} out of range for n={n}")
-    if mu == base:
+    if not whole_number(mu, "mu index", 0) < g.n:
+        raise InputError(f"mu index {mu} out of range for n={g.n}")
+    if mu == whole_number(base, "base index", 0):
         raise InputError("mu must differ from the base index")
-    j_mu = complex(j_mu)
+    j_mu = complex_number(j_mu, "j_mu")
     if j_mu == 0:
         raise InputError("j_mu must be nonzero")
     delta = normalize(g, base).delta

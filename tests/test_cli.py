@@ -331,11 +331,12 @@ class TestErrorPaths:
         assert code == 2
         assert "not valid JSON" in report["results"]["error"]["message"]
 
-    @pytest.mark.parametrize("z", ["[[NaN,0],[0,0]]", "[[0,NaN],[0,0]]"])
-    def test_closure_refuses_a_nan_point(self, z, corpus, capsys):
+    @pytest.mark.parametrize("z, entry", [("[[NaN,0],[0,0]]", "(nan+0j)"), ("[[0,NaN],[0,0]]", "nanj")])
+    def test_closure_refuses_a_nan_point(self, z, entry, corpus, capsys):
         argv = ["closure", "--points", corpus / "pts2.json", "--z", z]
         code, report, _ = run(capsys, argv)
-        assert code == 2 and report["results"]["error"]["type"] == "DomainError"
+        assert code == 2 and report["results"]["error"] == {
+            "type": "InputError", "message": f"point: expected a finite number, got {entry}"}
 
     # abs(z_i) ** 2, or abs(z_i) itself, passes the float range
     @pytest.mark.parametrize(
@@ -427,7 +428,7 @@ class TestErrorPaths:
         argv = ["closure", "--points", points, "--z", "[[0.9,0],[0,0.3]]", "--degree"]
         code, report, _ = run(capsys, argv + ["0"])
         assert code == 2 and report["results"]["error"]["type"] == "InputError"
-        assert "degree must be at least 1" in report["results"]["error"]["message"]
+        assert report["results"]["error"]["message"] == "degree: expected an integer >= 1, got 0"
         code, report, _ = run(capsys, argv + ["1"])
         assert code == 1 and report["results"]["member"] is False
 

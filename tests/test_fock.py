@@ -395,7 +395,7 @@ class TestFockSubspaceSpan:
     def test_powers_span_refuses_a_bad_count(self, count):
         # before any array is formed: -1 and -3 used to reach numpy as column counts
         z1 = Polynomial(2, {(1, 0): 1})
-        with pytest.raises(InputError, match="count must be a non-negative integer"):
+        with pytest.raises(InputError, match=f"^count: expected an integer >= 0, got {count!r}$"):
             powers_span(TruncatedSpace(2, 4), z1, count)
 
 
@@ -413,17 +413,20 @@ class TestInClosure:
 
     @pytest.mark.parametrize("coordinate", [float("nan"), complex(0.0, float("nan"))])
     def test_rejects_a_nan_point(self, coordinate):
-        # a NaN norm fails every comparison, so a test for norm >= 1 lets it by
-        with pytest.raises(DomainError):
+        # a NaN norm fails every comparison, so a test for norm >= 1 would let it by; the
+        # array rule refuses it first
+        with pytest.raises(InputError) as refusal:
             in_closure(np.array([coordinate, 0.0]), PointSet(2, [[0.0, 0.0]]), 4)
+        assert type(refusal.value) is InputError
+        assert str(refusal.value) == f"point: expected a finite number, got {complex(coordinate)!r}"
 
     def test_rejects_the_degree_zero_window(self):
         # its only kernel function is the constant 1, so every z would be a member
         pts = PointSet(2, [[0.0, 0.0]])
         for degree in (0, -1):
-            with pytest.raises(InputError, match="degree must be at least 1"):
+            with pytest.raises(InputError, match=f"^degree: expected an integer >= 1, got {degree}$"):
                 in_closure(np.array([0.9, 0.3j]), pts, degree)
-            with pytest.raises(InputError, match="degree must be at least 1"):
+            with pytest.raises(InputError, match=f"^degree: expected an integer >= 1, got {degree}$"):
                 vanishing_subspace(pts, degree)
         assert not in_closure(np.array([0.9, 0.3j]), pts, 1).member
 

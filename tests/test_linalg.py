@@ -37,7 +37,7 @@ class TestHermitianMatrix:
             ([[1.0, 2.0]], r"matrix must be square, got shape \(1, 2\)"),
             ([1.0, 2.0], r"matrix must be square, got shape \(2,\)"),
             (np.zeros((0, 0)), "matrix must be non-empty"),
-            ([[np.inf]], "matrix contains non-finite entries"),
+            ([[np.inf]], r"^matrix: expected a finite number, got \(inf\+0j\)$"),
             (np.zeros((2, 2, 2)), r"matrix must be square, got shape \(2, 2, 2\)"),
             ([[[1.0]], [[-1.0]]], r"matrix must be square, got shape \(2, 1, 1\)"),
         ]

@@ -72,8 +72,10 @@ ENTRIES = {
                 "tol must be positive and finite, got nan"),
     "closure tol": (lambda x: in_closure([0.1, 0.1], PLANE, 3, x), "tol",
                     "tol must be positive and finite, got nan"),
-    "fock coefficient": (lambda x: Polynomial(1, {(1,): x}), "coefficient", "coefficients must be finite"),
-    "balance coordinate": (lambda x: tail_balance([0.25, x], 4), "coordinate 1", "coefficients must be finite"),
+    "fock coefficient": (lambda x: Polynomial(1, {(1,): x}), "coefficient",
+                         "coefficient: expected a finite number, got (nan+0j)"),
+    "balance coordinate": (lambda x: tail_balance([0.25, x], 4), "coordinate 1",
+                           "coordinate 1: expected a finite number, got (nan+0j)"),
 }
 
 
