@@ -13,7 +13,8 @@ coefficients; its products, powers and inner products are short calls onto
 the tables. No operator matrix of a window is formed: the self-commutator of
 the whole window is summed from the tables too, pair by pair. Every
 orthonormal subspace of a window comes from FockSubspace.span: one thin
-SVD, cut at one numerical-rank rule.
+Householder QR and an SVD of its small triangle, cut at one numerical-rank
+rule. The closure residual needs only such a triangle, and no basis.
 
 One exact routine. Where exactness is the result (Arveson's witness
 1/6 < 1/4 in arveson_example, and tail_balance at a point with exact
@@ -93,7 +94,10 @@ class Polynomial:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict = {}
         for alpha, c in items:
-            key = tuple(whole_number(e, "exponent", 0) for e in alpha)
+            try:
+                key = tuple(whole_number(e, "exponent", 0) for e in alpha)
+            except TypeError:  # alpha is not a sequence
+                raise InputError(f"bad multi-index {alpha} for dim {dim}") from None
             if len(key) != dim:
                 raise InputError(f"bad multi-index {alpha} for dim {dim}")
             cc = _coerce_coeff(c, "coefficient")
@@ -225,6 +229,30 @@ def _check_array_size(entries: int, item_bytes: int, what: str) -> None:
         )
 
 
+def _inverse_multinomials(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """1 / prod_j C(s_j, alpha_j) over the columns j, correctly rounded, for exponent rows
+    in graded order (s_0, the total degree, ascending): the binomials are read from one
+    exact Pascal triangle of Python ints, from the least row any exponent row reads, then
+    grown a row at a time with s_0. A row of the triangle is dropped once no later
+    exponent row reads it (in two variables, where s_0 is the only column, as soon as the
+    next degree begins), so the triangle held at once stays small."""
+    out = np.empty(len(s))
+    starts = [0, *(np.flatnonzero(np.diff(s[:, 0])) + 1).tolist(), len(s)]  # of each degree
+    least = np.minimum.accumulate(s.min(axis=1)[::-1])[::-1].tolist()  # read from this row on
+    pascal = {least[0]: [math.comb(least[0], a) for a in range(least[0] + 1)]}
+    for start, end in zip(starts, starts[1:]):
+        for r in range(max(pascal) + 1, int(s[start, 0]) + 1):
+            prev = pascal[r - 1]
+            pascal[r] = [1, *map(int.__add__, prev, prev[1:]), 1]
+        for r in [r for r in pascal if r < least[start]]:
+            del pascal[r]
+        exact = [1] * (end - start)
+        for rs, alphas in zip(s[start:end].T.tolist(), alpha[start:end].T.tolist()):  # by column
+            exact = [x * pascal[r][a] for x, r, a in zip(exact, rs, alphas)]
+        out[start:end] = [1 / x for x in exact]
+    return out
+
+
 class TruncatedSpace:
     """Ordered monomial basis of the degree-bounded polynomial space.
 
@@ -239,7 +267,8 @@ class TruncatedSpace:
     A window is built by array arithmetic, with no Python work per monomial:
     exponent rows in order, one coordinate at a time; weights sqrt(1/M),
     M = |alpha|!/alpha! and 1/M correctly rounded, in floats where M < 2^53
-    and by Python ints past it; positions by one ranking formula (index).
+    and by Python ints past it (_inverse_multinomials); positions by one
+    ranking formula (index).
     A window with some M > 2^1022, whose 1/M falls below the normal float
     range (in two variables from degree 1028), is refused with InputError
     before any of this runs, and so, with WindowOverflowError, is one whose
@@ -289,8 +318,7 @@ class TruncatedSpace:
         norms_sq = 1.0 / m
         big = np.flatnonzero(m >= 2.0**53)
         if big.size:  # there 1 / M in Python ints, also correctly rounded
-            rows = zip(s[big, :-1].tolist(), self.exponents[big, :-1].tolist())
-            norms_sq[big] = [1 / math.prod(map(math.comb, *row)) for row in rows]
+            norms_sq[big] = _inverse_multinomials(s[big, :-1], self.exponents[big, :-1])
         self._sqrt_norms = np.sqrt(norms_sq)
         self._shifts: dict = {}
 
@@ -342,6 +370,16 @@ class TruncatedSpace:
         vector is sum_{n <= degree} ||z||^(2n). Its degree-n block holds the
         coordinates of <., z>^n. A stack of points, shape (m, dim), gives
         one column per point. z is read by linalg.complex_array.
+
+        Each entry multiplies the powers conj(z_j)^alpha_j, gathered one
+        coordinate at a time, in the order j = 0, 1, ..., and in real
+        arithmetic: re = a.re b.re - a.im b.im, im = a.re b.im + a.im b.re,
+        each product and sum rounded once. That is how Python's complex
+        product rounds, while numpy's binary complex multiply may round
+        differently, so a column holds the same bits as a product taken
+        coordinate by coordinate in Python. The products run in place, so
+        no temporary is larger than the real or imaginary part of the
+        result.
         """
         zv = complex_array(z, "point")
         pts = zv if zv.ndim == 2 else np.atleast_1d(zv)[None, :]
@@ -351,14 +389,20 @@ class TruncatedSpace:
             inside = np.all(np.linalg.norm(pts, axis=1) < 1.0)
         if not inside:
             raise DomainError("point must lie inside the open unit ball")
-        # conj(z_j)^e for each coordinate j and e <= degree, each power once; at picks alpha_j
-        powers = (np.conjugate(pts)[:, :, None] ** np.arange(self.degree + 1)).reshape(len(pts), -1)
-        at = self.exponents + np.arange(self.dim) * (self.degree + 1)
+        # conj(z_j)^e for each coordinate j and e <= degree, each power once
+        powers = np.conjugate(pts)[:, :, None] ** np.arange(self.degree + 1)
+        re, im, e = powers.real, powers.imag, self.exponents
+        u_re, u_im = re[:, 0, e[:, 0]], im[:, 0, e[:, 0]]
+        for j in range(1, self.dim):  # times b = conj(z_j)^alpha_j, in place on fresh gathers
+            b_re, b_im = re[:, j, e[:, j]], im[:, j, e[:, j]]
+            cross = u_re * b_im
+            b_im *= u_im
+            u_re *= b_re
+            u_re -= b_im  # a.re b.re - a.im b.im
+            u_im *= b_re
+            u_im += cross  # a.im b.re + a.re b.im
         u = np.empty((len(pts), len(self)), dtype=np.complex128)
-        block = max(1, len(pts) // self.dim)  # its (block, k, dim) powers fit in the size of u
-        # take is C-ordered: np.prod over a strided gather can round differently
-        for i in range(0, len(pts), block):
-            u[i : i + block] = np.prod(np.take(powers[i : i + block], at, axis=1), axis=2)
+        u.real, u.imag = u_re, u_im
         u /= self._sqrt_norms
         return u.T if zv.ndim == 2 else u[0]
 
@@ -479,15 +523,31 @@ class FockSubspace(Subspace):
 
     @classmethod
     def span(cls, space: TruncatedSpace, columns) -> "FockSubspace":
-        """Orthonormal span of the columns of a (len(space), n) array, n >= 0: its thin
-        SVD's left singular vectors whose singular values exceed s[0] * max(shape) * eps."""
-        u, s, _ = np.linalg.svd(columns, full_matrices=False)
-        rank = int(np.sum(s > s[0] * max(np.shape(columns)) * np.finfo(float).eps)) if s.size else 0
-        return cls(space, u[:, :rank])
+        """Orthonormal span of the columns of a (len(space), n) array, n >= 0.
+
+        QR first: columns = q r, thin, so r is min(k, n) x n. r has the singular
+        values of columns, and the rank counts those above s[0] * max(shape) * eps
+        (_numerical_rank). At full rank the basis is q. Below it, the basis is
+        q w[:, :rank], w the left singular vectors of r, formed only then: these are
+        the leading left singular vectors of columns, as a thin SVD of the tall array
+        gives them, for the price of a QR and an SVD of the small r (Chan, ACM TOMS 8,
+        1982). No columns (n = 0) span the zero subspace, and n > k columns work.
+        """
+        q, r = np.linalg.qr(columns)
+        rank = _numerical_rank(np.linalg.svd(r, compute_uv=False), np.shape(columns))
+        if rank < q.shape[1]:
+            q = q @ np.linalg.svd(r)[0][:, :rank]
+        return cls(space, q)
+
+
+def _numerical_rank(s: np.ndarray, shape: tuple) -> int:
+    """The number of singular values s (in descending order) of an array of the given shape
+    above s[0] * max(shape) * eps: the one rank rule of the module's spans."""
+    return int(np.sum(s > s[0] * max(shape) * np.finfo(float).eps)) if s.size else 0
 
 
 def span_of_polynomials(space: TruncatedSpace, polys: Iterable[Polynomial]) -> FockSubspace:
-    """Orthonormalized span (SVD-based, rank-revealing) of given polynomials."""
+    """Orthonormalized span (FockSubspace.span, rank-revealing) of given polynomials."""
     rows = np.array([space.iso_vector(p) for p in polys])
     return FockSubspace.span(space, rows.reshape(-1, len(space)).T)  # (len(space), 0) for no polys
 
@@ -526,16 +586,26 @@ def vanishing_subspace(points: PointSet, degree: int) -> VanishingSubspaces:
     The complement is the span of the truncated kernel vectors at Y:
     evaluation at y is the pairing with the kernel vector at y, so the
     evaluation nullspace and the kernel span are exact orthocomplements.
-    Only the complement is built, by FockSubspace.span; the ideal on read.
-    Kernel vectors past _ARRAY_BYTES are refused with WindowOverflowError before
-    they are formed.
+    Only the complement is built, by FockSubspace.span (a thin QR of the
+    kernel vectors, then an SVD of its m x m triangle); the ideal on read.
+    More points than the window has monomials, and kernel vectors past
+    _ARRAY_BYTES, are refused before they are formed.
     """
+    space, cols = _kernel_vectors(points, degree)
+    return VanishingSubspaces(FockSubspace.span(space, cols))
+
+
+def _kernel_vectors(points: PointSet, degree: int, *extra) -> tuple:
+    """The degree window and its kernel vectors at the points of Y and then at the extra
+    points, one column each. More points in Y than the window's k monomials are refused
+    with InputError, and a matrix past _ARRAY_BYTES with WindowOverflowError, before any
+    kernel vector is formed."""
     space = TruncatedSpace(points.dim, whole_number(degree, "degree", 1))  # at degree 0 each is 1
-    if len(points) > len(space):
-        m = len(space)
-        raise InputError(f"{len(points)} points exceed the {m} basis monomials of the window")
-    _check_array_size(len(points) * len(space), 16, f"the {len(space)} x {len(points)} matrix of kernel vectors")
-    return VanishingSubspaces(FockSubspace.span(space, space.kernel_vector(points.points)))
+    k, pts = len(space), np.vstack((points.points, *extra))
+    if len(points) > k:
+        raise InputError(f"{len(points)} points exceed the {k} basis monomials of the window")
+    _check_array_size(k * len(pts), 16, f"the {k} x {len(pts)} matrix of kernel vectors")
+    return space, space.kernel_vector(pts)
 
 
 class ClosureMembership(NamedTuple):
@@ -548,14 +618,39 @@ def in_closure(z, points: PointSet, degree: int, tol: float = DEFAULT_TOL) -> Cl
 
     Membership characterizes the points to which every function vanishing
     on Y keeps vanishing. residual is the relative distance of the
-    truncated kernel vector at z from the span; member means
+    truncated kernel vector u at z from the span of those at Y; member means
     residual <= threshold(tol, 1), the residual being relative already.
+
+    The distance needs no basis of the span. For the k x (m + 1) matrix
+    A = [K_Y, u] of kernel vectors, built in one call, only the triangle r of
+    the Householder QR A = Q r is formed, so u = Q r[:, m]. The span is cut at
+    the rank of K_Y, whose singular values are those of r[:m, :m]
+    (_numerical_rank, as in FockSubspace.span). With w_drop the left singular
+    vectors of r[:m, :m] past the rank, formed only when the rank is below m,
+
+        residual = sqrt(|r[m, m]|^2 + ||w_drop* r[:m, m]||^2) / ||r[:, m]||,
+
+    where r[m, m] counts as 0 when k = m. Rounding: Householder QR is backward
+    stable column by column (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Thm 19.4), so r is the exact triangle of A + E, each column
+    of E small against that of A. A change e of u moves the residual by at most
+    2 ||e|| / ||u||, and a change E_Y of K_Y turns the kept span by at most
+    ||E_Y|| / s_rank, s_rank the least kept singular value of K_Y. With column
+    errors of k eps, the residual is within 4 k eps (1 + ||K_Y||_F / s_rank) of
+    the relative distance of u from the span of the leading rank left singular
+    vectors of K_Y.
     """
     z = _as_point(z, points.dim)  # one point, not a stack
     cut = threshold(tol, 1.0)
-    spaces = vanishing_subspace(points, degree)
-    u = spaces.complement.space.kernel_vector(z)
-    residual = float(np.linalg.norm(u - spaces.complement.project(u)) / np.linalg.norm(u))
+    space, cols = _kernel_vectors(points, degree, z)
+    m = len(points)
+    r = np.linalg.qr(cols, mode="r")
+    rank = _numerical_rank(np.linalg.svd(r[:m, :m], compute_uv=False), (len(space), m))
+    off = r[m:, m]  # r[m, m], or nothing when k = m
+    if rank < m:
+        w_drop = np.linalg.svd(r[:m, :m])[0][:, rank:]
+        off = np.concatenate((off, w_drop.conj().T @ r[:m, m]))
+    residual = float(np.linalg.norm(off) / np.linalg.norm(r[:, m]))
     return ClosureMembership(member=residual <= cut, residual=residual)
 
 

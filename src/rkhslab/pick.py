@@ -27,8 +27,8 @@ Nodes = Union[PointSet, Sequence[str]]
 class PickProblem:
     """Interpolation data: nodes z_i in the kernel's domain, targets w_i.
 
-    Nodes are a PointSet of the kernel's dim for an analytic kernel or distinct labels for a
-    sampled kernel, refused here otherwise. Scalar targets only, read by complex_array.
+    Nodes are a PointSet of the kernel's dim for an analytic kernel or distinct str labels for
+    a sampled kernel, refused here otherwise. Scalar targets only, read by complex_array.
     """
 
     kernel: KernelSpec
@@ -49,6 +49,9 @@ class PickProblem:
             raise InputError(f"{n} nodes but {w.shape[0]} targets")
         if sampled:
             labels = tuple(self.nodes)
+            bad = next((i for i, x in enumerate(labels) if not isinstance(x, str)), None)
+            if bad is not None:  # a sampled kernel's labels are str; a list would not even hash
+                raise InputError(f"node {bad}: expected a label (str), got {labels[bad]!r:.60}")
             if len(set(labels)) != len(labels):
                 raise InputError("nodes must be pairwise distinct")
             object.__setattr__(self, "nodes", labels)

@@ -320,6 +320,29 @@ def test_pick_refuses_repeated_labels_and_a_nested_target():
         PickProblem(SZEGO, DISK, [0.1, 0.2, 0.3])
 
 
+def test_pick_refuses_a_label_that_is_not_a_str():
+    # a list label raised TypeError from set(labels); the index names the first bad one
+    kernel = SampledGramKernel(["a", "b"], np.eye(2))
+    with pytest.raises(InputError, match=r"^node 0: expected a label \(str\), got \['a'\]$"):
+        PickProblem(kernel, [["a"], ["b"]], [0.1, 0.2])
+    with pytest.raises(InputError, match="^node 1: expected a label \\(str\\), got 1$"):
+        PickProblem(kernel, ["a", 1], [0.1, 0.2])
+
+
+# a multi-index that is not a sequence: (coefficients, the multi-index the refusal names)
+NOT_MULTI_INDICES = {
+    "mapping key": ({1: 0.5}, "1"),
+    "pair": ([(1, 0.5)], "1"),
+}
+
+
+@pytest.mark.parametrize("entry", NOT_MULTI_INDICES)
+def test_a_multi_index_that_is_not_a_sequence_is_refused(entry):
+    # iterating it raised TypeError: 'int' object is not iterable
+    coeffs, alpha = NOT_MULTI_INDICES[entry]
+    assert refusal(lambda c: Polynomial(1, c), coeffs) == f"bad multi-index {alpha} for dim 1"
+
+
 @pytest.mark.parametrize("z", [[[0.1], [0.2]], [[0.1, 0.2]], 0.1, [0.1, 0.2, 0.3]], ids=repr)
 def test_in_closure_takes_one_point(z):
     # a stack of points reached the kernel vector's stack branch and gave a verdict on all

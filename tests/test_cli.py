@@ -374,20 +374,21 @@ class TestErrorPaths:
         assert code == 1 and report["results"]["span_dim"] == 11
 
     def test_kernel_vectors_past_the_array_budget_are_refused(self, tmp_path, monkeypatch, capsys):
-        # three points on the degree-4 window in two variables: 15 x 3 complex
+        # three points on the degree-4 window in two variables: 15 x 3 complex for the
+        # kernel span, and 15 x 4 for the closure, which stacks z after them
         points = tmp_path / "three.json"
         points.write_text('{"dim": 2, "points": [[[0.1, 0], [0, 0]], [[0, 0], [0.2, 0]], [[0.3, 0], [0.1, 0]]]}')
         phi = json.dumps({"dim": 2, "terms": [{"exp": [1, 1], "coeff": 1}]})
         requests = [
-            ["fock", "defect", "--phi", phi, "--span", "kernel", "--points", points, "--degree", "4"],
-            ["closure", "--points", points, "--z", "[[0.2, 0], [0.1, 0]]", "--degree", "4"],
+            (["fock", "defect", "--phi", phi, "--span", "kernel", "--points", points, "--degree", "4"], 3),
+            (["closure", "--points", points, "--z", "[[0.2, 0], [0.1, 0]]", "--degree", "4"], 4),
         ]
-        for argv in requests:
-            monkeypatch.setattr(fock, "_ARRAY_BYTES", 15 * 3 * 16 - 1)
+        for argv, columns in requests:
+            monkeypatch.setattr(fock, "_ARRAY_BYTES", 15 * columns * 16 - 1)
             code, report, _ = run_within_a_second(capsys, argv)
             assert code == 2 and report["results"]["error"]["type"] == "WindowOverflowError"
-            assert "15 x 3 matrix of kernel vectors" in report["results"]["error"]["message"]
-            monkeypatch.setattr(fock, "_ARRAY_BYTES", 15 * 3 * 16)
+            assert f"15 x {columns} matrix of kernel vectors" in report["results"]["error"]["message"]
+            monkeypatch.setattr(fock, "_ARRAY_BYTES", 15 * columns * 16)
             assert run_within_a_second(capsys, argv)[0] in (0, 1)
 
     # an empty list was read as shape (0,): a point set took it for (0, 1) and the

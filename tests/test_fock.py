@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_ball_points
+from conftest import random_ball_points, seeded_by
 from fock_reference import (
     Polynomial,
     QQi,
@@ -32,6 +32,7 @@ from rkhslab.fock import (
     vanishing_subspace,
 )
 from rkhslab.kernels import PointSet
+from rkhslab.linalg import DEFAULT_TOL
 
 HALF_NORM_POINT = (Fraction(3, 10), Fraction(4, 10))  # ||z||^2 = 1/4 exactly
 
@@ -349,8 +350,8 @@ class TestFockSubspaceSpan:
         FockSubspace.span(space, np.zeros((len(space), 2)))
         pts = random_ball_points(rng, 5, 2)
         vanishing_subspace(PointSet(2, pts), 6)
-        in_closure(0.5 * pts[0], PointSet(2, pts[1:]), 6)
-        assert [sub.dim for sub in built] == [3, 0, 4, 3, 0, 5, 4]
+        in_closure(0.5 * pts[0], PointSet(2, pts[1:]), 6)  # a distance from a triangle: no basis
+        assert [sub.dim for sub in built] == [3, 0, 4, 3, 0, 5]
         for sub in built:
             gram = sub.basis.conj().T @ sub.basis
             assert np.max(np.abs(gram - np.eye(sub.dim)), initial=0.0) <= 1e-12
@@ -364,7 +365,8 @@ class TestFockSubspaceSpan:
         assert np.max(np.abs(ideal.basis.conj().T @ complement.basis)) <= 1e-12
 
     def test_closure_and_kernel_defect_build_no_ideal(self, rng, monkeypatch, tmp_path, capsys):
-        # k = 120 monomials at d = 3, degree 7; only the m-column complement is built
+        # k = 120 monomials at d = 3, degree 7; only the kernel defect's m-column complement
+        # is built, and the closure builds no subspace at all
         shapes = []
         init = FockSubspace.__init__
 
@@ -381,7 +383,7 @@ class TestFockSubspaceSpan:
         argv = ["fock", "defect", "--phi", phi, "--span", "kernel", "--points", str(path), "--degree", "7"]
         assert main(argv) in (0, 1)
         assert json.loads(capsys.readouterr().out)["results"]["span_dim"] == m
-        assert shapes == [(120, m), (120, m)]
+        assert shapes == [(120, m)]
 
     @pytest.mark.parametrize("phi", [Polynomial.constant(1, 2), Polynomial(1, {})])
     def test_powers_of_a_constant_get_the_window_degree(self, phi):
@@ -453,6 +455,87 @@ class TestInClosure:
             assert member and residual < 1e-12
         member, residual = in_closure(np.array([0.3, 0.1]), pts, degree, tol=1e-8)
         assert not member and residual > 0.01
+
+
+EPS = np.finfo(float).eps
+
+# nine points on the line z2 = 0: at degree 5 their kernel vectors span only the six
+# monomials 1, z1, ..., z1^5, so the 21 x 9 matrix of them has rank 6
+LINE = PointSet(2, [[0.09 * (t - 4) + 0.04j * (t % 3), 0.0] for t in range(9)])
+
+
+def svd_projection(z, points: PointSet, degree: int) -> tuple:
+    """The closure residual by the dense route: the kernel vector at z less its projection
+    on the leading left singular vectors of those at Y, cut at s[0] k eps. Returns the
+    residual and 4 k eps (1 + ||K_Y||_F / s_rank), the bound in_closure states, or None
+    when a singular value lies within a factor 8 of the cut, where rounding may move the
+    rank."""
+    space = TruncatedSpace(points.dim, degree)
+    k_y, u = space.kernel_vector(points.points), space.kernel_vector(z)
+    w, s, _ = np.linalg.svd(k_y, full_matrices=False)
+    cut = s[0] * len(space) * EPS
+    rank = int(np.sum(s > cut))
+    keep = w[:, :rank]
+    residual = np.linalg.norm(u - keep @ (keep.conj().T @ u)) / np.linalg.norm(u)
+    near = np.any((s > cut / 8) & (s < 8 * cut))
+    return residual, None if near else 4 * len(space) * EPS * (1 + np.linalg.norm(k_y) / s[rank - 1])
+
+
+class TestTrianglePaths:
+    """The span and the closure residual come from the triangle of one Householder QR;
+    these reach the branches where the kernel vectors lose rank."""
+
+    def test_rank_deficient_span_is_the_line(self):
+        spaces = vanishing_subspace(LINE, 5)
+        space, basis = spaces.complement.space, spaces.complement.basis
+        assert spaces.complement.dim == 6 and spaces.ideal.dim == len(space) - 6
+        on_line = space.exponents[:, 1] == 0  # 1, z1, ..., z1^5
+        assert np.max(np.abs(basis[~on_line])) <= 1e-12
+        assert np.max(np.abs(basis[on_line].conj().T @ basis[on_line] - np.eye(6))) <= 1e-13
+
+    @pytest.mark.parametrize("z", [[0.33 + 0.1j, 0.0], [-0.7j, 0.0], [0.2, 0.1], [0.0, 0.5], [0.3, 1e-5]])
+    def test_rank_deficient_closure_matches_the_svd_projection(self, z):
+        # every point of the line z2 = 0 is a member at degree 5; the rest are not
+        member, residual = in_closure(z, LINE, 5)
+        want, bound = svd_projection(z, LINE, 5)
+        assert bound is not None and abs(residual - want) <= 2 * bound
+        assert member == (z[1] == 0.0)
+        assert residual <= 1e-14 if member else residual >= 1e-6
+
+    @seeded_by(60)
+    def test_residual_is_within_the_stated_bound(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, degree = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        k = math.comb(degree + dim, dim)
+        m = int(rng.integers(1, k + 1))
+        ys = random_ball_points(rng, m, dim, radius=float(rng.uniform(0.1, 0.95)))
+        shape = rng.integers(3)
+        if shape == 1:  # on a coordinate line, where the kernel vectors lose rank
+            ys[:, 1:] = 0.0
+        elif shape == 2:  # a cluster, where they are ill-conditioned
+            ys = ys[:1] + 1e-3 * random_ball_points(rng, m, dim, radius=1.0)
+        if len({tuple(y) for y in ys.tolist()}) < m or np.max(np.linalg.norm(ys, axis=1)) >= 1:
+            return
+        points = PointSet(dim, ys)
+        z = [ys[rng.integers(m)], random_ball_points(rng, 1, dim)[0]][int(rng.integers(2))]
+        z = z + [0.0, 1e-6][int(rng.integers(2))] * random_ball_points(rng, 1, dim)[0]
+        member, residual = in_closure(z, points, degree)
+        want, bound = svd_projection(z, points, degree)
+        if bound is None:
+            return
+        # each of the two residuals lies within bound of the exact distance
+        assert abs(residual - want) <= 2 * bound
+        if abs(want - DEFAULT_TOL) > 2 * bound:
+            assert member == (want <= DEFAULT_TOL)
+
+    def test_a_span_of_more_columns_than_the_window_has(self, rng):
+        space = TruncatedSpace(1, 3)  # four monomials
+        cols = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        assert FockSubspace.span(space, cols).dim == 4
+        low = cols[:, :2] @ rng.standard_normal((2, 6))  # six columns of rank 2
+        sub = FockSubspace.span(space, low)
+        assert sub.dim == 2
+        assert np.max(np.abs(low - sub.project(low))) <= 1e-13 * np.max(np.abs(low))
 
 
 class TestCompressionDefect:

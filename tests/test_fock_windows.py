@@ -167,6 +167,22 @@ class TestWindowConstruction:
             targets = [tuple(a + g for a, g in zip(alpha, gamma)) for alpha in basis[src]]
             assert dst.tolist() == [pos[t] for t in targets]
 
+    @pytest.mark.parametrize("dim, degree", [(2, 301), (3, 150)])
+    def test_weights_past_2_to_the_53_are_the_rounded_exact_norms(self, dim, degree):
+        # rows whose M = |alpha|!/alpha! reaches 2^53 read their binomials from the
+        # streamed Pascal triangle; sampled rows against math.comb, bit for bit
+        space = TruncatedSpace(dim, degree)
+        rng = np.random.default_rng([dim, degree])
+        picked = rng.choice(len(space), size=400, replace=False)
+        big = 0
+        for i in picked.tolist():
+            alpha = space.exponents[i].tolist()
+            s = [sum(alpha[j:]) for j in range(dim)]
+            m = math.prod(math.comb(s[j], alpha[j]) for j in range(dim - 1))
+            big += m >= 2**53
+            assert space._sqrt_norms[i] == math.sqrt(1 / m)
+        assert big >= 300
+
     @pytest.mark.parametrize("dim, degree", [(2, 1028), (3, 651), (2, 1100)])
     def test_weights_below_the_normal_range_are_refused(self, dim, degree):
         # (2, 1028) is the first 2-variable window with a multinomial past 2^1022
