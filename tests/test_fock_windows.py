@@ -10,9 +10,12 @@ fock_reference. Random cases are drawn
 by hypothesis when it is installed and from fixed seeds otherwise.
 """
 
+import ast
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from fock_reference import (
 )
 
 from rkhslab import fock
-from rkhslab.errors import InputError, WindowOverflowError
+from rkhslab.errors import DomainError, InputError, WindowOverflowError
 from rkhslab.fock import (
     FockSubspace,
     TruncatedSpace,
@@ -117,6 +120,24 @@ def random_poly(rng, dim: int, max_degree: int, terms: int) -> Polynomial:
     return Polynomial(dim, coeffs)
 
 
+def two_degrees(rng, dim: int, draw) -> dict:
+    """A term of degree 1 and one of degree 2, each coefficient draw()."""
+    return {tuple(int(e) for e in rng.multinomial(n, [1 / dim] * dim)): draw() for n in (1, 2)}
+
+
+def non_homogeneous_poly(rng, dim: int) -> Polynomial:
+    """random_poly with two_degrees added: complex, of two degrees at least."""
+    extra = two_degrees(rng, dim, lambda: complex(*rng.standard_normal(2)))
+    return random_poly(rng, dim, 2, 3) + Polynomial(dim, extra)
+
+
+def assert_refused(kind: type, text: str, call, *args) -> None:
+    """call(*args) raises exactly kind, not a subclass of it, with exactly this text."""
+    with pytest.raises(kind) as refusal:
+        call(*args)
+    assert type(refusal.value) is kind and str(refusal.value) == text
+
+
 def random_z(rng, dim: int, lo: float, hi: float) -> np.ndarray:
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z) * math.sqrt(rng.uniform(lo, hi))
@@ -182,6 +203,18 @@ class TestWindowConstruction:
             big += m >= 2**53
             assert space._sqrt_norms[i] == math.sqrt(1 / m)
         assert big >= 300
+
+    @pytest.mark.parametrize("dim, degree, multiple", [(3, 120, 5.0), (4, 40, 3.0)])
+    def test_the_build_peaks_at_a_few_times_the_exponent_table(self, dim, degree, multiple):
+        # the class docstring states 4.4 and 2.6 times: the suffix sums turn into the
+        # exponents in place, so the two are not held at once (5.4 and 3.6 when they were)
+        tracemalloc.start()
+        try:
+            space = TruncatedSpace(dim, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= multiple * space.exponents.nbytes
 
     @pytest.mark.parametrize("dim, degree", [(2, 1028), (3, 651), (2, 1100)])
     def test_weights_below_the_normal_range_are_refused(self, dim, degree):
@@ -598,15 +631,40 @@ class TestKernelVector:
 class TestShiftTables:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @seeded
-    def test_adjoint_matches_mult_adjoint_apply(self, dim, seed):
+    def test_adjoint_is_the_conjugate_transpose(self, dim, seed):
+        # M_phi* maps the window into itself, so the gather is its matrix exactly,
+        # also for phi of several degrees
+        rng = np.random.default_rng(seed)
+        space = TruncatedSpace(dim, int(rng.integers(1, WINDOWS[dim] + 1)))
+        phi = non_homogeneous_poly(rng, dim)
+        eye = np.eye(len(space))
+        assert np.array_equal(space.multiply(phi, eye, adjoint=True), space.multiply(phi, eye).conj().T)
+
+    def test_adjoint_of_a_multiplier_of_several_degrees(self):
+        # a cut adjoint moved the operator defect of this phi at degree 4 from
+        # -0.09972085 to -0.09972080
+        phi = Polynomial(2, {(1, 0): 0.6, (0, 2): 0.5j, (1, 1): 0.2})
+        space, eye = TruncatedSpace(2, 4), np.eye(15)
+        assert np.array_equal(space.multiply(phi, eye, adjoint=True), space.multiply(phi, eye).conj().T)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @seeded
+    def test_mult_adjoint_apply_is_the_gather_cut_to_its_window(self, dim, seed):
         rng = np.random.default_rng(seed)
         window = int(rng.integers(1, WINDOWS[dim] + 1))
         space = TruncatedSpace(dim, window)
-        phi = random_poly(rng, dim, 2, 3)
-        f = random_poly(rng, dim, window, 6)
-        got = space.multiply(phi, space.iso_vector(f), adjoint=True)
-        want = space.iso_vector(mult_adjoint_apply(phi, f, window))
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        phi = fock.Polynomial(dim, non_homogeneous_poly(rng, dim).coeffs)
+        f = fock.Polynomial(dim, random_poly(rng, dim, window, 6).coeffs)
+        gather = space.multiply(phi, space.iso_vector(f), adjoint=True)
+        gather[space.size_at_most(window - phi.degree) :] = 0
+        assert fock.mult_adjoint_apply(phi, f, window) == space.polynomial(gather)
+
+    def test_mult_adjoint_apply_keeps_what_the_window_vouches_for(self):
+        # M_phi* z^2 = z + 1 for phi = z + z^2, and the degree-2 window vouches for degree 0
+        z, z2 = fock.Polynomial.monomial(1, (1,)), fock.Polynomial.monomial(1, (2,))
+        assert fock.mult_adjoint_apply(z + z2, z2, 2) == fock.Polynomial.constant(1, 1)
+        space = TruncatedSpace(1, 2)
+        assert space.polynomial(space.multiply(z + z2, space.iso_vector(z2), adjoint=True)) == z + 1
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @seeded
@@ -652,6 +710,26 @@ class TestShiftTables:
         want = [math.sqrt(norm_sq_of[j] / norm_sq_of[i]) for i, j in enumerate(dst)]
         assert np.allclose(weight, want, rtol=1e-15, atol=0.0)
 
+    def test_the_degree_cut_of_the_adjoint_lives_in_mult_adjoint_apply(self):
+        # size_at_most(degree - m), m > 0, counts the monomials that gain m degrees in the
+        # window: shift counts those z^gamma keeps there, and mult_adjoint_apply cuts
+        # M_phi* f there, the one place the cut is made
+        tree = ast.parse(Path(fock.__file__).read_text())
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        found = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "size_at_most"
+                    and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Sub)
+                    and "degree" in ast.unparse(node.args[0].left)):
+                around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                found.add(max(around, key=lambda d: d.lineno).name)
+        assert found == {"shift", "mult_adjoint_apply"}
+
+    def test_coordinates_of_another_dimension_or_length_are_refused(self):
+        space = TruncatedSpace(2, 3)
+        assert_refused(InputError, "dimension mismatch", space.iso_vector, fock.Polynomial.monomial(3, (1, 0, 0)))
+        assert_refused(InputError, "coordinate vector must have length 10", space.polynomial, np.zeros(3))
+
 
 class TestTailBalance:
     @seeded
@@ -689,8 +767,14 @@ class TestTailBalance:
         moved = balance._replace(**{field: getattr(balance, field) * (1 + 1e-10)})
         assert not moved.within_bound
 
+    def test_a_point_with_no_coordinates_is_refused(self):
+        assert_refused(InputError, "point must have at least one coordinate", tail_balance, [], 3)
+
 
 class TestPairingPowerNorms:
+    def test_the_origin_is_refused(self):
+        assert_refused(DomainError, "need 0 < ||z|| < 1", pairing_power_norms, [0.0], 2, 3)
+
     @seeded
     def test_float_z(self, seed):
         rng = np.random.default_rng(seed)
@@ -777,6 +861,27 @@ class TestExactNorms:
         assert type(forward) is Fraction and forward == norm_sq(phi * f)
 
     @seeded
+    def test_adjoint_of_a_multiplier_of_several_degrees_is_whole(self, seed):
+        # f reaches the top degree of the window, where M_phi* f stays whole: the
+        # reference, which cuts to degrees <= window - deg(phi), is given that much room
+        rng = np.random.default_rng(seed)
+        dim, window = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        z = [gaussian_rational(rng, Fraction(1, 2 * dim), nonzero_im=True) for _ in range(dim)]
+        phi = Polynomial(dim, two_degrees(rng, dim, lambda: gaussian_rational(rng, Fraction(2), nonzero_im=True)))
+        f = truncated_kernel_fn(z, window).poly - 1
+        space = TruncatedSpace(dim, window)
+        adjoint, forward = space.exact_norms_sq(list(phi.coeffs.items()), *dual_numerators(f, space))
+        assert adjoint == norm_sq(mult_adjoint_apply(phi, f, window + phi.degree))
+        kept = Polynomial(dim, {a: c for a, c in (phi * f).coeffs.items() if sum(a) <= window})
+        assert forward == norm_sq(kept)
+
+    def test_adjoint_of_z_plus_z_squared_at_the_top_degree(self):
+        # M_phi* z^2 = z + 1 for phi = z + z^2, of squared norm 2; M_phi z^2 leaves the window
+        y = np.array([0, 0, 1], dtype=object)  # <z^2, z^alpha>: f = z^2
+        terms = [((1,), 1), ((2,), 1)]
+        assert TruncatedSpace(1, 2).exact_norms_sq(terms, y, np.zeros_like(y), 1) == (2, 0)
+
+    @seeded
     def test_tail_balance_at_gaussian_rational_points(self, seed):
         rng = np.random.default_rng(seed)
         dim, degree = int(rng.integers(1, 4)), int(rng.integers(1, 13))
@@ -791,7 +896,7 @@ class TestExactNorms:
         assert w.forward_norm_sq == Fraction(1, 6) < Fraction(1, 4) == w.adjoint_norm_sq
 
     def test_terms_with_a_zero_coefficient_do_not_count(self):
-        # a zero term of high degree would otherwise cut the adjoint to a smaller window
+        # a zero term adds 0 to both images, whatever its degree, and none at all adds nothing
         space = TruncatedSpace(1, 3)
         y = np.array([0, 1, 0, 0], dtype=object)  # <z, z^alpha>: f = z
         zeros = np.zeros_like(y)
@@ -851,6 +956,11 @@ class TestPolynomialOnTheTables:
         assert (z1 * 0).is_zero and (fock.Polynomial.zero(2) * z1).is_zero
         assert fock.Polynomial.zero(2) ** 0 == fock.Polynomial.constant(2, 1)
         assert (fock.Polynomial.zero(2) ** 2).is_zero
+
+    def test_sums(self):
+        z1 = fock.Polynomial.monomial(2, (1, 0))
+        assert z1 + 2 == 2 + z1 == fock.Polynomial(2, {(1, 0): 1, (0, 0): 2})
+        assert_refused(InputError, "dimension mismatch", z1.__add__, fock.Polynomial.monomial(1, (1,)))
 
     def test_coefficients_are_finite_complex(self):
         p = fock.Polynomial(2, {(1, 0): Fraction(1, 3), (0, 1): fock.QQi(1, -2), (0, 0): 0})
