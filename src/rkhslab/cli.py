@@ -1,9 +1,11 @@
 """Command-line frontend.
 
 Each command reads JSON inputs, dispatches to the library, and writes one
-report to stdout. The json format is the canonical artifact and is
-byte-identical across runs on identical inputs. Its bytes are those of
-Python's json.dumps(indent=2, sort_keys=True): 2-space indent, sorted keys,
+report to stdout. The json format is the canonical artifact: on one host, its
+bytes are identical across runs on identical inputs. Across hosts the last
+bits of a report's floats may differ, as the Gram matrices behind them depend
+on how numpy rounds a complex product at the host's SIMD level. Its bytes are
+those of Python's json.dumps(indent=2, sort_keys=True): 2-space indent, sorted keys,
 ASCII only with every other character escaped, and NaN and the infinities
 spelled NaN, Infinity and -Infinity. The text format is derived from it and
 carries no extra information. main(argv) may be called repeatedly in one
@@ -616,7 +618,8 @@ def _cmd_fock_defect(args, loader):
         raise InputError("--count applies to --span powers only")
     if (args.points is None) == (args.span == "kernel"):
         raise InputError("--points goes with --span kernel, and --span kernel needs --points")
-    phi = _parse_poly_obj(_parse_json_arg(args.phi, "--phi"), "--phi")
+    # the terms of --phi past the window act on nothing in it, so they are cut as it is read
+    phi = fock.truncated(_parse_poly_obj(_parse_json_arg(args.phi, "--phi"), "--phi"), args.degree)
     if args.span == "kernel":  # vanishing_subspace builds its own window
         pts = _parse_points_obj(loader.load_json(args.points, "points"), "points")
         if pts.dim != phi.dim:
@@ -625,11 +628,9 @@ def _cmd_fock_defect(args, loader):
     else:
         subspace = fock.TruncatedSpace(phi.dim, args.degree)  # the whole window
         if args.span == "powers":
-            count = args.degree // max(phi.degree, 1) if args.count is None else args.count
-            subspace = fock.powers_span(subspace, phi, count)
+            subspace = fock.powers_span(subspace, phi, args.count)
     defect = fock.compression_defect(phi, subspace)
-    # the terms past the window act on nothing in it, so they add nothing to the scale
-    hyponormal_here = defect >= -threshold(args.tol, fock.defect_scale(fock.truncated(phi, args.degree)))
+    hyponormal_here = defect >= -threshold(args.tol, fock.defect_scale(phi))
     return {
         "defect": defect,
         "span": args.span,

@@ -37,7 +37,7 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -240,8 +240,9 @@ def _inverse_multinomials(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     next degree begins), so the triangle held at once stays small."""
     out = np.empty(len(s))
     starts = [0, *(np.flatnonzero(np.diff(s[:, 0])) + 1).tolist(), len(s)]  # of each degree
-    least = np.minimum.accumulate(s.min(axis=1)[::-1])[::-1].tolist()  # read from this row on
-    pascal = {least[0]: [math.comb(least[0], a) for a in range(least[0] + 1)]}
+    least = np.minimum.accumulate(s.min(axis=1)[::-1])[::-1]  # read from this row on
+    first = int(least[0])
+    pascal = {first: [math.comb(first, a) for a in range(first + 1)]}
     for start, end in zip(starts, starts[1:]):
         for r in range(max(pascal) + 1, int(s[start, 0]) + 1):
             prev = pascal[r - 1]
@@ -276,7 +277,8 @@ class TruncatedSpace:
     before any of this runs, and so, with WindowOverflowError, is one whose
     k = C(degree + dim, dim) exponent rows of dim int64s pass _ARRAY_BYTES.
     The build's traced peak is a few times that table: 4.4 times at (dim, degree) =
-    (3, 120), 2.6 at (4, 40), 8.2 at (2, 1000), where most weights need Python ints.
+    (3, 120), 2.6 at (4, 40), 6.3 at (2, 500) and 6.4 at (2, 1000), where most weights
+    need Python ints.
     """
 
     __slots__ = ("dim", "degree", "exponents", "_choose", "_sqrt_norms", "_shifts")
@@ -551,16 +553,19 @@ def span_of_polynomials(space: TruncatedSpace, polys: Iterable[Polynomial]) -> F
     return FockSubspace.span(space, rows.reshape(-1, len(space)).T)  # (len(space), 0) for no polys
 
 
-def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubspace:
+def powers_span(space: TruncatedSpace, phi: Polynomial, count: Optional[int] = None) -> FockSubspace:
     """Orthonormalized span of 1, phi, ..., phi^count, built as that of 1, psi,
-    ..., psi^count for psi = (phi - phi(0)) 2^-e (see _normalized), each power the
-    shift-table product of psi with the one before, so the rank rule sees no
-    scale of phi. All must fit the window, and count <= degree // max(deg phi, 1).
-    Powers past _ARRAY_BYTES are refused with WindowOverflowError before they are formed."""
-    count = whole_number(count, "count", 0)
-    if count * max(phi.degree, 1) > space.degree:
+    ..., psi^count for psi = (phi - phi(0)) 2^-e, phi cut to the window (see
+    _normalized), each power the shift-table product of psi with the one before, so
+    the rank rule sees no scale of phi. The powers are counted on the terms that act
+    on the window: all must fit it, count <= degree // max(deg psi, 1), and no count
+    (None) takes every power that fits. Powers past _ARRAY_BYTES are refused with
+    WindowOverflowError before they are formed."""
+    psi = _normalized(phi, space.degree)[0]
+    most = space.degree // max(psi.degree, 1)
+    count = most if count is None else whole_number(count, "count", 0)
+    if count > most:
         raise WindowOverflowError(f"count {count}: more powers than degree {space.degree} holds")
-    psi = _normalized(truncated(phi, space.degree))[0]  # phi itself unless count is 0
     _check_array_size(len(space) * (count + 1), 16, f"the {len(space)} x {count + 1} matrix of powers")
     cols = np.zeros((len(space), count + 1), dtype=np.complex128)
     cols[0, 0] = 1.0  # the constant 1, of norm 1
@@ -661,11 +666,11 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     by two dense products. Components of the products beyond the window are
     orthogonal to the window and drop out of the compression exactly, so no
     degree headroom is needed. The terms of phi past the window's degree act on
-    nothing in it and are dropped first, so they neither count in the scale nor
-    overflow it. The constant term (c I, which commutes) is dropped
-    with its rounding. The matrices are formed for (phi - phi(0)) 2^-e (see
-    _normalized) and the defect is multiplied back by 4^e, both exactly, so no
-    scale of phi that defect_scale accepts overflows or underflows. With phi
+    nothing in it and are dropped first, by _normalized as for powers_span, so they
+    neither count in the scale nor overflow it. The constant term (c I, which
+    commutes) is dropped with its rounding. The matrices are formed for
+    (phi - phi(0)) 2^-e and the defect is multiplied back by 4^e, both exactly, so
+    no scale of phi that defect_scale accepts overflows or underflows. With phi
     truncated to the window's degree, a defect below -tol * defect_scale(phi)
     refutes hyponormality of the compression at every size of phi; a
     non-negative defect certifies this model only.
@@ -690,7 +695,7 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     space = subspace if isinstance(subspace, TruncatedSpace) else subspace.space
     if phi.dim != space.dim:
         raise InputError("dimension mismatch")
-    phi, e = _normalized(truncated(phi, space.degree))
+    phi, e = _normalized(phi, space.degree)
     if space is subspace or subspace.dim == len(space):
         blocks = _blocks(len(space), *_window_pairs(space, _gauged(phi)))
     elif subspace.dim == 0:
@@ -791,10 +796,15 @@ def _size(phi: Polynomial) -> float:
     return sum(abs(complex(c)) for g, c in phi.coeffs.items() if any(g))
 
 
-def _normalized(phi: Polynomial) -> tuple:
+def _normalized(phi: Polynomial, degree: Optional[int] = None) -> tuple:
     """(psi, e) with psi = (phi - phi(0)) 2^-e, where _size(phi) = sum_{gamma != 0} |c_gamma|
     = m 2^e, m in [0.5, 1) (math.frexp; e = 0 for a constant phi). Dividing by 2^e is exact:
-    defect_scale refuses the sizes that would make it round, overflow or underflow."""
+    defect_scale refuses the sizes that would make it round, overflow or underflow.
+    Given the degree of a window, phi is first cut to it (truncated): the terms past it
+    act on nothing in the window, so they neither count in the scale nor overflow it.
+    This is the one place where the module cuts a multiplier to a window."""
+    if degree is not None:
+        phi = truncated(phi, degree)
     defect_scale(phi)
     e = math.frexp(_size(phi))[1]
     unit = 2.0**-e

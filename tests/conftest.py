@@ -1,9 +1,13 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 SEED = 20250811
+SRC = Path(__file__).resolve().parents[1] / "src" / "rkhslab"
 
 try:
     from hypothesis import given, settings
@@ -20,6 +24,19 @@ except ImportError:  # hypothesis is optional
 
     def seeded_by(examples):
         return pytest.mark.parametrize("seed", range(examples))
+
+
+def sites(test) -> set:
+    """(module, innermost function or class) of each call in src/rkhslab that test accepts."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and test(node):
+                around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                found.add((path.name, max(around, key=lambda d: d.lineno).name if around else "<module>"))
+    return found
 
 
 @pytest.fixture

@@ -200,6 +200,37 @@ class TestEmbedReconstruct:
         assert code == 2
         assert report["results"]["error"]["hypothesis"] == "cnp_consistency"
 
+    def test_a_point_on_the_sphere_is_refused(self, tmp_path, capsys):
+        # F = 1 - 1/g has F[1, 1] = 1 - 2^-60, which rounds to 1: the embedded point 1 lies
+        # on the sphere. The off-diagonal 2^-30 is below tol, so reconstruct finds the
+        # sample reducible before it embeds it.
+        off = [2.0**-30, 0.0]
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"type": "sampled", "labels": ["a", "b"], "gram": [[[1.0, 0.0], off], [off, [1.0, 0.0]]]}))
+        code, report, _ = run(capsys, ["embed", path])
+        assert code == 2 and report["results"]["error"] == {
+            "type": "InconsistentSampleError",
+            "message": "embedded point 1 has norm 1.000000, not inside the open ball",
+        }
+        code, report, _ = run(capsys, ["reconstruct", path])
+        assert code == 2 and report["results"]["error"]["hypothesis"] == "irreducibility"
+
+    def test_disk_points_that_coincide_are_refused(self, tmp_path, capsys):
+        # Rows 1 and 2 are swapped by exchanging the two points, and their 2x2 minor on
+        # columns 1 and 2 is about 2e-8 on the unit diagonal, past tol: the sample is
+        # irreducible. F = 1 - 1/g has eigenvalues 0, 1.8 and about 1e-9, below the rank
+        # cut tol * 1.8, so the embedding has rank 1 and its eigenvector gives the two
+        # points one and the same disk point.
+        gram = [[1.0, 1.0, 1.0], [1.0, 10.0, 9.9999999], [1.0, 9.9999999, 10.0]]
+        path = tmp_path / "kernel.json"
+        sampled = {"type": "sampled", "labels": ["o", "p", "q"], "gram": [[[x, 0.0] for x in row] for row in gram]}
+        path.write_text(json.dumps(sampled))
+        code, report, _ = run(capsys, ["reconstruct", path])
+        assert code == 2 and report["results"]["error"] == {
+            "type": "InconsistentSampleError",
+            "message": "recovered disk points 1 and 2 coincide",
+        }
+
     def test_reconstruct_singleton(self, corpus, capsys):
         code, report, _ = run(capsys, ["reconstruct", corpus / "singleton.json"])
         assert code == 0
@@ -855,11 +886,11 @@ class TestTermsPastTheWindow:
     """A term of phi past the window's degree acts on nothing in it: it moves neither the
     defect nor the threshold that judges it, and its size cannot overflow the scale."""
 
-    @pytest.mark.parametrize("span", ["full", "kernel"])
+    @pytest.mark.parametrize("span", ["full", "kernel", "powers", "powers --count 2"])
     @pytest.mark.parametrize("far", [1000.0, 1e300])
     def test_same_defect_and_exit(self, span, far, corpus, capsys):
         near = {"exp": [1, 1], "coeff": 0.001}
-        argv = ["fock", "defect", "--span", span, "--degree", "6"]
+        argv = ["fock", "defect", "--span", *span.split(), "--degree", "6"]
         argv += ["--points", corpus / "pts2.json"] if span == "kernel" else []
         reports = []
         for terms in ([near], [near, {"exp": [50, 0], "coeff": far}]):
@@ -869,6 +900,14 @@ class TestTermsPastTheWindow:
         assert code == code_far and alone == with_far
         if span == "full":  # a refutation either way, not one that the far term hides
             assert code == 1 and alone["defect"] < 0
+
+    @pytest.mark.parametrize("count", [[], ["--count", "6"]])
+    def test_powers_are_counted_on_the_terms_that_act(self, count, capsys):
+        # z^20 acts on nothing at degree 6, so the powers of z fill the window as for z alone
+        terms = [{"exp": [1], "coeff": 1.0}, {"exp": [20], "coeff": 0.5}]
+        argv = ["fock", "defect", "--span", "powers", "--degree", "6", *count]
+        code, report, _ = run(capsys, argv + ["--phi", json.dumps({"dim": 1, "terms": terms})])
+        assert code == 1 and report["results"]["span_dim"] == 7 and report["results"]["defect"] == -1.0
 
 
 def run_within_a_second(capsys, argv):

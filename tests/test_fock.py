@@ -17,6 +17,7 @@ from fock_reference import (
     truncated_kernel_fn,
 )
 
+from rkhslab import fock
 from rkhslab.cli import main
 from rkhslab.errors import DomainError, InputError, WindowOverflowError
 from rkhslab.fock import (
@@ -720,3 +721,12 @@ class TestPolynomialBasics:
         p = Polynomial.constant(1, 1)
         with pytest.raises(AttributeError):
             p.dim = 2
+
+    def test_a_number_is_not_a_polynomial(self):
+        # __eq__ answers NotImplemented, so == falls back to identity
+        assert (fock.Polynomial(1, {(1,): 1.0}) == 1) is False
+        assert fock.Polynomial(1, {(0,): 1.0}) != 1
+
+    def test_reprs_name_the_shape(self):
+        assert repr(fock.Polynomial(2, {(1, 0): 0.5, (0, 0): 1})) == "Polynomial(dim=2, terms=2)"
+        assert repr(fock.QQi(Fraction(1, 2))) == "QQi(Fraction(1, 2), Fraction(0, 1))"

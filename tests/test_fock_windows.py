@@ -15,11 +15,10 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_ball_points, seeded_by
+from conftest import SRC, random_ball_points, seeded_by, sites
 from fock_reference import (
     QQi,
     Polynomial,
@@ -204,10 +203,12 @@ class TestWindowConstruction:
             assert space._sqrt_norms[i] == math.sqrt(1 / m)
         assert big >= 300
 
-    @pytest.mark.parametrize("dim, degree, multiple", [(3, 120, 5.0), (4, 40, 3.0)])
+    @pytest.mark.parametrize("dim, degree, multiple", [(3, 120, 5.0), (4, 40, 3.0), (2, 500, 7.0)])
     def test_the_build_peaks_at_a_few_times_the_exponent_table(self, dim, degree, multiple):
-        # the class docstring states 4.4 and 2.6 times: the suffix sums turn into the
-        # exponents in place, so the two are not held at once (5.4 and 3.6 when they were)
+        # the class docstring states 4.4, 2.6 and 6.3 times: the suffix sums turn into the
+        # exponents in place, so the two are not held at once (5.4 and 3.6 when they were),
+        # and the least Pascal row of each exponent row stays an int64 array (7.7 at
+        # (2, 500) as a list of Python ints)
         tracemalloc.start()
         try:
             space = TruncatedSpace(dim, degree)
@@ -612,6 +613,35 @@ class TestPowersSpan:
             powers_span(TruncatedSpace(2, 6), phi, 4)
         assert powers_span(TruncatedSpace(2, 6), phi, 0).dim == 1
 
+    @pytest.mark.parametrize("far", [{(0, 9): 2.0}, {(0, 9): 2.0, (10**20, 0): 1e300}])
+    def test_terms_past_the_window_change_no_power(self, far):
+        # z1 + 0.5 z2 is of degree 1, so count 6 takes every power that fits degree 6;
+        # z2^9 and z1^(10^20), whose exponent passes 2^63, act on nothing there
+        space = TruncatedSpace(2, 6)
+        phi = Polynomial(2, {(1, 0): 1.0, (0, 1): 0.5})
+        with_far = Polynomial(2, {**phi.coeffs, **far})
+        for count in [*range(7), None]:
+            want, got = powers_span(space, phi, count), powers_span(space, with_far, count)
+            assert np.array_equal(got.basis, want.basis), count
+        assert powers_span(space, with_far).dim == 7  # 1, psi, ..., psi^6
+        with pytest.raises(WindowOverflowError, match="count 7: more powers than degree 6 holds"):
+            powers_span(space, with_far, 7)
+
+
+def cuts(node) -> bool:
+    return "truncated" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_a_multiplier_is_cut_to_its_window_once_per_layer():
+    # fock cuts phi in _normalized, and the command line cuts --phi as it reads it
+    assert sites(cuts) == {("fock.py", "_normalized"), ("cli.py", "_cmd_fock_defect")}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    read = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and cuts(n)]
+    assert [ast.unparse(n.args[0]) for n in read] == ["_parse_poly_obj(_parse_json_arg(args.phi, '--phi'), '--phi')"]
+    # and counts no powers: the one degree it reads is that of the window, args.degree
+    degrees = {ast.unparse(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "degree"}
+    assert degrees == {"args"}
+
 
 class TestKernelVector:
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -714,16 +744,12 @@ class TestShiftTables:
         # size_at_most(degree - m), m > 0, counts the monomials that gain m degrees in the
         # window: shift counts those z^gamma keeps there, and mult_adjoint_apply cuts
         # M_phi* f there, the one place the cut is made
-        tree = ast.parse(Path(fock.__file__).read_text())
-        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-        found = set()
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "size_at_most"
+        def degree_less(node):
+            return (getattr(node.func, "attr", None) == "size_at_most"
                     and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Sub)
-                    and "degree" in ast.unparse(node.args[0].left)):
-                around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
-                found.add(max(around, key=lambda d: d.lineno).name)
-        assert found == {"shift", "mult_adjoint_apply"}
+                    and "degree" in ast.unparse(node.args[0].left))
+
+        assert sites(degree_less) == {("fock.py", "shift"), ("fock.py", "mult_adjoint_apply")}
 
     def test_coordinates_of_another_dimension_or_length_are_refused(self):
         space = TruncatedSpace(2, 3)

@@ -34,6 +34,9 @@ class TestPointSet:
         with pytest.raises(InputError):
             PointSet(2, [[0.3]])
 
+    def test_repr_names_the_shape(self):
+        assert repr(PointSet(1, [[0.1], [0.5]])) == "PointSet(dim=1, n=2)"
+
     def test_a_flat_list_is_one_coordinate_per_point(self):
         assert np.array_equal(PointSet(1, [0.0, 0.5j]).points, [[0.0], [0.5j]])
         with pytest.raises(InputError, match=r"points must form an \(n, 2\) array, got shape \(2, 1\)"):
@@ -108,6 +111,9 @@ class TestSampledGram:
         k = SampledGramKernel(["a", "b"], g)
         assert k.evaluate("a", "b") == pytest.approx(0.5)
         assert k.gram(["b"]).entries[0, 0] == pytest.approx(2.0)
+
+    def test_repr_names_the_size(self):
+        assert repr(SampledGramKernel(["a", "b"], [[1.0, 0.5], [0.5, 2.0]])) == "SampledGramKernel(n=2)"
 
     def test_unknown_label(self):
         k = SampledGramKernel(["a"], [[1.0]])

@@ -175,6 +175,9 @@ class TestSubspace:
         with pytest.raises(InputError):
             Subspace(np.array([[1.0], [1.0]]))
 
+    def test_repr_names_the_dimensions(self):
+        assert repr(Subspace(np.eye(3)[:, :1])) == "Subspace(ambient_dim=3, dim=1)"
+
     def test_projection(self, rng):
         q = random_unitary(rng, 5)[:, :2]
         s = Subspace(q)
