@@ -628,7 +628,8 @@ def _cmd_fock_defect(args, loader):
     else:
         subspace = fock.TruncatedSpace(phi.dim, args.degree)  # the whole window
         if args.span == "powers":
-            subspace = fock.powers_span(subspace, phi, args.count)
+            count = fock.powers_that_fit(subspace, phi) if args.count is None else args.count
+            subspace = fock.powers_span(subspace, phi, count)
     defect = fock.compression_defect(phi, subspace)
     hyponormal_here = defect >= -threshold(args.tol, fock.defect_scale(phi))
     return {

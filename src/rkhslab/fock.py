@@ -37,7 +37,7 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -553,19 +553,24 @@ def span_of_polynomials(space: TruncatedSpace, polys: Iterable[Polynomial]) -> F
     return FockSubspace.span(space, rows.reshape(-1, len(space)).T)  # (len(space), 0) for no polys
 
 
-def powers_span(space: TruncatedSpace, phi: Polynomial, count: Optional[int] = None) -> FockSubspace:
+def powers_that_fit(space: TruncatedSpace, phi: Polynomial) -> int:
+    """The most powers of phi that powers_span takes on the window, counted on the terms
+    that act on it: degree // max(n, 1) for n the degree of phi cut to the window (see
+    _normalized), so a constant phi gets no more powers than z1 would."""
+    return space.degree // max(_normalized(phi, space.degree)[2], 1)
+
+
+def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubspace:
     """Orthonormalized span of 1, phi, ..., phi^count, built as that of 1, psi,
     ..., psi^count for psi = (phi - phi(0)) 2^-e, phi cut to the window (see
     _normalized), each power the shift-table product of psi with the one before, so
-    the rank rule sees no scale of phi. The powers are counted on the terms that act
-    on the window: all must fit it, count <= degree // max(deg psi, 1), and no count
-    (None) takes every power that fits. Powers past _ARRAY_BYTES are refused with
+    the rank rule sees no scale of phi. The powers of the cut phi must fit the window:
+    count <= powers_that_fit(space, phi). Powers past _ARRAY_BYTES are refused with
     WindowOverflowError before they are formed."""
-    psi = _normalized(phi, space.degree)[0]
-    most = space.degree // max(psi.degree, 1)
-    count = most if count is None else whole_number(count, "count", 0)
-    if count > most:
+    count = whole_number(count, "count", 0)
+    if count > powers_that_fit(space, phi):
         raise WindowOverflowError(f"count {count}: more powers than degree {space.degree} holds")
+    psi = _normalized(phi, space.degree)[0]
     _check_array_size(len(space) * (count + 1), 16, f"the {len(space)} x {count + 1} matrix of powers")
     cols = np.zeros((len(space), count + 1), dtype=np.complex128)
     cols[0, 0] = 1.0  # the constant 1, of norm 1
@@ -695,7 +700,7 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     space = subspace if isinstance(subspace, TruncatedSpace) else subspace.space
     if phi.dim != space.dim:
         raise InputError("dimension mismatch")
-    phi, e = _normalized(phi, space.degree)
+    phi, e, _ = _normalized(phi, space.degree)
     if space is subspace or subspace.dim == len(space):
         blocks = _blocks(len(space), *_window_pairs(space, _gauged(phi)))
     elif subspace.dim == 0:
@@ -796,19 +801,20 @@ def _size(phi: Polynomial) -> float:
     return sum(abs(complex(c)) for g, c in phi.coeffs.items() if any(g))
 
 
-def _normalized(phi: Polynomial, degree: Optional[int] = None) -> tuple:
-    """(psi, e) with psi = (phi - phi(0)) 2^-e, where _size(phi) = sum_{gamma != 0} |c_gamma|
-    = m 2^e, m in [0.5, 1) (math.frexp; e = 0 for a constant phi). Dividing by 2^e is exact:
-    defect_scale refuses the sizes that would make it round, overflow or underflow.
-    Given the degree of a window, phi is first cut to it (truncated): the terms past it
-    act on nothing in the window, so they neither count in the scale nor overflow it.
-    This is the one place where the module cuts a multiplier to a window."""
-    if degree is not None:
-        phi = truncated(phi, degree)
+def _normalized(phi: Polynomial, degree: int) -> tuple:
+    """(psi, e, n) for phi cut to a window's degree (truncated), n the degree of the cut:
+    psi = (phi - phi(0)) 2^-e, where _size(phi) = sum_{gamma != 0} |c_gamma| = m 2^e,
+    m in [0.5, 1) (math.frexp; e = 0 for a constant phi). The terms past the window act
+    on nothing in it, so they neither count in the scale nor overflow it; this is the one
+    place where the module cuts a multiplier to a window. Dividing by 2^e is exact unless
+    a coefficient falls below the normal range (defect_scale refuses the sizes that would
+    make it round, overflow or underflow), and one that rounds to 0 leaves psi, so the
+    degree of psi may be below n."""
+    phi = truncated(phi, degree)
     defect_scale(phi)
     e = math.frexp(_size(phi))[1]
     unit = 2.0**-e
-    return Polynomial(phi.dim, {g: complex(c) * unit for g, c in phi.coeffs.items() if any(g)}), e
+    return Polynomial(phi.dim, {g: complex(c) * unit for g, c in phi.coeffs.items() if any(g)}), e, phi.degree
 
 
 def defect_scale(phi: Polynomial) -> float:

@@ -41,6 +41,7 @@ from rkhslab.fock import (
     defect_scale,
     pairing_power_norms,
     powers_span,
+    powers_that_fit,
     span_of_polynomials,
     tail_balance,
     vanishing_subspace,
@@ -288,7 +289,8 @@ class TestWindowPairs:
             picked = [0]
         real = rng.random() < 0.5
         draw = (lambda: rng.standard_normal()) if real else (lambda: complex(*rng.standard_normal(2)))
-        psi = _normalized(Polynomial(dim, {exps[i]: draw() for i in picked}))[0]
+        phi = Polynomial(dim, {exps[i]: draw() for i in picked})
+        psi = _normalized(phi, phi.degree)[0]  # not cut: the terms past the window stay
         i, j, term = _window_pairs(space, psi)
         assert term.dtype == (np.float64 if real or psi.is_zero else np.complex128)
         got, want = summed(len(space), i, j, term), dense_self_commutator(space, psi)
@@ -361,7 +363,7 @@ def dense_commutator(phi: Polynomial, space: TruncatedSpace) -> tuple:
     """S = t* t - t t* for the full window by two dense products, t the window's matrix
     of phi as compression_defect normalizes it, the class number of each index (joined
     by the pairs of _window_pairs) and the exponent e of the normalization."""
-    psi, e = _normalized(phi)
+    psi, e, _ = _normalized(phi, phi.degree)  # not cut
     i, j, _ = _window_pairs(space, psi)
     return dense_self_commutator(space, psi), connected_components(len(space), i, j), e
 
@@ -458,7 +460,7 @@ def solved_stacks(phi, space: TruncatedSpace) -> tuple:
 def assert_dense_complex_defect(phi, space: TruncatedSpace, defect: float) -> None:
     """defect within 4 k eps defect_scale(phi) of the complex eigvalsh of S = t* t - t t*,
     t the window's matrix of phi itself, phases and all."""
-    psi, e = _normalized(phi)
+    psi, e, _ = _normalized(phi, phi.degree)  # not cut
     want = math.ldexp(np.linalg.eigvalsh(dense_self_commutator(space, psi))[0], 2 * e)
     assert abs(defect - want) <= 4 * len(space) * np.finfo(float).eps * defect_scale(phi)
 
@@ -615,17 +617,29 @@ class TestPowersSpan:
 
     @pytest.mark.parametrize("far", [{(0, 9): 2.0}, {(0, 9): 2.0, (10**20, 0): 1e300}])
     def test_terms_past_the_window_change_no_power(self, far):
-        # z1 + 0.5 z2 is of degree 1, so count 6 takes every power that fits degree 6;
-        # z2^9 and z1^(10^20), whose exponent passes 2^63, act on nothing there
+        # z1 + 0.5 z2 is of degree 1, so its six powers fit degree 6; z2^9 and
+        # z1^(10^20), whose exponent passes 2^63, act on nothing there
         space = TruncatedSpace(2, 6)
         phi = Polynomial(2, {(1, 0): 1.0, (0, 1): 0.5})
         with_far = Polynomial(2, {**phi.coeffs, **far})
-        for count in [*range(7), None]:
+        assert powers_that_fit(space, with_far) == powers_that_fit(space, phi) == 6
+        for count in range(7):
             want, got = powers_span(space, phi, count), powers_span(space, with_far, count)
             assert np.array_equal(got.basis, want.basis), count
-        assert powers_span(space, with_far).dim == 7  # 1, psi, ..., psi^6
+        assert powers_span(space, with_far, 6).dim == 7  # 1, psi, ..., psi^6
         with pytest.raises(WindowOverflowError, match="count 7: more powers than degree 6 holds"):
             powers_span(space, with_far, 7)
+
+    def test_powers_are_counted_on_the_cut_multiplier_not_on_psi(self):
+        # 5e-324 z^5 acts on degree 6 but rounds to 0 in psi = phi / 2, so psi is 0.5 z;
+        # phi^2 is of degree 10, so only the first power fits
+        space = TruncatedSpace(1, 6)
+        phi = Polynomial(1, {(1,): 1.0, (5,): 5e-324})
+        psi, e, n = _normalized(phi, space.degree)
+        assert (psi.coeffs, e, n) == ({(1,): 0.5}, 1, 5)
+        assert powers_that_fit(space, phi) == 1 and powers_span(space, phi, 1).dim == 2  # 1, psi
+        with pytest.raises(WindowOverflowError, match="count 2: more powers than degree 6 holds"):
+            powers_span(space, phi, 2)
 
 
 def cuts(node) -> bool:
