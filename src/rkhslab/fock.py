@@ -203,17 +203,6 @@ def mult_adjoint_apply(phi: Polynomial, f: Polynomial, degree: int) -> Polynomia
     return space.polynomial(g)
 
 
-def _coordinates(z) -> tuple:
-    """z as a complex array, and as (re, im) Fraction pairs when every coordinate
-    is exact (a Rational or a QQi), else None."""
-    entries = list(z) if isinstance(z, (list, tuple)) else list(np.atleast_1d(z))
-    if not entries:
-        raise InputError("point must have at least one coordinate")
-    zv = np.array([_coerce_coeff(x, f"coordinate {i}") for i, x in enumerate(entries)], np.complex128)
-    exact = all(isinstance(x, (Rational, QQi)) for x in entries)
-    return zv, ([_gaussian(x) for x in entries] if exact else None)
-
-
 def _is_real(phi) -> bool:
     """Every coefficient of phi has imaginary part 0, of either sign."""
     return all(complex(c).imag == 0 for c in phi.coeffs.values())
@@ -273,32 +262,30 @@ class TruncatedSpace:
     and by Python ints past it (_inverse_multinomials); positions by one
     ranking formula (index).
     A window with some M > 2^1022, whose 1/M falls below the normal float
-    range (in two variables from degree 1028), is refused with InputError
-    before any of this runs, and so, with WindowOverflowError, is one whose
-    k = C(degree + dim, dim) exponent rows of dim int64s pass _ARRAY_BYTES.
-    The build's traced peak is a few times that table: 4.4 times at (dim, degree) =
-    (3, 120), 2.6 at (4, 40), 6.3 at (2, 500) and 6.4 at (2, 1000), where most weights
-    need Python ints.
+    range, is refused with InputError before any of this runs. M is largest at
+    the most even alpha, so the test is one comparison of factorials, and every
+    window in two or more variables from degree 1028 on holds (514, 514, 0, ...)
+    with M = C(1028, 514) > 2^1022; the first refused degree is 1028, 651, 518,
+    448 and 404 in 2-6 variables. Then a window whose k = C(degree + dim, dim)
+    exponent rows of dim int64s pass _ARRAY_BYTES is refused with
+    WindowOverflowError. The weights are formed in the array of M, so the build's
+    traced peak is a few times that table: 4.0 times at (dim, degree) = (3, 120),
+    2.3 at (4, 40), 5.8 at (2, 500) and 5.9 at (2, 1000), where most weights need
+    Python ints.
     """
 
     __slots__ = ("dim", "degree", "exponents", "_choose", "_sqrt_norms", "_shifts")
 
     def __init__(self, dim: int, degree: int):
         dim, degree = whole_number(dim, "dim", 1), whole_number(degree, "degree", 0)
-        q, rem = divmod(degree, dim)  # M = |alpha|!/alpha! is largest for the most even alpha
-        biggest, rest = 1, degree
-        for j in range(dim - 1):  # rem parts q + 1, then parts q; the last part is rest
-            part = q + (j < rem)  # rest >= 2 part - 1, so C(rest, part) >= 2^(part - 1)
-            biggest = biggest * math.comb(rest, part) if part < 1024 else 2**1023
-            rest -= part
-            if biggest > 2**1022 or not rest:  # each factor while rest > 0 is at least 2
-                break
-        if biggest > 2**1022:  # 1/M < sys.float_info.min
-            raise InputError(
-                f"the degree-{degree} window in {dim} variables has monomial norms below the "
-                f"normal float range: |alpha|!/alpha! exceeds 2^1022"
-            )
         window = f"the degree-{degree} window in {dim} variables"
+        q, rem = divmod(degree, dim)  # the most even alpha: rem parts q + 1, the rest q
+        f = math.factorial  # not formed from degree 1028 on, where M(514, 514) > 2^1022
+        if dim > 1 and (degree >= 1028 or f(degree) > 2**1022 * f(q) ** (dim - rem) * f(q + 1) ** rem):
+            raise InputError(  # 1/M < sys.float_info.min
+                f"{window} has monomial norms below the normal float range: "
+                f"|alpha|!/alpha! exceeds 2^1022"
+            )
         _check_array_size(math.comb(degree + dim, dim) * dim, 8, window)
         self.dim = dim
         self.degree = degree
@@ -319,11 +306,11 @@ class TruncatedSpace:
                 np.add.accumulate(b[k - 1], out=b[k])
             for j in range(dim - 1):  # C(s_j, alpha_j) = C(s_{j+1} + alpha_j, alpha_j)
                 m *= b[s[:, j] - s[:, j + 1], s[:, j + 1] + 1]
-        norms_sq = 1.0 / m
         big = np.flatnonzero(m >= 2.0**53)
+        norms_sq = np.divide(1.0, m, out=m)
         if big.size:  # there 1 / M in Python ints, also correctly rounded
             norms_sq[big] = _inverse_multinomials(s[big, :-1], s[big, :-1] - s[big, 1:])
-        self._sqrt_norms = np.sqrt(norms_sq)
+        self._sqrt_norms = np.sqrt(norms_sq, out=norms_sq)
         for j in range(dim - 1):  # alpha_j = s_j - s_{j+1} in place, so s is not copied
             s[:, j] -= s[:, j + 1]
         self.exponents = s
@@ -865,11 +852,17 @@ class TailBalance(NamedTuple):
         return gap <= self.tail_bound + self.rounding_bound
 
 
-def _pairing_setup(z):
-    """The multiplier <., z>, z as a complex array, ||z||^2 (summed exactly and rounded
-    once when z is exact; inf past the float range), and the exact parts of z, or
-    None, as _coordinates gives them."""
-    zv, exact = _coordinates(z)
+def _pairing_point(z) -> tuple:
+    """(zv, nz, exact) for the point z of the multiplier <., z>, read once for
+    tail_balance and pairing_power_norms: z as a complex array, ||z||^2, and the
+    (re, im) Fraction pairs of z when every coordinate is exact (a Rational or a QQi),
+    else None. For an exact z, ||z||^2 is summed exactly and rounded once; past the
+    float range it is inf, and the callers refuse it."""
+    entries = list(z) if isinstance(z, (list, tuple)) else list(np.atleast_1d(z))
+    if not entries:
+        raise InputError("point must have at least one coordinate")
+    zv = np.array([_coerce_coeff(x, f"coordinate {i}") for i, x in enumerate(entries)], np.complex128)
+    exact = [_gaussian(x) for x in entries] if all(isinstance(x, (Rational, QQi)) for x in entries) else None
     try:
         if exact is not None:
             nz = float(sum(re * re + im * im for re, im in exact))
@@ -877,8 +870,7 @@ def _pairing_setup(z):
             nz = float(sum(abs(complex(e)) ** 2 for e in zv))
     except OverflowError:  # such a z lies far outside the ball, which the callers refuse
         nz = math.inf
-    step = Polynomial(len(zv), zip(np.eye(len(zv), dtype=int).tolist(), zv.conj()))
-    return step, zv, nz, exact
+    return zv, nz, exact
 
 
 def _exact_tail_norms_sq(z: list, degree: int) -> tuple:
@@ -905,10 +897,11 @@ def _exact_tail_norms_sq(z: list, degree: int) -> tuple:
     return space.exact_norms_sq(step, y_re, y_im, den**degree)
 
 
-def _band_norms_sq(step: Polynomial, zv: np.ndarray, low: int, high: int) -> tuple:
-    """||M* f||^2, ||M f||^2 and the space size for M = step = <., z> and
+def _band_norms_sq(zv: np.ndarray, low: int, high: int) -> tuple:
+    """||M* f||^2, ||M f||^2 and the space size for M = <., z> and
     f = sum_{low <= n <= high} <., z>^n, both exact images of f: M f is kept
     whole in degree high + 1, and M* f stays in every window that holds f."""
+    step = Polynomial(len(zv), zip(np.eye(len(zv), dtype=int).tolist(), zv.conj()))
     space = TruncatedSpace(len(zv), high + 1)
     f = space.kernel_vector(zv)  # degree-n block: coordinates of <., z>^n
     f[: space.size_at_most(low - 1)] = 0.0
@@ -936,7 +929,7 @@ def tail_balance(z, degree: int) -> TailBalance:
     doubles that and summing len non-negative squares adds len eps / 2.
     Each computed norm is thus within half the bound of the exact value.
     """
-    step, zv, nz, exact = _pairing_setup(z)
+    zv, nz, exact = _pairing_point(z)
     if nz == 0.0:
         raise InputError("z must be nonzero; the tail vanishes at z = 0")
     degree = whole_number(degree, "degree", 1)
@@ -946,7 +939,7 @@ def tail_balance(z, degree: int) -> TailBalance:
         adj, fwd = map(float, _exact_tail_norms_sq(exact, degree))
         rounding = 0.0
     else:
-        adj, fwd, size = _band_norms_sq(step, zv, 1, degree)
+        adj, fwd, size = _band_norms_sq(zv, 1, degree)
         rounding = (size + 12 * (degree + len(zv) + 2)) * math.ulp(1.0) * (adj + fwd)
     bound = 3.0 * nz ** (degree + 1) / (1.0 - nz)
     return TailBalance(adjoint_norm_sq=adj, forward_norm_sq=fwd, tail_bound=bound, rounding_bound=rounding)
@@ -964,10 +957,10 @@ def pairing_power_norms(z, n: int, degree: int) -> PairingPowerNorms:
     in floating point: the power fits the window whenever n <= degree.
     """
     n = whole_number(n, "n", 2)
-    step, zv, nz, _ = _pairing_setup(z)
+    zv, nz, _ = _pairing_point(z)
     if not 0.0 < nz < 1.0:
         raise DomainError("need 0 < ||z|| < 1")
     if n > whole_number(degree, "degree", 0):
         raise WindowOverflowError(f"power {n} does not fit the degree-{degree} window")
-    adj, fwd, _ = _band_norms_sq(step, zv, n - 1, n - 1)
+    adj, fwd, _ = _band_norms_sq(zv, n - 1, n - 1)
     return PairingPowerNorms(adjoint_norm=math.sqrt(adj), forward_norm=math.sqrt(fwd))

@@ -170,12 +170,15 @@ class PowerSeriesKernel:
         bad = _first_outside_disk(x)
         if bad is not None:
             raise DomainError(f"|z conj(w)| = {bad:.6f} is not below 1")
-        # Horner on the whole matrix: one multiply-add per coefficient.
+        # Horner on the whole matrix: one multiply-add per coefficient. A value past the
+        # float range is refused by HermitianMatrix's one finiteness check, so numpy's
+        # overflow warnings would only repeat it.
         acc = np.zeros_like(x)
-        for c in self._horner:
-            acc *= x
-            acc += c
-        return HermitianMatrix(acc)
+        with np.errstate(all="ignore"):
+            for c in self._horner:
+                acc *= x
+                acc += c
+        return HermitianMatrix(acc, "the power-series kernel's value")
 
     def __repr__(self) -> str:
         return f"PowerSeriesKernel(terms={len(self.coeffs)})"
@@ -288,14 +291,15 @@ def normalize(g: HermitianMatrix, base: int) -> NormalizedGram:
             f"kernel entry K(point {zero[0]}, base) is zero; cannot normalize"
         )
     delta = col / np.sqrt(gbb)
-    gt = g.entries / np.outer(delta, delta.conj())
+    with np.errstate(all="ignore"):  # an entry past the float range is refused below
+        gt = g.entries / np.outer(delta, delta.conj())
     # Base row and column are exactly one by construction; pin them to kill
     # rounding dust so the downstream 1 - 1/K matrix gets an exact zero row.
     gt[base, :] = 1.0
     gt[:, base] = 1.0
     delta = delta.copy()
     delta.setflags(write=False)
-    return NormalizedGram(gram_tilde=HermitianMatrix(gt), delta=delta)
+    return NormalizedGram(gram_tilde=HermitianMatrix(gt, "the normalization by the base column"), delta=delta)
 
 
 def unit_diagonal(g: HermitianMatrix) -> HermitianMatrix:

@@ -50,13 +50,14 @@ class HermitianMatrix:
 
     The input is averaged with its conjugate transpose, so sampled kernels
     carrying rounding asymmetry become exactly Hermitian. The stored array
-    is read-only, (n, n) and complex whatever the input's dtype.
+    is read-only, (n, n) and complex whatever the input's dtype. name is the
+    step that formed the entries, which a refusal of them names.
     """
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries):
-        self._entries = _hermitian(_square(entries))
+    def __init__(self, entries, name: str = "matrix"):
+        self._entries = _hermitian(_square(entries, name))
 
     @property
     def n(self) -> int:

@@ -496,6 +496,45 @@ class TestErrorPaths:
         error = json.loads(captured.out)["results"]["error"]
         assert error == {"type": "InputError", "message": "coefficient 1 must be finite, got inf"}
 
+    @pytest.mark.parametrize(
+        "argv, step",
+        [
+            (["cnp-check", "sampled.json"], "the normalization by the base column"),
+            (["embed", "sampled.json"], "the normalization by the base column"),
+            (["cnp-check", "series.json", "--points", "points.json"], "the power-series kernel's value"),
+            (["pick", "problem.json"], "the power-series kernel's value"),
+        ],
+    )
+    def test_a_value_past_the_float_range_is_refused_by_its_step_without_warnings(
+        self, argv, step, tmp_path, capsys
+    ):
+        # G[2][2] / |delta_2|^2 overflows in the normalization; the series' Horner sums
+        # overflow at every point. Each is refused where it is formed, with no numpy
+        # warning on stderr first. Which non-finite value the overflow leaves is numpy's.
+        gram = [[[2.0, 0.0], [0.5, 0.25], [0.1, 0.0]], [[0.5, -0.25], [1.0, 0.0], [1.0, 0.1]]]
+        gram.append([[0.1, 0.0], [0.2, -0.1], [1e308, 1.0]])
+        points = [[[0.9, 0.0]], [[0.0, 0.5]], [[-0.3, 0.1]]]
+        files = {
+            "sampled.json": {"type": "sampled", "labels": ["a", "b", "c"], "gram": gram},
+            "series.json": {"type": "power_series", "coeffs": [1.0, 1e308, 1e308, 1e308]},
+            "points.json": {"dim": 1, "points": points},
+            "problem.json": {
+                "kernel": {"type": "power_series", "coeffs": [1.0, 1e308, 1e308]},
+                "nodes": points,
+                "targets": [[0.0, 0.0], [0.25, 0.0], [0.1, 0.0]],
+            },
+        }
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == "" and not caught
+        error = json.loads(captured.out)["results"]["error"]
+        assert error["type"] == "InputError"
+        assert error["message"].startswith(f"{step}: expected a finite number, got (")
+
     def test_coordinate_past_the_square_root_of_the_float_range_refused_silently(
         self, tmp_path, capsys
     ):

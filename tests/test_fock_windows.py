@@ -13,6 +13,8 @@ by hypothesis when it is installed and from fixed seeds otherwise.
 import ast
 import itertools
 import math
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -204,12 +206,13 @@ class TestWindowConstruction:
             assert space._sqrt_norms[i] == math.sqrt(1 / m)
         assert big >= 300
 
-    @pytest.mark.parametrize("dim, degree, multiple", [(3, 120, 5.0), (4, 40, 3.0), (2, 500, 7.0)])
+    @pytest.mark.parametrize("dim, degree, multiple", [(3, 120, 4.2), (4, 40, 2.45), (2, 500, 6.0)])
     def test_the_build_peaks_at_a_few_times_the_exponent_table(self, dim, degree, multiple):
-        # the class docstring states 4.4, 2.6 and 6.3 times: the suffix sums turn into the
+        # the class docstring states 4.0, 2.3 and 5.8 times: the suffix sums turn into the
         # exponents in place, so the two are not held at once (5.4 and 3.6 when they were),
-        # and the least Pascal row of each exponent row stays an int64 array (7.7 at
-        # (2, 500) as a list of Python ints)
+        # the least Pascal row of each exponent row stays an int64 array (7.7 at (2, 500)
+        # as a list of Python ints), and the weights are formed in the array of M (4.4,
+        # 2.6 and 6.3 with two more float arrays)
         tracemalloc.start()
         try:
             space = TruncatedSpace(dim, degree)
@@ -224,6 +227,37 @@ class TestWindowConstruction:
         assert math.comb(1027, 513) <= 2**1022 < math.comb(1028, 514)
         with pytest.raises(InputError, match="below the normal float range"):
             TruncatedSpace(dim, degree)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_the_range_test_refuses_from_the_first_degree_past_2_to_the_1022(self, dim):
+        # the oracle: M at the most even alpha, rem parts q + 1 and the rest q, as a
+        # product of binomials; it is the largest M of the window
+        def largest_multinomial(degree):
+            q, rem = divmod(degree, dim)
+            parts, m, rest = [q + 1] * rem + [q] * (dim - rem), 1, degree
+            for part in parts[:-1]:
+                m, rest = m * math.comb(rest, part), rest - part
+            return m
+
+        first = next(n for n in itertools.count() if largest_multinomial(n) > 2**1022)
+        assert first == {2: 1028, 3: 651, 4: 518, 5: 448, 6: 404}[dim]
+        with pytest.raises(InputError, match="below the normal float range") as refused:
+            TruncatedSpace(dim, first)
+        assert refused.type is InputError
+        if dim == 2:  # 528,906 monomials, the smallest norm still normal
+            assert min(TruncatedSpace(dim, first - 1)._sqrt_norms) ** 2 >= sys.float_info.min
+        else:  # past the range test, and then past the array budget
+            with pytest.raises(WindowOverflowError) as refused:
+                TruncatedSpace(dim, first - 1)
+            assert refused.type is WindowOverflowError
+
+    @pytest.mark.parametrize("dim, degree, error", [(2, 2**63, InputError), (10**9, 7, WindowOverflowError)])
+    def test_the_range_of_a_huge_window_is_decided_at_once(self, dim, degree, error):
+        # no factorial of the degree, and no loop over the variables
+        start = time.perf_counter()
+        with pytest.raises(error) as refused:
+            TruncatedSpace(dim, degree)
+        assert refused.type is error and time.perf_counter() - start < 0.1
 
     # Sizes are computed, never allocated: each test sets the budget just at or
     # just below a small window's array, so a missing check builds nothing large.
