@@ -171,8 +171,7 @@ class PowerSeriesKernel:
         if bad is not None:
             raise DomainError(f"|z conj(w)| = {bad:.6f} is not below 1")
         # Horner on the whole matrix: one multiply-add per coefficient. A value past the
-        # float range is refused by HermitianMatrix's one finiteness check, so numpy's
-        # overflow warnings would only repeat it.
+        # float range is refused by HermitianMatrix, so numpy need not warn of it.
         acc = np.zeros_like(x)
         with np.errstate(all="ignore"):
             for c in self._horner:
@@ -277,7 +276,9 @@ def normalize(g: HermitianMatrix, base: int) -> NormalizedGram:
     """Rescale a Gram matrix by delta(i) = G[i][base] / sqrt(G[base][base]).
 
     Requires a strictly positive base diagonal entry and a nowhere-zero base
-    column (the sample-level irreducibility needed for the rescaling).
+    column (the sample-level irreducibility needed for the rescaling). An
+    entry rescaled past the float range is refused with InputError naming
+    this step.
     """
     if not whole_number(base, "base index", 0) < g.n:
         raise InputError(f"base index {base} out of range for n={g.n}")
