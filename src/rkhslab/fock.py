@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import DomainError, InputError, WindowOverflowError
 from .kernels import PointSet, _as_point
-from .linalg import DEFAULT_TOL, Subspace, complex_array, complex_number, connected_components, min_eigenvalue
-from .linalg import real_number, threshold, whole_number
+from .linalg import DEFAULT_TOL, Subspace, ball_point, complex_array, complex_number, connected_components
+from .linalg import min_eigenvalue, real_number, threshold, whole_number
 
 
 class QQi:
@@ -363,7 +363,7 @@ class TruncatedSpace:
         Entry alpha is conj(z)^alpha / ||z^alpha||; the squared norm of the
         vector is sum_{n <= degree} ||z||^(2n). Its degree-n block holds the
         coordinates of <., z>^n. A stack of points, shape (m, dim), gives
-        one column per point. z is read by linalg.complex_array.
+        one column per point. z is read by linalg.complex_array and ball_point.
 
         Each entry multiplies the powers conj(z_j)^alpha_j, gathered one
         coordinate at a time, in the order j = 0, 1, ..., and in real
@@ -379,10 +379,7 @@ class TruncatedSpace:
         pts = zv if zv.ndim == 2 else np.atleast_1d(zv)[None, :]
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InputError(f"point must have {self.dim} coordinates")
-        with np.errstate(over="ignore"):  # a norm past the float range is inf, and refused
-            inside = np.all(np.linalg.norm(pts, axis=1) < 1.0)
-        if not inside:
-            raise DomainError("point must lie inside the open unit ball")
+        ball_point(pts, "point")
         # conj(z_j)^e for each coordinate j and e <= degree, each power once
         powers = np.conjugate(pts)[:, :, None] ** np.arange(self.degree + 1)
         re, im, e = powers.real, powers.imag, self.exponents
@@ -572,6 +569,7 @@ class VanishingSubspaces(NamedTuple):
     @property
     def ideal(self) -> FockSubspace:
         """Polynomials of bounded degree vanishing on Y, formed from complement on each read."""
+        _check_array_size((k := len(self.complement.space)) ** 2, 16, f"the {k} x {k} singular vectors")
         u = np.linalg.svd(self.complement.basis, full_matrices=True)[0]
         return FockSubspace(self.complement.space, u[:, self.complement.dim :])
 
@@ -853,11 +851,11 @@ class TailBalance(NamedTuple):
 
 
 def _pairing_point(z) -> tuple:
-    """(zv, nz, exact) for the point z of the multiplier <., z>, read once for
-    tail_balance and pairing_power_norms: z as a complex array, ||z||^2, and the
-    (re, im) Fraction pairs of z when every coordinate is exact (a Rational or a QQi),
-    else None. For an exact z, ||z||^2 is summed exactly and rounded once; past the
-    float range it is inf, and the callers refuse it."""
+    """(zv, nz, exact) for the point z of the multiplier <., z>, read and checked once for
+    tail_balance and pairing_power_norms: z as a complex array, nz = ||z||^2 (summed exactly
+    and rounded once for an exact z), and the (re, im) Fraction pairs of z when every
+    coordinate is exact (a Rational or a QQi), else None. z = 0, decided on those pairs or on
+    zv, is refused with InputError, and an nz not below 1 (inf past the float range) with DomainError."""
     entries = list(z) if isinstance(z, (list, tuple)) else list(np.atleast_1d(z))
     if not entries:
         raise InputError("point must have at least one coordinate")
@@ -868,8 +866,12 @@ def _pairing_point(z) -> tuple:
             nz = float(sum(re * re + im * im for re, im in exact))
         else:
             nz = float(sum(abs(complex(e)) ** 2 for e in zv))
-    except OverflowError:  # such a z lies far outside the ball, which the callers refuse
+    except OverflowError:  # such a z lies far outside the ball, and is refused
         nz = math.inf
+    if not (any(re or im for re, im in exact) if exact is not None else zv.any()):
+        raise InputError("z must be nonzero; the tail vanishes at z = 0")
+    if not nz < 1.0:
+        raise DomainError(f"||z||^2 = {nz:.6f} is not below 1")
     return zv, nz, exact
 
 
@@ -930,11 +932,7 @@ def tail_balance(z, degree: int) -> TailBalance:
     Each computed norm is thus within half the bound of the exact value.
     """
     zv, nz, exact = _pairing_point(z)
-    if nz == 0.0:
-        raise InputError("z must be nonzero; the tail vanishes at z = 0")
     degree = whole_number(degree, "degree", 1)
-    if not nz < 1.0:
-        raise DomainError(f"||z||^2 = {nz:.6f} is not below 1")
     if exact is not None:
         adj, fwd = map(float, _exact_tail_norms_sq(exact, degree))
         rounding = 0.0
@@ -957,9 +955,7 @@ def pairing_power_norms(z, n: int, degree: int) -> PairingPowerNorms:
     in floating point: the power fits the window whenever n <= degree.
     """
     n = whole_number(n, "n", 2)
-    zv, nz, _ = _pairing_point(z)
-    if not 0.0 < nz < 1.0:
-        raise DomainError("need 0 < ||z|| < 1")
+    zv = _pairing_point(z)[0]
     if n > whole_number(degree, "degree", 0):
         raise WindowOverflowError(f"power {n} does not fit the degree-{degree} window")
     adj, fwd, _ = _band_norms_sq(zv, n - 1, n - 1)

@@ -16,22 +16,21 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InputError, IrreducibilityError
-from .linalg import DEFAULT_TOL, HermitianMatrix, complex_array, connected_components, gram_scale, psd_check
-from .linalg import real_number, threshold, whole_number
+from .linalg import DEFAULT_TOL, HermitianMatrix, ball_point, complex_array, connected_components, gram_scale
+from .linalg import psd_check, real_number, threshold, whole_number
 
 
 def _as_point(p, dim: int) -> np.ndarray:
     v = np.atleast_1d(complex_array(p, "point"))
     if v.ndim != 1 or v.shape[0] != dim:
         raise InputError(f"expected a point with {dim} coordinates, got shape {v.shape}")
-    return v
+    return ball_point(v, "point")
 
 
 class PointSet:
     """Finite set of points in the open unit ball of C^dim.
 
-    dim and the (n, dim) points are read by whole_number and complex_array. Points are pairwise
-    distinct (exact comparison on user data) and each has Euclidean norm strictly below 1.
+    Read by whole_number, complex_array and ball_point; points are pairwise distinct, compared exactly.
     """
 
     __slots__ = ("_dim", "_points")
@@ -45,14 +44,7 @@ class PointSet:
             raise InputError(f"points must form an (n, {dim}) array, got shape {pts.shape}")
         if pts.shape[0] == 0:
             raise InputError("point set must be non-empty")
-        with np.errstate(over="ignore"):  # a norm past the float range is inf, and refused
-            norms = np.linalg.norm(pts, axis=1)
-        if np.any(norms >= 1.0):
-            worst = int(np.argmax(norms))
-            raise DomainError(
-                f"point {worst} has norm {norms[worst]:.6f}, outside the open unit ball"
-            )
-        pair = first_coincident_pair(pts)
+        pair = first_coincident_pair(ball_point(pts, "point"))
         if pair is not None:
             raise InputError(f"points {pair[0]} and {pair[1]} coincide")
         pts = pts.copy()
@@ -152,6 +144,7 @@ class PowerSeriesKernel:
         self._horner = [float(c) for c in reversed(self.coeffs)]  # highest degree first
 
     def evaluate(self, z, w) -> complex:
+        """K(z, w) for z, w read by linalg.ball_point; a |z conj(w)| rounded up to 1 is refused."""
         zv = _as_point(z, 1)
         wv = _as_point(w, 1)
         x = complex(zv[0] * np.conjugate(wv[0]))
@@ -190,6 +183,7 @@ class DruryArvesonKernel:
         self.dim = whole_number(dim, "dim", 1)
 
     def evaluate(self, z, w) -> complex:
+        """K(z, w) for z, w read by linalg.ball_point; a |<z, w>| rounded up to 1 is refused."""
         zv = _as_point(z, self.dim)
         wv = _as_point(w, self.dim)
         ip = complex(np.dot(zv, np.conjugate(wv)))

@@ -6,7 +6,7 @@ live here, together with the subspace membership check used to exercise the
 closure argument for hyponormal compressions on finite-dimensional models.
 
 Each value from outside is read by one rule (real_number, complex_number, complex_array or
-whole_number) that refuses it with InputError naming the field; callers add shape and range.
+whole_number, then ball_point for a point) that refuses it with InputError naming the field.
 
 All operations are pure functions on immutable values and are safe to call
 concurrently.
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NotPsdError, PreconditionError
+from .errors import DomainError, InputError, NotPsdError, PreconditionError
 
 DEFAULT_TOL = 1e-9
 
@@ -187,6 +187,17 @@ def whole_number(x, what: str, least: int) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
         raise InputError(f"{what}: expected an integer >= {least}, got {x!r:.60}")
     return int(x)
+
+
+def ball_point(x: np.ndarray, what: str) -> np.ndarray:
+    """x, a complex_array of one point or one point per row, if each has Euclidean norm below 1;
+    else DomainError naming what, the row of largest norm and that norm (inf past the float range)."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=-1)
+    if not np.all(norms < 1.0):
+        worst = int(np.argmax(norms))
+        raise DomainError(f"{what} {worst} has norm {norms.flat[worst]:.6f}, outside the open unit ball")
+    return x
 
 
 def threshold(tol: float, scale: float) -> float:

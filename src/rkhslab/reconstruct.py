@@ -31,7 +31,7 @@ from .errors import (
     NotCnpError,
 )
 from .kernels import check_irreducible_sample, first_coincident_pair, normalize, unit_diagonal
-from .linalg import DEFAULT_TOL, HermitianMatrix, complex_array, complex_number, whole_number
+from .linalg import DEFAULT_TOL, HermitianMatrix, ball_point, complex_array, complex_number, whole_number
 
 SINGLETON = "singleton"
 HARDY_EQUIVALENT = "hardy_equivalent"
@@ -68,14 +68,13 @@ def verify_factorization(g: HermitianMatrix, delta, j_values) -> float:
     """Largest relative defect of K = delta conj(delta) / (1 - j conj(j)).
 
     Entrywise maximum of |G[i][j] - delta_i conj(delta_j)/(1 - j_i conj(j_j))|
-    normalized by max |G|, delta and j read by linalg.complex_array.
+    normalized by max |G|, delta and j read by linalg.complex_array, j by ball_point too.
     """
     d = complex_array(delta, "delta")
     j = complex_array(j_values, "j values")
     if d.shape != (g.n,) or j.shape != (g.n,):
         raise InputError("delta and j must have one entry per sample point")
-    if np.any(np.abs(j) >= 1.0):
-        raise InputError("j values must lie inside the open unit disk")
+    ball_point(j[:, None], "j value")
     model = np.outer(d, d.conj()) / (1.0 - np.outer(j, j.conj()))
     scale = float(np.max(np.abs(g.entries)))
     return float(np.max(np.abs(g.entries - model)) / scale)

@@ -26,14 +26,15 @@ except ImportError:  # hypothesis is optional
         return pytest.mark.parametrize("seed", range(examples))
 
 
-def sites(test) -> set:
-    """(module, innermost function or class) of each call in src/rkhslab that test accepts."""
+def sites(test, kind=ast.Call) -> set:
+    """(module, innermost function or class) of each node of this kind, a call by default, in
+    src/rkhslab that test accepts."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and test(node):
+            if isinstance(node, kind) and test(node):
                 around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
                 found.add((path.name, max(around, key=lambda d: d.lineno).name if around else "<module>"))
     return found

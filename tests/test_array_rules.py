@@ -20,7 +20,7 @@ import pytest
 from conftest import seeded_by, sites
 
 from rkhslab.cnp import agler_mccarthy_embed, blaschke_classify, cnp_sample_check
-from rkhslab.errors import InputError
+from rkhslab.errors import DomainError, InputError
 from rkhslab.fock import (
     FockSubspace,
     Polynomial,
@@ -387,7 +387,7 @@ def test_the_site_rules_on_shape_and_range():
         TruncatedSpace(2, 3).kernel_vector([0.1, 0.2, 0.3])
     with pytest.raises(InputError, match="^delta and j must have one entry per sample point$"):
         verify_factorization(G, [1.0, 1.0], [0.0, 0.3])
-    with pytest.raises(InputError, match="^j values must lie inside the open unit disk$"):
+    with pytest.raises(DomainError, match="^j value 2 has norm 1.000000, outside the open unit ball$"):
         verify_factorization(G, [1.0, 1.0, 1.0], [0.0, 0.3, 1.0])
     with pytest.raises(InputError, match="^subspace basis must be a 2-d array of columns$"):
         Subspace([1.0, 0.0])

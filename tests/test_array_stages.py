@@ -40,6 +40,17 @@ def loop_gram(kernel, points) -> np.ndarray:
     return g
 
 
+def loop_pair_refusal(kernel, points) -> None:
+    """Refuse the first pair (i, j), i <= j in loop order, whose pairing z conj(w) or <z, w>
+    is not below 1 in modulus, with the text of evaluate's guard on it."""
+    name = "|z conj(w)|" if isinstance(kernel, PowerSeriesKernel) else "|<z, w>|"
+    for i in range(len(points)):
+        for j in range(i, len(points)):
+            x = complex(np.dot(points[i], np.conjugate(points[j])))
+            if abs(x) >= 1.0:
+                raise DomainError(f"{name} = {abs(x):.6f} is not below 1")
+
+
 def loop_coincident_pair(points):
     pts = np.asarray(points, dtype=np.complex128).reshape(len(points), -1)
     for i in range(len(pts)):
@@ -100,11 +111,11 @@ class TestGram:
         ],
     )
     def test_domain_error_names_first_pair_in_loop_order(self, kernel, points):
-        # PointSet keeps every point inside the ball, so no real sample gets
-        # here; a stand-in with the same two attributes reaches the check.
+        # PointSet and evaluate keep every point inside the ball, so no real sample
+        # gets here; a stand-in with the same two attributes reaches the check.
         stand_in = SimpleNamespace(dim=kernel.dim, points=np.asarray(points, dtype=complex))
         with pytest.raises(DomainError) as expected:
-            loop_gram(kernel, stand_in.points)
+            loop_pair_refusal(kernel, stand_in.points)
         with pytest.raises(DomainError) as got:
             kernel.gram(stand_in)
         assert str(got.value) == str(expected.value)

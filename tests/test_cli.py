@@ -544,9 +544,9 @@ class TestErrorPaths:
         inside, outside = [[0.1, 0], [0, 0]], [[1e308, 0.0], [0, 0]]
         far.write_text(json.dumps({"dim": 2, "points": [inside, outside]}))
         near.write_text(json.dumps({"dim": 2, "points": [inside]}))
-        cases = [  # the points file through PointSet, --z through TruncatedSpace.kernel_vector
-            (far, inside, "point 1 has norm inf"),
-            (near, outside, "inside the open unit ball"),
+        cases = [  # the points file through PointSet, --z through in_closure's point, one rule
+            (far, inside, "point 1 has norm inf, outside the open unit ball"),
+            (near, outside, "point 0 has norm inf, outside the open unit ball"),
         ]
         for points, z, message in cases:
             with warnings.catch_warnings():

@@ -286,6 +286,17 @@ class TestWindowConstruction:
         with pytest.raises(WindowOverflowError, match="pairs of 9 terms on 36 indices"):
             compression_defect(phi, space)
 
+    def test_the_ideal_past_the_array_budget_is_refused(self, monkeypatch):
+        # its full SVD forms a k x k unitary, 854 kB at k = 231, while the window's exponent
+        # table and the kernel vector take 3.7 kB each
+        spaces = vanishing_subspace(PointSet(2, [[0.1, 0]]), 20)
+        monkeypatch.setattr(fock, "_ARRAY_BYTES", 231 * 231 * 16)
+        assert spaces.ideal.dim == 230
+        monkeypatch.setattr(fock, "_ARRAY_BYTES", 2**16)
+        spaces = vanishing_subspace(PointSet(2, [[0.1, 0]]), 20)
+        with pytest.raises(WindowOverflowError, match="^the 231 x 231 singular vectors would take 0 MiB"):
+            spaces.ideal
+
     def test_the_window_that_ran_out_of_memory_is_past_the_budget(self):
         # fock defect --span full --degree 500 in 4 variables: C(504, 4) exponent rows
         # of 4 int64s, 81 GB, which numpy failed to allocate
@@ -847,7 +858,7 @@ class TestTailBalance:
 
 class TestPairingPowerNorms:
     def test_the_origin_is_refused(self):
-        assert_refused(DomainError, "need 0 < ||z|| < 1", pairing_power_norms, [0.0], 2, 3)
+        assert_refused(InputError, "z must be nonzero; the tail vanishes at z = 0", pairing_power_norms, [0.0], 2, 3)
 
     @seeded
     def test_float_z(self, seed):
