@@ -201,7 +201,7 @@ def _parse_kernel_obj(obj, what: str, tol: float) -> KernelSpec:
         labels = _parse_list(obj["labels"], f"{what}.labels")
         gram = _parse_list(obj["gram"], f"{what}.gram")
         g = _complex_array(gram, (len(gram),) * 2, f"{what}.gram", f"a row of {len(gram)} entries")
-        return SampledGramKernel([str(x) for x in labels], g, tol)
+        return SampledGramKernel(labels, g, tol)
     raise InputError(f"{what}: unknown kernel type {kind!r:.60}")
 
 
@@ -484,9 +484,7 @@ def _cmd_pick(args, loader):
     targets = _parse_list(obj["targets"], "problem.targets")
     targets = _complex_array(targets, (len(targets),), "problem.targets")
     nodes = _parse_list(obj["nodes"], "problem.nodes")
-    if isinstance(spec, SampledGramKernel):
-        nodes = [str(x) for x in nodes]
-    else:
+    if not isinstance(spec, SampledGramKernel):
         nodes = PointSet(spec.dim, _complex_array(nodes, (len(nodes), spec.dim), "problem.nodes"))
     problem = PickProblem(kernel=spec, nodes=nodes, targets=targets)
     if args.norm is not None:

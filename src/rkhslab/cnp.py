@@ -32,7 +32,7 @@ from .errors import (
     NotPsdError,
 )
 from .kernels import NormalizedGram, normalize, validated_coeffs
-from .linalg import DEFAULT_TOL, HermitianMatrix, psd_check, psd_factor, real_number, threshold
+from .linalg import DEFAULT_TOL, HermitianMatrix, listed, psd_check, psd_factor, real_number, threshold
 
 CONSISTENT = "consistent"
 CERTIFIED_NOT_CNP = "certified_not_cnp"
@@ -192,7 +192,7 @@ def ratio_report(coeffs: Sequence) -> RatioReport:
 
 def _validated_radii(radii: Sequence, what: str) -> tuple[float, ...]:
     out = []
-    for i, r in enumerate(radii):
+    for i, r in enumerate(listed(radii, f"{what} radii")):
         r = float(real_number(r, f"{what} radius {i}"))
         if not 0.0 < r < 1.0:
             raise InputError(f"{what} radius {i} is {r}, not in (0, 1)")

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DomainError, InputError, WindowOverflowError
 from .kernels import PointSet, _as_point
 from .linalg import DEFAULT_TOL, Subspace, ball_point, complex_array, complex_number, connected_components
-from .linalg import min_eigenvalue, real_number, threshold, whole_number
+from .linalg import listed, min_eigenvalue, real_number, threshold, whole_number
 
 
 class QQi:
@@ -91,7 +91,7 @@ class Polynomial:
 
     def __init__(self, dim: int, coeffs: Union[Mapping, Iterable[tuple]] = ()):
         dim = whole_number(dim, "dim", 1)
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if isinstance(coeffs, Mapping) else listed(coeffs, "terms")
         clean: dict = {}
         for alpha, c in items:
             try:
@@ -144,6 +144,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __mul__(self, other):
+        """The product, on the window of its total degree: that window's size is the cost and
+        its range can refuse it, whatever the terms (z1^300 * z2^300 builds 180,901 monomials)."""
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.dim, other)
         if other.dim != self.dim:
@@ -156,6 +158,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """The n-th power, on the window of degree n deg(self), whose size and range bound it as
+        for a product."""
         n = whole_number(n, "exponent", 0)
         space = TruncatedSpace(self.dim, n * max(self.degree, 0))
         u = np.zeros(len(space), dtype=np.complex128)
@@ -176,7 +180,9 @@ class Polynomial:
 def inner_product(p: Polynomial, q: Polynomial) -> complex:
     """Weighted pairing sum_alpha p_alpha conj(q_alpha) ||z^alpha||^2, linear in the
     first argument and conjugate-linear in the second: the standard pairing of the
-    isometric coordinates of p and q."""
+    isometric coordinates of p and q. It runs on the window of the larger degree, whose size is
+    its cost and whose range can refuse it: inner_product(z1^1028, z1^1028) in two variables
+    is refused, that window's norms falling below the normal float range, although it is 1."""
     if p.dim != q.dim:
         raise InputError("dimension mismatch")
     space = TruncatedSpace(p.dim, max(p.degree, q.degree, 0))
@@ -379,7 +385,11 @@ class TruncatedSpace:
         pts = zv if zv.ndim == 2 else np.atleast_1d(zv)[None, :]
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InputError(f"point must have {self.dim} coordinates")
-        ball_point(pts, "point")
+        u = self._kernel_columns(ball_point(pts, "point"))
+        return u.T if zv.ndim == 2 else u[0]
+
+    def _kernel_columns(self, pts: np.ndarray) -> np.ndarray:
+        """kernel_vector at each point of pts, points read and checked already: one row per point."""
         # conj(z_j)^e for each coordinate j and e <= degree, each power once
         powers = np.conjugate(pts)[:, :, None] ** np.arange(self.degree + 1)
         re, im, e = powers.real, powers.imag, self.exponents
@@ -395,7 +405,7 @@ class TruncatedSpace:
         u = np.empty((len(pts), len(self)), dtype=np.complex128)
         u.real, u.imag = u_re, u_im
         u /= self._sqrt_norms
-        return u.T if zv.ndim == 2 else u[0]
+        return u
 
     def shift(self, gamma) -> tuple:
         """Table (src, dst, weight) of multiplication by z^gamma.
@@ -533,7 +543,7 @@ def _numerical_rank(s: np.ndarray, shape: tuple) -> int:
 
 def span_of_polynomials(space: TruncatedSpace, polys: Iterable[Polynomial]) -> FockSubspace:
     """Orthonormalized span (FockSubspace.span, rank-revealing) of given polynomials."""
-    rows = np.array([space.iso_vector(p) for p in polys])
+    rows = np.array([space.iso_vector(p) for p in listed(polys, "polynomials")])
     return FockSubspace.span(space, rows.reshape(-1, len(space)).T)  # (len(space), 0) for no polys
 
 
@@ -905,7 +915,7 @@ def _band_norms_sq(zv: np.ndarray, low: int, high: int) -> tuple:
     whole in degree high + 1, and M* f stays in every window that holds f."""
     step = Polynomial(len(zv), zip(np.eye(len(zv), dtype=int).tolist(), zv.conj()))
     space = TruncatedSpace(len(zv), high + 1)
-    f = space.kernel_vector(zv)  # degree-n block: coordinates of <., z>^n
+    f = space._kernel_columns(zv[None, :])[0]  # degree-n block: coordinates of <., z>^n
     f[: space.size_at_most(low - 1)] = 0.0
     f[space.size_at_most(high) :] = 0.0
     adj = space.multiply(step, f, adjoint=True)

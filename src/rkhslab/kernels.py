@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, IrreducibilityError
 from .linalg import DEFAULT_TOL, HermitianMatrix, ball_point, complex_array, connected_components, gram_scale
-from .linalg import psd_check, real_number, threshold, whole_number
+from .linalg import distinct_labels, listed, psd_check, real_number, threshold, whole_number
 
 
 def _as_point(p, dim: int) -> np.ndarray:
@@ -78,7 +78,7 @@ def first_coincident_pair(points) -> Optional[tuple[int, int]]:
     stable lexsort on the real and imaginary parts puts equal rows next to
     each other in index order, and neighbours are compared with ==.
     """
-    pts = np.asarray(points, dtype=np.complex128)
+    pts = complex_array(points, "points")
     pts = pts.reshape(pts.shape[0], -1)
     # Adding 0.0 turns -0.0 into 0.0, so no sort order can part rows that
     # compare equal.
@@ -105,14 +105,14 @@ def _first_outside_disk(x: np.ndarray) -> Optional[float]:
 
 
 def validated_coeffs(coeffs: Sequence) -> tuple:
-    """Power-series coefficients as a tuple: non-empty, each a real number by
-    linalg.real_number, positive and finite, with a_0 = 1.
+    """Power-series coefficients, read by linalg.listed, as a tuple: non-empty, each a real
+    number by linalg.real_number, positive and finite, with a_0 = 1.
 
     A list of plain floats is checked as one float64 array. Any other list, or
     a float list that fails that check, is checked entry by entry, so a refusal
     names the first bad entry, by its index, with the same message either way.
     """
-    coeffs = tuple(coeffs)
+    coeffs = listed(coeffs, "coefficients")
     if not coeffs:
         raise InputError("coefficient list must be non-empty")
     if set(map(type, coeffs)) == {float}:
@@ -214,9 +214,7 @@ class SampledGramKernel:
     """
 
     def __init__(self, labels: Sequence[str], gram, tol: float = DEFAULT_TOL):
-        labels = tuple(str(x) for x in labels)
-        if len(set(labels)) != len(labels):
-            raise InputError("labels must be distinct")
+        labels = distinct_labels(labels, "label")
         g = gram if isinstance(gram, HermitianMatrix) else HermitianMatrix(gram)
         if g.n != len(labels):
             raise InputError(f"{len(labels)} labels for a {g.n}x{g.n} Gram matrix")
@@ -233,7 +231,7 @@ class SampledGramKernel:
     def _resolve(self, label) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: label does not hash
             raise InputError(f"unknown label {label!r}") from None
 
     def evaluate(self, z, w) -> complex:
@@ -242,9 +240,7 @@ class SampledGramKernel:
     def gram(self, labels=None) -> HermitianMatrix:
         if labels is None:
             return self._gram
-        idx = [self._resolve(lab) for lab in labels]
-        if len(set(idx)) != len(idx):
-            raise InputError("requested labels must be distinct")
+        idx = [self._resolve(lab) for lab in distinct_labels(labels, "requested label")]
         return HermitianMatrix(self._gram.entries[np.ix_(idx, idx)])
 
     def __repr__(self) -> str:

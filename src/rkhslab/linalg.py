@@ -5,8 +5,8 @@ reduces to a handful of primitives on small dense Hermitian matrices. They
 live here, together with the subspace membership check used to exercise the
 closure argument for hyponormal compressions on finite-dimensional models.
 
-Each value from outside is read by one rule (real_number, complex_number, complex_array or
-whole_number, then ball_point for a point) that refuses it with InputError naming the field.
+Each value from outside is read by one rule (real_number, complex_number, complex_array,
+whole_number, ball_point, listed, distinct_labels), refusing it with InputError naming the field.
 
 All operations are pure functions on immutable values and are safe to call
 concurrently.
@@ -15,6 +15,7 @@ concurrently.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from numbers import Rational, Real
 from typing import NamedTuple
@@ -187,6 +188,29 @@ def whole_number(x, what: str, least: int) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
         raise InputError(f"{what}: expected an integer >= {least}, got {x!r:.60}")
     return int(x)
+
+
+def listed(x, what: str) -> tuple:
+    """The entries of x, a list, tuple, 1-d array or other ordered iterable (a generator or a
+    zip too), as a tuple; a str, bytes, mapping, set or non-iterable is refused with InputError."""
+    try:
+        it = None if isinstance(x, (str, bytes, Mapping, Set)) else iter(x)
+    except TypeError:  # not iterable, a 0-d array too
+        it = None
+    if it is None:
+        raise InputError(f"{what}: expected a list, got {x!r:.60}")
+    return tuple(it)
+
+
+def distinct_labels(x, what: str) -> tuple:
+    """listed(x) when every entry is a str and no two are equal, else InputError naming what."""
+    out = listed(x, f"{what}s")
+    bad = next((i for i, e in enumerate(out) if not isinstance(e, str)), None)
+    if bad is not None:
+        raise InputError(f"{what} {bad}: expected a label (str), got {out[bad]!r:.60}")
+    if len(set(out)) != len(out):
+        raise InputError(f"{what}s must be distinct")
+    return out
 
 
 def ball_point(x: np.ndarray, what: str) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError, PreconditionError
 from .kernels import KernelSpec, PointSet, SampledGramKernel
 from .linalg import DEFAULT_TOL, HermitianMatrix, PsdVerdict, gram_scale, min_eigenvalue, psd_check
-from .linalg import complex_array, real_number, threshold
+from .linalg import complex_array, distinct_labels, real_number, threshold
 
 Nodes = Union[PointSet, Sequence[str]]
 
@@ -27,8 +27,8 @@ Nodes = Union[PointSet, Sequence[str]]
 class PickProblem:
     """Interpolation data: nodes z_i in the kernel's domain, targets w_i.
 
-    Nodes are a PointSet of the kernel's dim for an analytic kernel or distinct str labels for
-    a sampled kernel, refused here otherwise. Scalar targets only, read by complex_array.
+    Nodes are a PointSet of the kernel's dim for an analytic kernel or labels for a sampled one
+    (linalg.distinct_labels), refused here otherwise. Scalar targets only, read by complex_array.
     """
 
     kernel: KernelSpec
@@ -42,19 +42,13 @@ class PickProblem:
         sampled = isinstance(self.kernel, SampledGramKernel)
         if sampled == isinstance(self.nodes, PointSet):
             raise InputError("nodes must be labels for a sampled kernel and a PointSet for an analytic one")
-        if not sampled and self.nodes.dim != self.kernel.dim:
+        if sampled:
+            object.__setattr__(self, "nodes", distinct_labels(self.nodes, "node"))
+        elif self.nodes.dim != self.kernel.dim:
             raise InputError(f"nodes have dim {self.nodes.dim}, kernel has dim {self.kernel.dim}")
         n = len(self.nodes)
         if n < 1 or w.shape[0] != n:
             raise InputError(f"{n} nodes but {w.shape[0]} targets")
-        if sampled:
-            labels = tuple(self.nodes)
-            bad = next((i for i, x in enumerate(labels) if not isinstance(x, str)), None)
-            if bad is not None:  # a sampled kernel's labels are str; a list would not even hash
-                raise InputError(f"node {bad}: expected a label (str), got {labels[bad]!r:.60}")
-            if len(set(labels)) != len(labels):
-                raise InputError("nodes must be pairwise distinct")
-            object.__setattr__(self, "nodes", labels)
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "targets", w)

@@ -1,4 +1,5 @@
-"""The rules for an array and an integer from outside, at every entry point that takes one.
+"""The rules for an array, an integer, a list and a label from outside, at every entry point
+that takes one.
 
 linalg.complex_array reads every array of complex numbers from outside: a numeric
 ndarray in one call, anything else entry by entry with linalg.complex_number, which
@@ -8,18 +9,35 @@ index. Each refuses with InputError and one text that names the field, so no ent
 point raises OverflowError, TypeError, IndexError or a bare ValueError instead, or
 reads a string, a boolean or a ragged row as data. Each site keeps its own shape and
 range rules, which are reached here too.
+
+linalg.listed reads every list from outside: coefficients, radii, labels, nodes, polynomial
+terms and polynomials. It takes a list, tuple, 1-d array or other ordered iterable (a
+generator or a zip too) and refuses a str, bytes, mapping, set or non-iterable, so a str is
+never split into characters nor a mapping read by its keys; a Polynomial keeps its own branch
+for a mapping. linalg.distinct_labels reads sample labels and Pick nodes by listed, and
+refuses an entry that is not a str and a repeated one, so no label is converted by str().
 """
 
 import ast
 import copy
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import seeded_by, sites
 
-from rkhslab.cnp import agler_mccarthy_embed, blaschke_classify, cnp_sample_check
+from rkhslab.cli import main
+from rkhslab.cnp import (
+    FiniteRadii,
+    GeometricTail,
+    PolynomialTail,
+    agler_mccarthy_embed,
+    blaschke_classify,
+    cnp_sample_check,
+    ratio_report,
+)
 from rkhslab.errors import DomainError, InputError
 from rkhslab.fock import (
     FockSubspace,
@@ -28,6 +46,7 @@ from rkhslab.fock import (
     compression_defect,
     in_closure,
     mult_adjoint_apply,
+    span_of_polynomials,
     pairing_power_norms,
     powers_span,
     tail_balance,
@@ -38,6 +57,7 @@ from rkhslab.kernels import (
     PointSet,
     PowerSeriesKernel,
     SampledGramKernel,
+    first_coincident_pair,
     normalize,
 )
 from rkhslab.linalg import (
@@ -45,6 +65,7 @@ from rkhslab.linalg import (
     Subspace,
     complex_array,
     complex_number,
+    listed,
     verify_hyponormal_closure,
     whole_number,
 )
@@ -79,6 +100,7 @@ ARRAYS = {
     "fock subspace": (lambda a: FockSubspace(TruncatedSpace(1, 1), a), "subspace basis", [[1.0], [0.0]]),
     "kernel point": (lambda a: DruryArvesonKernel(2).evaluate(a, [0.0, 0.0]), "point", [0.1, 0.2]),
     "point set": (lambda a: PointSet(2, a), "points", [[0.1, 0.0], [0.0, 0.2]]),
+    "coincident pair": (first_coincident_pair, "points", [[0.1, 0.0], [0.1, 0.0]]),
     "pick targets": (lambda a: PickProblem(SZEGO, DISK, a), "targets", [0.1, 0.2]),
     "kernel vector": (lambda a: TruncatedSpace(2, 3).kernel_vector(a), "point", [0.1, 0.2]),
     "closure point": (lambda a: in_closure(a, PointSet(2, [[0.1, 0.0]]), 3), "point", [0.1, 0.2]),
@@ -258,10 +280,10 @@ def test_a_valid_input_gives_the_array_numpy_gives(seed):
     shape = tuple(int(k) for k in rng.integers(0, 4, size=rng.integers(0, 4)))
     size = int(np.prod(shape))
     nested = np.array([random_entry(rng) for _ in range(size)] or [0], dtype=object)[:size].reshape(shape)
-    listed = nested.tolist()
+    rows = nested.tolist()
     if rng.integers(2) and shape:  # tuples are rows too
-        listed = tuple(listed)
-    got, want = complex_array(listed, "x"), np.asarray(listed, dtype=np.complex128)
+        rows = tuple(rows)
+    got, want = complex_array(rows, "x"), np.asarray(rows, dtype=np.complex128)
     assert got.dtype == np.complex128 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     dtype = NUMERIC_DTYPES[rng.integers(len(NUMERIC_DTYPES))]
@@ -290,6 +312,94 @@ def test_bool_str_and_object_arrays_are_read_entry_by_entry(x):
 
 
 # ---------------------------------------------------------------------------
+# the list and label rules
+
+SAMPLED = SampledGramKernel(["a", "b"], np.eye(2))
+
+# list entry point: (call on the list, the field its refusals name, a valid list)
+LISTS = {
+    "power-series coefficients": (PowerSeriesKernel, "coefficients", [1.0, 0.5, 0.25]),
+    "ratio coefficients": (ratio_report, "coefficients", [1, Fraction(1, 2), 0.25]),
+    "finite radii": (FiniteRadii, "finite-list radii", [0.5, 0.75]),
+    "geometric prefix": (lambda x: GeometricTail(0.5, 0.5, prefix=x), "prefix radii", [0.25]),
+    "polynomial prefix": (lambda x: PolynomialTail(1, 1, prefix=x), "prefix radii", [0.25]),
+    "sampled labels": (lambda x: SampledGramKernel(x, np.eye(2)), "labels", ["a", "b"]),
+    "requested labels": (SAMPLED.gram, "requested labels", ["b", "a"]),
+    "pick nodes": (lambda x: PickProblem(SAMPLED, x, [0.1, 0.2]), "nodes", ["b", "a"]),
+    "polynomial terms": (lambda x: Polynomial(2, x), "terms", [((1, 0), 0.5), ((0, 2), 1j)]),
+    "polynomials": (lambda x: span_of_polynomials(TruncatedSpace(1, 2), x), "polynomials", [Z1, Z1 * Z1]),
+}
+
+NOT_LISTS = [5, None, "ab", b"ab", {"a": 1}, {1, 2}]
+
+
+@pytest.mark.parametrize("entry, x", [(entry, x) for entry in LISTS for x in NOT_LISTS], ids=repr)
+def test_every_list_refuses_a_non_list_with_the_rule_text(entry, x):
+    # each raised TypeError, split a str into characters or read a mapping by its keys
+    call, what, _ = LISTS[entry]
+    if entry == "polynomial terms" and isinstance(x, dict):
+        assert Polynomial(2, {(1, 0): 0.5}) == call([((1, 0), 0.5)])  # a mapping is read by its own branch
+        return
+    if entry == "requested labels" and x is None:
+        assert SAMPLED.gram(None) is SAMPLED.gram()  # None requests every label
+        return
+    assert refusal(call, x) == f"{what}: expected a list, got {x!r:.60}"
+
+
+@pytest.mark.parametrize("entry", LISTS)
+def test_every_list_reads_a_tuple_and_an_iterator_as_its_list(entry):
+    call, _, valid = LISTS[entry]
+    assert outcome(call(valid)) == outcome(call(tuple(valid))) == outcome(call(iter(valid)))
+
+
+def test_the_list_rule_takes_any_ordered_iterable_and_returns_a_tuple():
+    assert listed(zip([1, 2], "ab"), "x") == ((1, "a"), (2, "b"))
+    assert listed((c for c in [0.5, 0.25]), "x") == (0.5, 0.25)
+    assert listed(np.array([0.5, 0.25]), "x") == (0.5, 0.25)
+    for x in (np.array(0.5), np.float64(0.5), frozenset([1]), {}.keys(), b""):
+        assert refusal(lambda v: listed(v, "x"), x) == f"x: expected a list, got {x!r:.60}"
+
+
+# label entry point: (call on the labels, the field its refusals name)
+LABELS = {
+    "sampled labels": (lambda x: SampledGramKernel(x, np.eye(2)), "label"),
+    "requested labels": (SAMPLED.gram, "requested label"),
+    "pick nodes": (lambda x: PickProblem(SAMPLED, x, [0.1, 0.2]), "node"),
+}
+
+
+@pytest.mark.parametrize("entry, x", [(e, x) for e in LABELS for x in [True, 1, None, ["a"], 1.0]], ids=repr)
+def test_every_label_that_is_not_a_str_is_refused(entry, x):
+    # str() turned them into labels: 1 and "1" collided, True became "True"
+    call, what = LABELS[entry]
+    assert refusal(call, [x, "b"]) == f"{what} 0: expected a label (str), got {x!r:.60}"
+
+
+@pytest.mark.parametrize("entry", LABELS)
+def test_every_repeated_label_is_refused(entry):
+    call, what = LABELS[entry]
+    assert refusal(call, ["a", "a"]) == f"{what}s must be distinct"
+
+
+def test_a_label_that_does_not_hash_is_unknown():
+    # the dict lookup raised TypeError
+    assert refusal(lambda z: SAMPLED.evaluate(z, "b"), ["a"]) == "unknown label ['a']"
+    assert SAMPLED.evaluate("a", "b") == 0j
+
+
+@pytest.mark.parametrize("command, label", [("partition", True), ("pick", 1)])
+def test_the_cli_refuses_a_json_label_that_is_not_a_string(command, label, tmp_path, capsys):
+    # partition answered with the sample ["True", "None"]; pick named the node '1.0' unknown
+    kernel = {"type": "sampled", "labels": [label, None], "gram": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    if command == "pick":
+        kernel = {"kernel": dict(kernel, labels=[1, 2]), "nodes": [1.0, 2], "targets": [[0, 0], [0, 0]]}
+    (tmp_path / "in.json").write_text(json.dumps(kernel))
+    assert main([command, str(tmp_path / "in.json")]) == 2
+    error = json.loads(capsys.readouterr().out)["results"]["error"]
+    assert error == {"type": "InputError", "message": f"label 0: expected a label (str), got {label!r}"}
+
+
+# ---------------------------------------------------------------------------
 # the shape and range rules that stay at each site
 
 
@@ -309,7 +419,7 @@ def test_pick_refuses_nodes_of_another_dim():
 
 
 def test_pick_refuses_repeated_labels_and_a_nested_target():
-    with pytest.raises(InputError, match="^nodes must be pairwise distinct$"):
+    with pytest.raises(InputError, match="^nodes must be distinct$"):
         PickProblem(SampledGramKernel(["a", "b"], np.eye(2)), ["a", "a"], [0.1, 0.2])
     with pytest.raises(InputError, match="^targets must be a flat list of scalars$"):
         PickProblem(SZEGO, DISK, [[0.1], [0.2]])
@@ -428,3 +538,25 @@ def test_the_finiteness_and_boolean_tests_live_in_the_rules_only():
     assert sites(is_isfinite) == {("linalg.py", "complex_array"), ("cli.py", "_canonical")}
     # a boolean is refused as a number or an integer by the rules alone
     assert sites(refuses_bool) == {("linalg.py", "real_number"), ("linalg.py", "whole_number")}
+
+
+def is_str_type_test(node):
+    return getattr(node.func, "id", None) == "isinstance" and getattr(node.args[-1], "id", None) == "str"
+
+
+def is_distinctness(node):
+    inner = node.args[0] if getattr(node.func, "id", None) == "len" and node.args else None
+    return isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "set"
+
+
+# what str() converts in src/rkhslab: exceptions, the keys of a report and the parts of a
+# rational, never a label
+NOT_LABELS = {"e", "k", "x['num']", "x['den']", "x.numerator", "x.denominator"}
+
+
+def test_labels_are_checked_by_the_rule_only_and_never_converted():
+    # cli._canonical writes a str it is given
+    assert sites(is_str_type_test) == {("linalg.py", "distinct_labels"), ("cli.py", "_canonical")}
+    assert sites(is_distinctness) == {("linalg.py", "distinct_labels")}
+    converts = lambda node: getattr(node.func, "id", None) == "str" and ast.unparse(node.args[0]) not in NOT_LABELS  # noqa: E731
+    assert sites(converts) == set()

@@ -5,7 +5,8 @@ points of a kernel's evaluate, the point of a kernel vector and the j values of 
 factorization. It refuses the row of largest norm with DomainError, by the norm
 np.linalg.norm(..., axis=-1) gives. The pairing point of tail_balance and
 pairing_power_norms is read once, by fock._pairing_point, which decides z = 0 on the
-coordinates as given and the ball on the ||z||^2 the tail bound divides by 1 - nz.
+coordinates as given and the ball on the ||z||^2 the tail bound divides by 1 - nz; the
+kernel vector formed at that point is not checked again.
 """
 
 import ast
@@ -96,6 +97,36 @@ def test_the_pairing_ball_is_decided_on_the_squared_norm_the_bound_divides_by(z)
     assert refusal(DomainError, pairing_power_norms, z, 2, 1) == text
     just_inside = [z[0], Fraction(4, 5) - Fraction(1, 10**10)]
     assert tail_balance(just_inside, 3).within_bound
+
+
+# ||z||^2 rounds below 1, and np.linalg.norm(z) to 1.0
+NEAR_SPHERE = [0.020850124364053393 + 0.3662963985937194j, 0.20370752203618045 + 0.8359433865214687j,
+               0.02413280443057257 - 0.35286219468581165j]
+
+
+def test_the_pairing_point_the_bound_accepts_is_not_checked_again():
+    # the kernel vector of the balance refused it by the rule's norm
+    assert not np.linalg.norm(NEAR_SPHERE) < 1.0
+    assert tail_balance(NEAR_SPHERE, 3).within_bound
+    norms = pairing_power_norms(NEAR_SPHERE, 2, 3)
+    assert norms.adjoint_norm == pytest.approx(1.0) and norms.forward_norm == pytest.approx(1.0)
+
+
+def test_near_the_sphere_the_pairing_point_is_decided_by_one_norm():
+    # points one ulp inside the sphere in 3 variables: each is accepted or refused by nz alone
+    rng = np.random.default_rng(3)
+    reached = 0
+    for _ in range(1000):
+        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        z = (z * ((1 - 2**-53) / np.linalg.norm(z))).tolist()
+        answers = []
+        for call in (lambda: tail_balance(z, 3), lambda: pairing_power_norms(z, 2, 3)):
+            try:
+                answers.append(call())
+            except DomainError as e:
+                assert str(e).startswith("||z||^2 = ") and str(e).endswith(" is not below 1")
+        reached += len(answers) == 2 and not np.linalg.norm(z) < 1.0
+    assert reached  # the search reaches points that linalg.ball_point would refuse
 
 
 # ---------------------------------------------------------------------------
