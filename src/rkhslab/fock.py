@@ -10,11 +10,12 @@ TruncatedSpace: in its isometric coordinates multiplication by c z^gamma is
 a scatter-add over the table of gamma, and its adjoint is the gather over
 the same table. A Polynomial is the value type of a multiplier, with complex
 coefficients; its products, powers and inner products are short calls onto
-the tables. No operator matrix of a window is formed: the self-commutator of
-the whole window is summed from the tables too, pair by pair. Every
-orthonormal subspace of a window comes from FockSubspace.span: one thin
-Householder QR and an SVD of its small triangle, cut at one numerical-rank
-rule. The closure residual needs only such a triangle, and no basis.
+the tables. Every polynomial argument is read by one rule, _multiplier: a value
+whose coeffs is a Mapping, of the window's dim. No operator matrix of a window is
+formed: the self-commutator of the whole window is summed from the tables too,
+pair by pair. Every orthonormal subspace of a window comes from FockSubspace.span:
+one thin Householder QR and an SVD of its small triangle, cut at one numerical-rank
+rule (_rank_cut). The closure residual needs only such a triangle, and no basis.
 
 One exact routine. Where exactness is the result (Arveson's witness
 1/6 < 1/4 in arveson_example, and tail_balance at a point with exact
@@ -91,13 +92,18 @@ class Polynomial:
 
     def __init__(self, dim: int, coeffs: Union[Mapping, Iterable[tuple]] = ()):
         dim = whole_number(dim, "dim", 1)
-        items = coeffs.items() if isinstance(coeffs, Mapping) else listed(coeffs, "terms")
+        terms = coeffs.items() if isinstance(coeffs, Mapping) else listed(coeffs, "terms")
         clean: dict = {}
-        for alpha, c in items:
+        for term in terms:
+            pair = listed(term, "term")
+            if len(pair) != 2:
+                raise InputError(f"term: expected an (exponents, coefficient) pair, got {term!r:.60}")
+            alpha, c = pair
             try:
-                key = tuple(whole_number(e, "exponent", 0) for e in alpha)
-            except TypeError:  # alpha is not a sequence
-                raise InputError(f"bad multi-index {alpha} for dim {dim}") from None
+                exps = listed(alpha, "multi-index")
+            except InputError:  # no exponents, so refused below (dim >= 1)
+                exps = ()
+            key = tuple(whole_number(e, "exponent", 0) for e in exps)
             if len(key) != dim:
                 raise InputError(f"bad multi-index {alpha} for dim {dim}")
             cc = _coerce_coeff(c, "coefficient")
@@ -114,11 +120,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dim: int, value=1) -> "Polynomial":
-        return cls(dim, {(0,) * dim: value})
+        return cls(dim, {(0,) * whole_number(dim, "dim", 1): value})
 
     @classmethod
     def monomial(cls, dim: int, alpha, value=1) -> "Polynomial":
-        return cls(dim, {tuple(alpha): value})
+        return cls(dim, [(alpha, value)])
 
     @property
     def is_zero(self) -> bool:
@@ -134,10 +140,8 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.dim, other)
-        if other.dim != self.dim:
-            raise InputError("dimension mismatch")
         merged = dict(self.coeffs)
-        for a, c in other.coeffs.items():
+        for a, c in _multiplier(other, self.dim).coeffs.items():
             merged[a] = merged[a] + c if a in merged else c
         return Polynomial(self.dim, merged)
 
@@ -148,9 +152,7 @@ class Polynomial:
         its range can refuse it, whatever the terms (z1^300 * z2^300 builds 180,901 monomials)."""
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.dim, other)
-        if other.dim != self.dim:
-            raise InputError("dimension mismatch")
-        if self.is_zero or other.is_zero:
+        if _multiplier(other, self.dim).is_zero or self.is_zero:
             return Polynomial.zero(self.dim)
         space = TruncatedSpace(self.dim, self.degree + other.degree)
         return space.polynomial(space.multiply(self, space.iso_vector(other)))
@@ -177,14 +179,23 @@ class Polynomial:
         return f"Polynomial(dim={self.dim}, terms={len(self.coeffs)})"
 
 
+def _multiplier(p, dim=None):
+    """p if its coeffs is a Mapping (so any polynomial type is read by its shape) and, when
+    dim is given, p.dim == dim; else InputError: the one check of a polynomial argument."""
+    if not isinstance(getattr(p, "coeffs", None), Mapping):
+        raise InputError(f"expected a polynomial, got {p!r:.60}")
+    if dim is not None and p.dim != dim:
+        raise InputError("dimension mismatch")
+    return p
+
+
 def inner_product(p: Polynomial, q: Polynomial) -> complex:
     """Weighted pairing sum_alpha p_alpha conj(q_alpha) ||z^alpha||^2, linear in the
     first argument and conjugate-linear in the second: the standard pairing of the
     isometric coordinates of p and q. It runs on the window of the larger degree, whose size is
     its cost and whose range can refuse it: inner_product(z1^1028, z1^1028) in two variables
     is refused, that window's norms falling below the normal float range, although it is 1."""
-    if p.dim != q.dim:
-        raise InputError("dimension mismatch")
+    q = _multiplier(q, _multiplier(p).dim)
     space = TruncatedSpace(p.dim, max(p.degree, q.degree, 0))
     return complex(np.vdot(space.iso_vector(q), space.iso_vector(p)))
 
@@ -199,7 +210,7 @@ def mult_adjoint_apply(phi: Polynomial, f: Polynomial, degree: int) -> Polynomia
     a series) and phi is homogeneous, g is the complete adjoint image. f must fit the
     window; the engine raises rather than truncate.
     """
-    if f.degree > whole_number(degree, "degree", 0):
+    if _multiplier(f).degree > whole_number(degree, "degree", 0):
         raise WindowOverflowError(
             f"input of degree {f.degree} does not fit the degree-{degree} window"
         )
@@ -344,9 +355,7 @@ class TruncatedSpace:
 
     def iso_vector(self, p: Polynomial) -> np.ndarray:
         """Isometric coordinates of a polynomial of fitting degree."""
-        if p.dim != self.dim:
-            raise InputError("dimension mismatch")
-        if p.degree > self.degree:
+        if _multiplier(p, self.dim).degree > self.degree:
             raise WindowOverflowError(
                 f"polynomial of degree {p.degree} does not fit degree {self.degree}"
             )
@@ -439,8 +448,7 @@ class TruncatedSpace:
         here; iso_vector refuses it with WindowOverflowError. The result is
         complex.
         """
-        if phi.dim != self.dim:
-            raise InputError("dimension mismatch")
+        _multiplier(phi, self.dim)
         u = np.asarray(u, dtype=np.complex128)
         if u.ndim not in (1, 2) or u.shape[0] != len(self):
             raise InputError(f"coordinates must have {len(self)} rows")
@@ -522,23 +530,24 @@ class FockSubspace(Subspace):
 
         QR first: columns = q r, thin, so r is min(k, n) x n. r has the singular
         values of columns, and the rank counts those above s[0] * max(shape) * eps
-        (_numerical_rank). At full rank the basis is q. Below it, the basis is
+        (_rank_cut). At full rank the basis is q, bit for bit. Below it, the basis is
         q w[:, :rank], w the left singular vectors of r, formed only then: these are
         the leading left singular vectors of columns, as a thin SVD of the tall array
         gives them, for the price of a QR and an SVD of the small r (Chan, ACM TOMS 8,
         1982). No columns (n = 0) span the zero subspace, and n > k columns work.
         """
         q, r = np.linalg.qr(columns)
-        rank = _numerical_rank(np.linalg.svd(r, compute_uv=False), np.shape(columns))
-        if rank < q.shape[1]:
-            q = q @ np.linalg.svd(r)[0][:, :rank]
-        return cls(space, q)
+        rank, w = _rank_cut(r, np.shape(columns))
+        return cls(space, q if w is None else q @ w[:, :rank])
 
 
-def _numerical_rank(s: np.ndarray, shape: tuple) -> int:
-    """The number of singular values s (in descending order) of an array of the given shape
-    above s[0] * max(shape) * eps: the one rank rule of the module's spans."""
-    return int(np.sum(s > s[0] * max(shape) * np.finfo(float).eps)) if s.size else 0
+def _rank_cut(r: np.ndarray, shape: tuple) -> tuple:
+    """(rank, w) for the QR triangle r of an array of the given shape: rank counts the singular
+    values s of r (those of the array) above s[0] * max(shape) * eps, the module's one rank rule;
+    w, formed only below full rank (len(r)), is the left singular vectors of r, else None."""
+    s = np.linalg.svd(r, compute_uv=False)
+    rank = int(np.sum(s > s[0] * max(shape) * np.finfo(float).eps)) if s.size else 0
+    return rank, np.linalg.svd(r)[0] if rank < len(r) else None
 
 
 def span_of_polynomials(space: TruncatedSpace, polys: Iterable[Polynomial]) -> FockSubspace:
@@ -551,7 +560,7 @@ def powers_that_fit(space: TruncatedSpace, phi: Polynomial) -> int:
     """The most powers of phi that powers_span takes on the window, counted on the terms
     that act on it: degree // max(n, 1) for n the degree of phi cut to the window (see
     _normalized), so a constant phi gets no more powers than z1 would."""
-    return space.degree // max(_normalized(phi, space.degree)[2], 1)
+    return space.degree // max(_normalized(_multiplier(phi, space.dim), space.degree)[2], 1)
 
 
 def powers_span(space: TruncatedSpace, phi: Polynomial, count: int) -> FockSubspace:
@@ -629,7 +638,7 @@ def in_closure(z, points: PointSet, degree: int, tol: float = DEFAULT_TOL) -> Cl
     A = [K_Y, u] of kernel vectors, built in one call, only the triangle r of
     the Householder QR A = Q r is formed, so u = Q r[:, m]. The span is cut at
     the rank of K_Y, whose singular values are those of r[:m, :m]
-    (_numerical_rank, as in FockSubspace.span). With w_drop the left singular
+    (_rank_cut, as in FockSubspace.span). With w_drop the left singular
     vectors of r[:m, :m] past the rank, formed only when the rank is below m,
 
         residual = sqrt(|r[m, m]|^2 + ||w_drop* r[:m, m]||^2) / ||r[:, m]||,
@@ -649,11 +658,10 @@ def in_closure(z, points: PointSet, degree: int, tol: float = DEFAULT_TOL) -> Cl
     space, cols = _kernel_vectors(points, degree, z)
     m = len(points)
     r = np.linalg.qr(cols, mode="r")
-    rank = _numerical_rank(np.linalg.svd(r[:m, :m], compute_uv=False), (len(space), m))
+    rank, w = _rank_cut(r[:m, :m], (len(space), m))
     off = r[m:, m]  # r[m, m], or nothing when k = m
-    if rank < m:
-        w_drop = np.linalg.svd(r[:m, :m])[0][:, rank:]
-        off = np.concatenate((off, w_drop.conj().T @ r[:m, m]))
+    if w is not None:
+        off = np.concatenate((off, w[:, rank:].conj().T @ r[:m, m]))
     residual = float(np.linalg.norm(off) / np.linalg.norm(r[:, m]))
     return ClosureMembership(member=residual <= cut, residual=residual)
 
@@ -693,9 +701,7 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
     fails the rank test, and the kernel and powers spans, keep complex arithmetic.
     """
     space = subspace if isinstance(subspace, TruncatedSpace) else subspace.space
-    if phi.dim != space.dim:
-        raise InputError("dimension mismatch")
-    phi, e, _ = _normalized(phi, space.degree)
+    phi, e, _ = _normalized(_multiplier(phi, space.dim), space.degree)
     if space is subspace or subspace.dim == len(space):
         blocks = _blocks(len(space), *_window_pairs(space, _gauged(phi)))
     elif subspace.dim == 0:
@@ -708,7 +714,7 @@ def compression_defect(phi: Polynomial, subspace: Union[FockSubspace, TruncatedS
 
 def truncated(phi: Polynomial, degree: int) -> Polynomial:
     """The terms of phi of degree at most degree; phi itself when it has no others."""
-    if all(sum(g) <= degree for g in phi.coeffs):
+    if all(sum(g) <= degree for g in _multiplier(phi).coeffs):
         return phi
     return Polynomial(phi.dim, {g: c for g, c in phi.coeffs.items() if sum(g) <= degree})
 
@@ -815,7 +821,7 @@ def _normalized(phi: Polynomial, degree: int) -> tuple:
 def defect_scale(phi: Polynomial) -> float:
     """(sum_{gamma != 0} |c_gamma|)^2 bounds -compression_defect: shift weights are <= 1.
     Raises InputError unless it is 0 (a constant phi) or a finite normal float."""
-    size = _size(phi)
+    size = _size(_multiplier(phi))
     scale = size * size  # not size ** 2, which raises OverflowError
     if size and not sys.float_info.min <= scale < math.inf:
         raise InputError(f"multiplier size {size:.3e} squared is outside the normal float range")

@@ -3,7 +3,8 @@
 Three ways to present a kernel: a power-series kernel on the unit disk given
 by its coefficient list, the unit-ball kernel 1/(1 - <z, w>) in d complex
 variables, and a kernel known only through a sampled Gram matrix. All three
-expose evaluate() and gram().
+expose evaluate() and gram(); the pairings of points of the first two pass one
+guard, _inside_disk.
 """
 
 from __future__ import annotations
@@ -92,16 +93,17 @@ def first_coincident_pair(points) -> Optional[tuple[int, int]]:
     return int(firsts[k]), int(seconds[k])
 
 
-def _first_outside_disk(x: np.ndarray) -> Optional[float]:
-    """|x[i, j]| of the first entry with i <= j (row-major) that is not below
-    1, or None: the pair a per-pair loop over the upper triangle would meet
-    first."""
-    outside = np.abs(x) >= 1.0
+def _inside_disk(x, pairing: str):
+    """x, one pairing of two points or the matrix of pairings of a point set, if every modulus
+    is below 1; else DomainError naming pairing and the modulus of the first entry with i <= j
+    (row-major) that is not: the pair a per-pair loop over the upper triangle would meet first."""
+    modulus = np.abs(x)
+    outside = modulus >= 1.0
     if outside.any():
-        hits = np.argwhere(np.triu(outside))
-        if hits.size:
-            return abs(complex(x[tuple(hits[0])]))
-    return None
+        hits = np.argwhere(np.triu(outside) if np.ndim(x) else outside)
+        if len(hits):
+            raise DomainError(f"|{pairing}| = {modulus[tuple(hits[0])]:.6f} is not below 1")
+    return x
 
 
 def validated_coeffs(coeffs: Sequence) -> tuple:
@@ -147,9 +149,7 @@ class PowerSeriesKernel:
         """K(z, w) for z, w read by linalg.ball_point; a |z conj(w)| rounded up to 1 is refused."""
         zv = _as_point(z, 1)
         wv = _as_point(w, 1)
-        x = complex(zv[0] * np.conjugate(wv[0]))
-        if abs(x) >= 1.0:
-            raise DomainError(f"|z conj(w)| = {abs(x):.6f} is not below 1")
+        x = _inside_disk(complex(zv[0] * np.conjugate(wv[0])), "z conj(w)")
         acc = 0j
         for c in self._horner:
             acc = acc * x + c
@@ -159,10 +159,7 @@ class PowerSeriesKernel:
         if pts.dim != 1:
             raise InputError("power-series kernels live on the unit disk (dim 1)")
         z = pts.points[:, 0]
-        x = np.outer(z, z.conj())
-        bad = _first_outside_disk(x)
-        if bad is not None:
-            raise DomainError(f"|z conj(w)| = {bad:.6f} is not below 1")
+        x = _inside_disk(np.outer(z, z.conj()), "z conj(w)")
         # Horner on the whole matrix: one multiply-add per coefficient. A value past the
         # float range is refused by HermitianMatrix, so numpy need not warn of it.
         acc = np.zeros_like(x)
@@ -186,20 +183,13 @@ class DruryArvesonKernel:
         """K(z, w) for z, w read by linalg.ball_point; a |<z, w>| rounded up to 1 is refused."""
         zv = _as_point(z, self.dim)
         wv = _as_point(w, self.dim)
-        ip = complex(np.dot(zv, np.conjugate(wv)))
-        if abs(ip) >= 1.0:
-            raise DomainError(f"|<z, w>| = {abs(ip):.6f} is not below 1")
-        return 1.0 / (1.0 - ip)
+        return 1.0 / (1.0 - _inside_disk(complex(np.dot(zv, np.conjugate(wv))), "<z, w>"))
 
     def gram(self, pts: PointSet) -> HermitianMatrix:
         if pts.dim != self.dim:
             raise InputError(f"points have dim {pts.dim}, kernel has dim {self.dim}")
         z = pts.points
-        ip = z @ z.conj().T
-        bad = _first_outside_disk(ip)
-        if bad is not None:
-            raise DomainError(f"|<z, w>| = {bad:.6f} is not below 1")
-        return HermitianMatrix(1.0 / (1.0 - ip))
+        return HermitianMatrix(1.0 / (1.0 - _inside_disk(z @ z.conj().T, "<z, w>")))
 
     def __repr__(self) -> str:
         return f"DruryArvesonKernel(dim={self.dim})"

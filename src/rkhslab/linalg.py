@@ -193,8 +193,9 @@ def whole_number(x, what: str, least: int) -> int:
 def listed(x, what: str) -> tuple:
     """The entries of x, a list, tuple, 1-d array or other ordered iterable (a generator or a
     zip too), as a tuple; a str, bytes, mapping, set or non-iterable is refused with InputError."""
+    plain = type(x) in (tuple, list)  # read without the slower abstract-type checks
     try:
-        it = None if isinstance(x, (str, bytes, Mapping, Set)) else iter(x)
+        it = iter(x) if plain or not isinstance(x, (str, bytes, Mapping, Set)) else None
     except TypeError:  # not iterable, a 0-d array too
         it = None
     if it is None:

@@ -23,6 +23,7 @@ import copy
 import dataclasses
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,12 +45,16 @@ from rkhslab.fock import (
     Polynomial,
     TruncatedSpace,
     compression_defect,
+    defect_scale,
     in_closure,
+    inner_product,
     mult_adjoint_apply,
     span_of_polynomials,
     pairing_power_norms,
     powers_span,
+    powers_that_fit,
     tail_balance,
+    truncated,
     vanishing_subspace,
 )
 from rkhslab.kernels import (
@@ -448,6 +453,42 @@ def test_a_multi_index_that_is_not_a_sequence_is_refused(entry):
     # iterating it raised TypeError: 'int' object is not iterable
     coeffs, alpha = NOT_MULTI_INDICES[entry]
     assert refusal(lambda c: Polynomial(1, c), coeffs) == f"bad multi-index {alpha} for dim 1"
+
+
+WINDOW = TruncatedSpace(1, 3)
+NOT_A_POLYNOMIAL = "expected a polynomial, got 5"
+
+# a term, multi-index, dim or polynomial that is not one: (the call, its refusal); each raised
+# TypeError, ValueError or AttributeError, or read a str as a term
+NOT_POLYNOMIALS = {
+    "int term": (lambda: Polynomial(1, [5]), "term: expected a list, got 5"),
+    "str term": (lambda: Polynomial(1, ["ab"]), "term: expected a list, got 'ab'"),
+    "triple term": (lambda: Polynomial(1, [((1,), 1, 2)]),
+                    "term: expected an (exponents, coefficient) pair, got ((1,), 1, 2)"),
+    "single term": (lambda: Polynomial(1, [((1,),)]), "term: expected an (exponents, coefficient) pair, got ((1,),)"),
+    "int monomial": (lambda: Polynomial.monomial(1, 5), "bad multi-index 5 for dim 1"),
+    "str monomial": (lambda: Polynomial.monomial(1, "1"), "bad multi-index 1 for dim 1"),
+    "float dim": (lambda: Polynomial.constant(2.5), "dim: expected an integer >= 1, got 2.5"),
+    "span": (lambda: span_of_polynomials(WINDOW, [5]), NOT_A_POLYNOMIAL),
+    "inner product, first": (lambda: inner_product(5, Z1), NOT_A_POLYNOMIAL),
+    "inner product, second": (lambda: inner_product(Z1, 5), NOT_A_POLYNOMIAL),
+    "adjoint, multiplier": (lambda: mult_adjoint_apply(5, Z1, 3), NOT_A_POLYNOMIAL),
+    "adjoint, input": (lambda: mult_adjoint_apply(Z1, 5, 3), NOT_A_POLYNOMIAL),
+    "defect": (lambda: compression_defect(5, WINDOW), NOT_A_POLYNOMIAL),
+    "powers span": (lambda: powers_span(WINDOW, 5, 1), NOT_A_POLYNOMIAL),
+    "powers that fit": (lambda: powers_that_fit(WINDOW, 5), NOT_A_POLYNOMIAL),
+    "truncated": (lambda: truncated(5, 2), NOT_A_POLYNOMIAL),
+    "defect scale": (lambda: defect_scale(5), NOT_A_POLYNOMIAL),
+    "coefficient list": (lambda: defect_scale(SimpleNamespace(dim=1, coeffs=[((1,), 1.0)])),
+                         "expected a polynomial, got namespace(dim=1, coeffs=[((1,), 1.0)])"),
+    "dimension": (lambda: powers_that_fit(WINDOW, Polynomial.monomial(2, (1, 0))), "dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("entry", NOT_POLYNOMIALS)
+def test_a_term_or_polynomial_that_is_not_one_is_refused(entry):
+    call, text = NOT_POLYNOMIALS[entry]
+    assert refusal(lambda _: call(), None) == text
 
 
 @pytest.mark.parametrize("z", [[[0.1], [0.2]], [[0.1, 0.2]], 0.1, [0.1, 0.2, 0.3]], ids=repr)

@@ -176,6 +176,6 @@ def test_a_norm_is_compared_with_1_in_the_rule_the_pairing_point_and_the_embeddi
         ("fock.py", "_pairing_point"),
         ("cnp.py", "agler_mccarthy_embed"),
     }
-    # a modulus against 1 is the pairing of two points, in evaluate's and gram's guards
-    modulus = lambda node: against_1(node, {"abs"})  # noqa: E731
-    assert sites(modulus, ast.Compare) == {("kernels.py", "evaluate"), ("kernels.py", "_first_outside_disk")}
+    # a modulus against 1 is the pairing of two points, in the one guard of evaluate and gram
+    modulus = lambda node: against_1(node, {"abs", "modulus"})  # noqa: E731
+    assert sites(modulus, ast.Compare) == {("kernels.py", "_inside_disk")}

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -1048,3 +1049,28 @@ class TestOneParser:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert all(name.split()[0] in outputs[0] for name in cli.COMMANDS)
+
+
+class TestEntryPoint:
+    """The console script and python -m exit with the code main returns."""
+
+    ARGVS = [["fock", "arveson"], ["fock", "defect", "--phi", phi_with_exponent(1), "--span", "full", "--degree", "6"]]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["exit-0", "exit-1"])
+    def test_main_entry_exits_with_the_code_of_main(self, argv, monkeypatch, capsys):
+        code = main(argv)
+        out = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["rkhslab", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.main_entry()
+        assert exited.value.code == code and capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["exit-0", "exit-1"])
+    def test_running_the_module_calls_main_entry(self, argv, monkeypatch, capsys):
+        code = main(argv)
+        out = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["rkhslab", *argv])
+        monkeypatch.delitem(sys.modules, "rkhslab.cli")  # run the module afresh, as python -m does
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("rkhslab.cli", run_name="__main__")
+        assert exited.value.code == code and capsys.readouterr().out == out

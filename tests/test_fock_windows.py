@@ -702,6 +702,29 @@ def test_a_multiplier_is_cut_to_its_window_once_per_layer():
     assert degrees == {"args"}
 
 
+POLYNOMIAL_ARGUMENTS = {"p", "q", "phi", "psi", "f", "other"}
+
+
+def test_a_polynomial_is_checked_and_a_rank_cut_in_one_place_each():
+    # the dim of a polynomial argument meets another only in _multiplier; __eq__ compares two
+    # polynomials, and the command line compares the points of --points with --phi
+    def polynomial_dim(node):
+        sides = [node.left, *node.comparators]
+        return any(isinstance(s, ast.Attribute) and s.attr == "dim" and getattr(s.value, "id", None)
+                   in POLYNOMIAL_ARGUMENTS for s in sides)
+
+    assert sites(polynomial_dim, ast.Compare) == {
+        ("fock.py", "_multiplier"), ("fock.py", "__eq__"), ("cli.py", "_cmd_fock_defect")
+    }
+    mismatch = lambda node: node.value == "dimension mismatch"  # noqa: E731
+    assert sites(mismatch, ast.Constant) == {("fock.py", "_multiplier"), ("fock.py", "shift")}  # shift: a multi-index
+    # the rank rule reads the singular values of a QR triangle in _rank_cut only
+    svd = lambda node: getattr(node.func, "attr", None) == "svd"  # noqa: E731
+    values = lambda node: svd(node) and any(k.arg == "compute_uv" for k in node.keywords)  # noqa: E731
+    assert sites(values) == {("fock.py", "_rank_cut")}
+    assert sites(svd) == {("fock.py", "_rank_cut"), ("fock.py", "ideal")}
+
+
 class TestKernelVector:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @seeded
@@ -888,6 +911,12 @@ class TestFockSubspace:
         u = np.arange(len(space), dtype=complex)
         assert np.array_equal(sub.project(u), Subspace(sub.basis).project(u))
 
+    @pytest.mark.parametrize("n", [0, 4, 10, 13])
+    def test_at_full_rank_the_basis_is_the_q_of_qr_bit_for_bit(self, n):
+        space = TruncatedSpace(2, 3)  # 10 monomials, so 13 columns have rank 10
+        cols = np.random.default_rng(n).standard_normal((len(space), 2 * n)).view(complex)
+        assert np.array_equal(FockSubspace.span(space, cols).basis, np.linalg.qr(cols)[0])
+
     def test_error_texts(self):
         space = TruncatedSpace(2, 2)
         with pytest.raises(InputError, match="basis shape does not match the space"):
@@ -900,6 +929,13 @@ def test_arveson_witness_stays_exact():
     w = arveson_example()
     assert type(w.forward_norm_sq) is Fraction and w.forward_norm_sq == Fraction(1, 6)
     assert type(w.adjoint_norm_sq) is Fraction and w.adjoint_norm_sq == Fraction(1, 4)
+
+
+def test_arveson_witness_asserts_its_inequality(monkeypatch):
+    exact = TruncatedSpace.exact_norms_sq
+    monkeypatch.setattr(TruncatedSpace, "exact_norms_sq", lambda space, *args: exact(space, *args)[::-1])
+    with pytest.raises(AssertionError, match="^expected forward 1/4 < adjoint 1/6$"):
+        arveson_example()
 
 
 def gaussian_rational(rng, bound: Fraction, nonzero_im: bool = False) -> QQi:

@@ -224,6 +224,13 @@ class TestHyponormalClosure:
         with pytest.raises(PreconditionError):
             verify_hyponormal_closure(np.eye(3), sub, np.array([0.0, 1.0, 0.0]), 1e-9)
 
+    def test_a_distance_of_exactly_tol_times_the_norm_passes(self):
+        # f = (3, 4) lies 4.0 from span(e1), and tol ||f|| = 0.8 * 5.0 rounds to 4.0 exactly
+        sub = Subspace([[1.0], [0.0]])
+        assert verify_hyponormal_closure(np.eye(2), sub, [3.0, 4.0], 0.8) == (True, True)
+        with pytest.raises(PreconditionError, match=r"^f is not in the subspace \(distance 4.000e\+00\)$"):
+            verify_hyponormal_closure(np.eye(2), sub, [3.0, 4.0], 0.79)
+
     def test_never_norms_equal_without_closure_when_hyponormal(self, rng):
         # random co-invariant subspaces with hyponormal (here: normal)
         # compressions never produce (True, False)
